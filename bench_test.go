@@ -459,33 +459,6 @@ func BenchmarkDirectionHints(b *testing.B) {
 	b.ReportMetric(float64(decided), "decided")
 }
 
-// BenchmarkDelayAnalysis measures the §5 causal/concurrent classifier over
-// the day's dependent pair types.
-func BenchmarkDelayAnalysis(b *testing.B) {
-	r := benchSetup(b)
-	ss, _ := r.SessionsOfDay(0)
-	res := l2.Mine(ss, r.Opts.L2)
-	types := make(map[l2.Bigram]bool)
-	for t, tr := range res.Types {
-		if tr.Significant {
-			types[t] = true
-		}
-	}
-	b.ResetTimer()
-	var peaked int
-	for i := 0; i < b.N; i++ {
-		out := l2.ClassifyPairs(ss, types, l2.DelayConfig{})
-		peaked = 0
-		for _, d := range out {
-			if d.Peaked {
-				peaked++
-			}
-		}
-	}
-	b.ReportMetric(float64(peaked), "causal-types")
-	b.ReportMetric(float64(len(types)), "types")
-}
-
 // --- Streaming benchmarks (internal/stream) ---------------------------------
 //
 // Stream/Batch pairs A/B the incremental window maintenance against
@@ -533,7 +506,7 @@ func benchmarkStreaming(b *testing.B, mk func(*eval.Runner, stream.Config) strea
 		in := stream.NewIngester(wcfg, m)
 		advances = 0
 		in.OnAdvance = func(stream.Bucket) { m.Snapshot(); advances++ }
-		in.AddAll(entries)
+		in.AddBatch(entries)
 		in.Flush()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*advances), "ns/advance")
@@ -555,7 +528,7 @@ func benchmarkBatchWindows(b *testing.B, mk func(*eval.Runner, stream.Config) st
 	in.OnAdvance = func(stream.Bucket) {
 		wins = append(wins, windowCase{store: in.WindowStore(), r: in.WindowRange()})
 	}
-	in.AddAll(entries)
+	in.AddBatch(entries)
 	in.Flush()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -583,16 +556,14 @@ func BenchmarkStreamWindowScaling(b *testing.B) {
 	}
 }
 
-// --- Ingestion hot-path benchmarks (the bench-gate set) ---------------------
+// --- Ingestion hot-path benchmarks ------------------------------------------
 //
 // BenchmarkIngestE2E is the headline entries/sec/core number: the synthetic
 // week rendered to wire format once, then each iteration drives the full
 // parse → bucket path (Feeder line assembly, wire parsing, Ingester
 // bucketing and bucket-close sorts) over the rendered bytes on one
 // goroutine, so entries/s is entries/sec/core. No miners are attached: this
-// isolates the ingestion ceiling everything above it rides on. The ns/op of
-// this benchmark is compared against BENCH_BASELINE.json by the CI
-// bench-gate job (see cmd/benchjson compare).
+// isolates the ingestion ceiling everything above it rides on.
 func BenchmarkIngestE2E(b *testing.B) {
 	r := benchSetup(b)
 	var buf bytes.Buffer

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"logscape/internal/follow"
 )
@@ -25,17 +24,6 @@ import (
 // per-bucket trace and net/http/pprof are served over HTTP while it tails.
 func runFollow(o options) error {
 	return followStream(o, os.Stdout, os.Stderr)
-}
-
-// followBackoff is the CLI retry schedule: 100ms per consecutive attempt,
-// capped at 500ms. Tests never reach it (their transports either succeed or
-// fail non-transiently); it only shapes *when* a live stream is re-read,
-// never what.
-func followBackoff(attempt int) {
-	if attempt > 5 {
-		attempt = 5
-	}
-	time.Sleep(time.Duration(attempt) * 100 * time.Millisecond)
 }
 
 // followConfig adapts the parsed flags to the engine's configuration.
@@ -58,7 +46,6 @@ func followConfig(o options) (follow.Config, error) {
 		StorePath:      o.storePath,
 		Drift:          o.drift,
 		Metrics:        o.metrics,
-		Backoff:        followBackoff,
 	}, nil
 }
 

@@ -79,8 +79,12 @@ func main() {
 		t.Fatal(err)
 	}
 	md := "Flags: `-documented` and `-phantom`; toolchain `-race` is fine.\n"
-	if err := os.WriteFile(filepath.Join(root, "README.md"), []byte(md), 0o644); err != nil {
-		t.Fatal(err)
+	// The same span in a planning file or process log is out of scope:
+	// those name other modules' and future flags by nature.
+	for _, name := range []string{"README.md", "ROADMAP.md", "CHANGES.md", "ISSUE.md"} {
+		if err := os.WriteFile(filepath.Join(root, name), []byte(md), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	bad, err := audit(root)
@@ -93,8 +97,8 @@ func main() {
 	if !strings.Contains(bad[0], "-hidden") || !strings.Contains(bad[0], "undocumented") {
 		t.Errorf("missing registered-but-undocumented violation: %v", bad)
 	}
-	if !strings.Contains(bad[1], "-phantom") || !strings.Contains(bad[1], "no command") {
-		t.Errorf("missing documented-but-unregistered violation: %v", bad)
+	if !strings.Contains(bad[1], "-phantom (in "+filepath.Join(root, "README.md")+")") || !strings.Contains(bad[1], "no command") {
+		t.Errorf("missing documented-but-unregistered violation naming README.md alone: %v", bad)
 	}
 }
 

@@ -17,10 +17,6 @@
 //
 // Exit status is 1 when any error-severity finding remains after
 // //lint:allow filtering, 2 on operational failure, 0 otherwise.
-//
-// The binary also speaks enough of the `go vet -vettool` protocol to run
-// as go vet -vettool=$(which lintscape) ./... : it answers -V=full and
-// -flags, and accepts a vet .cfg unit file as its sole argument.
 package main
 
 import (
@@ -28,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"logscape/internal/analysis"
 	"logscape/internal/analysis/runner"
@@ -36,21 +31,6 @@ import (
 )
 
 func main() {
-	// go vet probes its -vettool with -V=full before anything else.
-	for _, arg := range os.Args[1:] {
-		if arg == "-V=full" || arg == "--V=full" {
-			// The version string must not be "devel": cmd/go's toolID
-			// parser then demands a trailing buildID=... field.
-			fmt.Println("lintscape version v0.1.0")
-			return
-		}
-		if arg == "-flags" || arg == "--flags" {
-			// No analyzer flags are exported to vet.
-			fmt.Println("[]")
-			return
-		}
-	}
-
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	tests := flag.Bool("tests", false, "also analyze in-package _test.go files")
 	configPath := flag.String("config", "", "severity configuration file (default: .lintscape.json at the module root)")
@@ -65,29 +45,20 @@ func main() {
 		return
 	}
 
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vetUnit(args[0]))
-	}
-	os.Exit(standalone(args, *configPath, *jsonOut, *tests, *workers))
-}
-
-// standalone is the main mode: load packages, run the suite (per-package
-// analyzers in parallel, program-level dataflow analyzers over the whole
-// load), print.
-func standalone(patterns []string, configPath string, jsonOut, tests bool, workers int) int {
+	// Load packages, run the suite (per-package analyzers in parallel,
+	// program-level dataflow analyzers over the whole load), print.
 	res, err := runner.Run(analyzers.All(), runner.Options{
-		Patterns:   patterns,
-		Tests:      tests,
-		Workers:    workers,
-		ConfigPath: configPath,
+		Patterns:   flag.Args(),
+		Tests:      *tests,
+		Workers:    *workers,
+		ConfigPath: *configPath,
 		Known:      analyzers.Names(),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lintscape:", err)
-		return 2
+		os.Exit(2)
 	}
-	return report(res.Findings, jsonOut)
+	os.Exit(report(res.Findings, *jsonOut))
 }
 
 // report prints the findings and returns the exit code.

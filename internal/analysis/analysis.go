@@ -73,11 +73,6 @@ type ProgramPass struct {
 	ExportFact func(token.Pos, string)
 }
 
-// Reportf reports a formatted diagnostic at pos, attributed to unit.
-func (p *ProgramPass) Reportf(unit *ProgramUnit, pos token.Pos, format string, args ...any) {
-	p.Report(unit, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
 // Diagnostic is one finding at a source position.
 type Diagnostic struct {
 	Pos     token.Pos

@@ -35,12 +35,6 @@ func (ci *CallInfo) CalleeIs(pkgPath, name string) bool {
 	return pkg != nil && pkg.Path() == pkgPath
 }
 
-// CalleeNamed reports whether the callee has the given bare name, whatever
-// package or interface it belongs to.
-func (ci *CallInfo) CalleeNamed(name string) bool {
-	return ci.Callee != nil && ci.Callee.Name() == name
-}
-
 // IsNil reports whether e is a statically nil expression (the untyped nil
 // literal, possibly parenthesised or converted).
 func (ci *CallInfo) IsNil(e ast.Expr) bool {

@@ -4,11 +4,15 @@
 // Ranging over a map is fine when the body is commutative (set inserts,
 // integer counting). It silently breaks the repo's bit-identical-output
 // contract when the body appends to a slice that is never sorted
-// afterwards, writes output directly, or folds into an accumulator whose
-// operation is order-sensitive (string concatenation; floating-point
-// accumulation, which is not associative). The analyzer flags exactly
-// those three shapes and stands down for appends when the enclosing
-// function visibly sorts afterwards.
+// afterwards: the slice then carries iteration order to whoever receives
+// it, in this module or outside it. The analyzer flags exactly that shape
+// and stands down when the enclosing function visibly sorts afterwards.
+//
+// It has one rule on purpose. Writing output or folding into a
+// non-commutative accumulator (string concatenation, floating-point
+// accumulation) in map order is taintorder's finding: it follows the value
+// to the sink, through helpers and returns, so each such line is reported
+// once, by the analyzer that can see the whole flow.
 //
 // See DESIGN.md §8 (Static invariants).
 package maporder

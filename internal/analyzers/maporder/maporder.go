@@ -9,13 +9,12 @@ import (
 	"logscape/internal/analysis"
 )
 
-// Analyzer flags order-sensitive folds over map iteration.
+// Analyzer flags slices assembled in map iteration order and never sorted.
 var Analyzer = &analysis.Analyzer{
 	Name: "maporder",
-	Doc: "flag range-over-map loops whose body appends to a slice without a subsequent sort, " +
-		"writes output, or folds into a non-commutative accumulator (string concatenation, " +
-		"floating-point accumulation) — map iteration order is randomized and such folds make " +
-		"mined output depend on it",
+	Doc: "flag range-over-map loops whose body appends to a slice that the enclosing function " +
+		"never sorts afterwards — map iteration order is randomized, and such a slice carries " +
+		"it wherever it goes (taintorder owns the flows that reach an output or an accumulator)",
 	Run: run,
 }
 
@@ -81,53 +80,19 @@ func isMap(t types.Type) bool {
 	return ok
 }
 
-// checkMapRange flags the order-sensitive statements inside one map-range
-// body. funcBody is the body of the enclosing function, used to look for a
-// sort after the loop.
+// checkMapRange flags the appends inside one map-range body, unless a sort
+// after the loop normalizes the order. funcBody is the body of the
+// enclosing function, where that sort is looked for.
 func checkMapRange(pass *analysis.Pass, funcBody *ast.BlockStmt, rng *ast.RangeStmt) {
-	sorted := sortsAfter(funcBody, rng.End())
+	if sortsAfter(funcBody, rng.End()) {
+		return
+	}
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			checkAssign(pass, n, sorted)
-		case *ast.CallExpr:
-			if name, ok := writeCallName(n); ok {
-				pass.Reportf(n.Pos(), "%s writes output in map iteration order; iterate sorted keys instead", name)
-			}
+		if as, ok := n.(*ast.AssignStmt); ok && (as.Tok == token.ASSIGN || as.Tok == token.DEFINE) && hasAppend(pass, as.Rhs) {
+			pass.Reportf(as.Pos(), "append in map iteration order without a subsequent sort; sort the result or iterate sorted keys")
 		}
 		return true
 	})
-}
-
-// checkAssign flags appends (unless a later sort normalizes the order) and
-// non-commutative compound assignments inside a map-range body.
-func checkAssign(pass *analysis.Pass, as *ast.AssignStmt, sortedAfter bool) {
-	switch as.Tok {
-	case token.ASSIGN, token.DEFINE:
-		if !sortedAfter && hasAppend(pass, as.Rhs) {
-			pass.Reportf(as.Pos(), "append in map iteration order without a subsequent sort; sort the result or iterate sorted keys")
-		}
-	case token.SUB_ASSIGN, token.QUO_ASSIGN:
-		pass.Reportf(as.Pos(), "%s folds a non-commutative accumulator in map iteration order; iterate sorted keys instead", as.Tok)
-	case token.ADD_ASSIGN, token.MUL_ASSIGN:
-		// Integer += / *= commute exactly; string += concatenates in
-		// visit order and float += / *= round in visit order.
-		if len(as.Lhs) == 1 && isOrderSensitiveAccumulator(pass, as.Lhs[0]) {
-			pass.Reportf(as.Pos(), "%s folds a non-commutative accumulator (string or floating point) in map iteration order; iterate sorted keys instead", as.Tok)
-		}
-	}
-}
-
-func isOrderSensitiveAccumulator(pass *analysis.Pass, lhs ast.Expr) bool {
-	tv, ok := pass.TypesInfo.Types[lhs]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	b, ok := tv.Type.Underlying().(*types.Basic)
-	if !ok {
-		return false
-	}
-	return b.Info()&(types.IsString|types.IsFloat|types.IsComplex) != 0
 }
 
 func hasAppend(pass *analysis.Pass, exprs []ast.Expr) bool {
@@ -151,21 +116,6 @@ func hasAppend(pass *analysis.Pass, exprs []ast.Expr) bool {
 		}
 	}
 	return false
-}
-
-// writeNames are method/function names that emit output directly.
-var writeNames = map[string]bool{
-	"Print": true, "Printf": true, "Println": true,
-	"Fprint": true, "Fprintf": true, "Fprintln": true,
-	"Write": true, "WriteString": true, "WriteRune": true, "WriteByte": true,
-}
-
-func writeCallName(call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !writeNames[sel.Sel.Name] {
-		return "", false
-	}
-	return sel.Sel.Name, true
 }
 
 // sortsAfter reports whether the function body contains a sort call

@@ -1,13 +1,10 @@
-// Fixture for the maporder analyzer: order-sensitive folds over map
-// iteration are flagged; commutative folds, sorted appends and justified
-// directives stay quiet.
+// Fixture for the maporder analyzer: an append in map iteration order that
+// no later sort normalizes is flagged; sorted appends, commutative folds and
+// justified directives stay quiet. Writes and non-commutative accumulators
+// in map order are taintorder's finding (see its fixture).
 package a
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 func badAppend(m map[string]int) []string {
 	var keys []string
@@ -15,44 +12,6 @@ func badAppend(m map[string]int) []string {
 		keys = append(keys, k) // want `append in map iteration order without a subsequent sort`
 	}
 	return keys
-}
-
-func badPrint(m map[string]int) {
-	for k, v := range m {
-		fmt.Println(k, v) // want `writes output in map iteration order`
-	}
-}
-
-func badBuilder(m map[string]int) string {
-	var b strings.Builder
-	for k := range m {
-		b.WriteString(k) // want `writes output in map iteration order`
-	}
-	return b.String()
-}
-
-func badFloatFold(m map[string]float64) float64 {
-	var sum float64
-	for _, v := range m {
-		sum += v // want `non-commutative accumulator`
-	}
-	return sum
-}
-
-func badConcat(m map[string]string) string {
-	out := ""
-	for _, v := range m {
-		out += v // want `non-commutative accumulator`
-	}
-	return out
-}
-
-func badSubtract(m map[string]int) int {
-	n := 0
-	for _, v := range m {
-		n -= v // want `non-commutative accumulator`
-	}
-	return n
 }
 
 // goodSortedAppend is the sanctioned pattern: collect, then sort.

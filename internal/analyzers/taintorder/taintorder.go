@@ -1,9 +1,10 @@
-// Package taintorder is the dataflow upgrade of maporder: instead of
-// flagging syntax inside range-over-map bodies, it taints every value
-// derived from map iteration order (range over a map, maps.Keys/Values/All)
-// and flags only when the taint actually reaches an order-sensitive sink —
-// output writers, non-commutative accumulators, or RNG seeding. Sorting
-// (any callee whose name mentions "sort", matching maporder's heuristic)
+// Package taintorder owns every order-dependent use of map iteration
+// (maporder keeps only the unsorted append): instead of flagging syntax
+// inside range-over-map bodies, it taints every value derived from map
+// iteration order (range over a map, maps.Keys/Values/All) and flags only
+// when the taint actually reaches an order-sensitive sink — output
+// writers, non-commutative accumulators, or RNG seeding. Sorting (any
+// callee whose name mentions "sort", matching maporder's heuristic)
 // launders the taint, wherever it happens: in the same function, in a
 // helper, or on a value returned through any chain of in-module calls.
 //
@@ -41,7 +42,7 @@ func run(pass *analysis.ProgramPass) error {
 	return nil
 }
 
-// writeNames are output calls, mirroring maporder's write set.
+// writeNames are method/function names that emit output directly.
 var writeNames = map[string]bool{
 	"Print": true, "Printf": true, "Println": true,
 	"Fprint": true, "Fprintf": true, "Fprintln": true,

@@ -134,6 +134,22 @@ func goodMapRebuild(m map[string]int) int {
 	return idx["a"]
 }
 
+// badPrint prints inside the loop body.
+func badPrint(m map[string]int) {
+	for k, v := range m {
+		fmt.Println(k, v) // want `map iteration order reaches output write \(Println\)`
+	}
+}
+
+// badBuilder assembles a string in map order through a builder.
+func badBuilder(m map[string]int) string {
+	var b strings.Builder
+	for k := range m {
+		b.WriteString(k) // want `map iteration order reaches output write \(WriteString\)`
+	}
+	return b.String()
+}
+
 // badWriteDirect writes inside the loop body.
 func badWriteDirect(m map[string]int, w io.Writer) {
 	for k := range m {

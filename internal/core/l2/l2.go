@@ -189,13 +189,13 @@ func countBigramsMetered(ss []sessions.Session, timeout logmodel.Millis, workers
 		// Counts are integer-valued floats, so this fold is exact and
 		// commutative; map-range merge order cannot change the result.
 		for b, n := range p.Joint {
-			merged.Joint[b] += n //lint:allow maporder,taintorder integer-valued counts, addition is exact and commutative
+			merged.Joint[b] += n //lint:allow taintorder integer-valued counts, addition is exact and commutative
 		}
 		for s, n := range p.First {
-			merged.First[s] += n //lint:allow maporder,taintorder integer-valued counts, addition is exact and commutative
+			merged.First[s] += n //lint:allow taintorder integer-valued counts, addition is exact and commutative
 		}
 		for s, n := range p.Second {
-			merged.Second[s] += n //lint:allow maporder,taintorder integer-valued counts, addition is exact and commutative
+			merged.Second[s] += n //lint:allow taintorder integer-valued counts, addition is exact and commutative
 		}
 		merged.Total += p.Total
 	}

@@ -100,10 +100,10 @@ func TestCountBigramsMarginals(t *testing.T) {
 	// Marginal sums equal the total.
 	var f, sec float64
 	for _, v := range counts.First {
-		f += v //lint:allow maporder,taintorder integer-valued counts, addition is exact and commutative
+		f += v //lint:allow taintorder integer-valued counts, addition is exact and commutative
 	}
 	for _, v := range counts.Second {
-		sec += v //lint:allow maporder,taintorder integer-valued counts, addition is exact and commutative
+		sec += v //lint:allow taintorder integer-valued counts, addition is exact and commutative
 	}
 	if f != counts.Total || sec != counts.Total { //lint:allow floateq integer-valued counts, marginal identity must be exact
 		t.Errorf("marginal sums %v/%v != total %v", f, sec, counts.Total)

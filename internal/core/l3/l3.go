@@ -230,13 +230,3 @@ func MergeEvidence(dst, src map[core.AppServicePair]*Evidence) {
 		dv.Stopped += sv.Stopped
 	}
 }
-
-// OwnerMap builds the group → owner map for Config.Owner from parallel
-// slices of group ids and owner names.
-func OwnerMap(ids, owners []string) map[string]string {
-	m := make(map[string]string, len(ids))
-	for i := range ids {
-		m[ids[i]] = owners[i]
-	}
-	return m
-}

@@ -150,13 +150,6 @@ func TestMineTimeRange(t *testing.T) {
 	}
 }
 
-func TestOwnerMap(t *testing.T) {
-	m := OwnerMap([]string{"G1", "G2"}, []string{"A", "B"})
-	if m["G1"] != "A" || m["G2"] != "B" {
-		t.Errorf("OwnerMap = %v", m)
-	}
-}
-
 // TestMineOnSimulatedDay is the integration checkpoint: on a full-scale
 // simulated weekday, L3 must recover the vast majority of realized
 // dependencies with high precision (figure 8: ratio of true positives

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Pair is an unordered pair of application names, normalized so A < B.
@@ -24,6 +25,10 @@ func MakePair(a, b string) Pair {
 // String renders the pair.
 func (p Pair) String() string { return fmt.Sprintf("{%s, %s}", p.A, p.B) }
 
+func (p Pair) compare(q Pair) int {
+	return cmp.Or(cmp.Compare(p.A, q.A), cmp.Compare(p.B, q.B))
+}
+
 // AppServicePair is a directed dependency of an application on a
 // service-directory entry — the element of approach L3's model and of the
 // paper's second reference model (§4.3).
@@ -35,41 +40,38 @@ type AppServicePair struct {
 // String renders the dependency.
 func (p AppServicePair) String() string { return fmt.Sprintf("%s -> %s", p.App, p.Group) }
 
+func (p AppServicePair) compare(q AppServicePair) int {
+	return cmp.Or(cmp.Compare(p.App, q.App), cmp.Compare(p.Group, q.Group))
+}
+
+// element is what the two model kinds share: a comparable struct with a
+// lexicographic order. Sorting, scoring and diffing are written once over it.
+type element[T any] interface {
+	comparable
+	compare(T) int
+}
+
+// sortedElements returns a set's elements in lexicographic order.
+func sortedElements[T element[T]](s map[T]bool) []T {
+	out := make([]T, 0, len(s))
+	for p := range s {
+		out = append(out, p)
+	}
+	slices.SortFunc(out, T.compare)
+	return out
+}
+
 // PairSet is a set of unordered application pairs.
 type PairSet map[Pair]bool
 
 // SortedPairs returns the set's elements in lexicographic order.
-func (s PairSet) SortedPairs() []Pair {
-	out := make([]Pair, 0, len(s))
-	for p := range s {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
-}
+func (s PairSet) SortedPairs() []Pair { return sortedElements(s) }
 
 // AppServiceSet is a set of application→service dependencies.
 type AppServiceSet map[AppServicePair]bool
 
 // SortedPairs returns the set's elements in lexicographic order.
-func (s AppServiceSet) SortedPairs() []AppServicePair {
-	out := make([]AppServicePair, 0, len(s))
-	for p := range s {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].App != out[j].App {
-			return out[i].App < out[j].App
-		}
-		return out[i].Group < out[j].Group
-	})
-	return out
-}
+func (s AppServiceSet) SortedPairs() []AppServicePair { return sortedElements(s) }
 
 // Confusion compares a mined set of positives against a reference model
 // restricted to a universe of possible decisions.
@@ -116,29 +118,16 @@ func (c Confusion) FalsePositiveRate() float64 {
 // ComparePairs scores predicted pairs against the true pairs over a
 // universe of n possible pairs (TN is derived from n).
 func ComparePairs(predicted, truth PairSet, universe int) Confusion {
-	var c Confusion
-	for p := range predicted {
-		if truth[p] {
-			c.TP++
-		} else {
-			c.FP++
-		}
-	}
-	for p := range truth {
-		if !predicted[p] {
-			c.FN++
-		}
-	}
-	c.TN = universe - c.TP - c.FP - c.FN
-	if c.TN < 0 {
-		c.TN = 0
-	}
-	return c
+	return compareSets(predicted, truth, universe)
 }
 
 // CompareAppService scores predicted dependencies against the truth over a
 // universe of n possible (app, group) combinations.
 func CompareAppService(predicted, truth AppServiceSet, universe int) Confusion {
+	return compareSets(predicted, truth, universe)
+}
+
+func compareSets[T comparable](predicted, truth map[T]bool, universe int) Confusion {
 	var c Confusion
 	for p := range predicted {
 		if truth[p] {
@@ -152,9 +141,6 @@ func CompareAppService(predicted, truth AppServiceSet, universe int) Confusion {
 			c.FN++
 		}
 	}
-	c.TN = universe - c.TP - c.FP - c.FN
-	if c.TN < 0 {
-		c.TN = 0
-	}
+	c.TN = max(universe-c.TP-c.FP-c.FN, 0)
 	return c
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -24,31 +25,65 @@ func TestAppServicePairString(t *testing.T) {
 	}
 }
 
-func TestSortedPairs(t *testing.T) {
-	s := PairSet{
-		MakePair("B", "C"): true,
-		MakePair("A", "B"): true,
-		MakePair("A", "C"): true,
+// kind binds one model kind's exported entry points, so the pair and the
+// dependency sets run through the same cases. Elements are written as
+// [2]string{first, second} with first < second, which both kinds keep as is.
+type kind[T element[T]] struct {
+	mk      func(first, second string) T
+	sorted  func(map[T]bool) []T
+	compare func(predicted, truth map[T]bool, universe int) Confusion
+	diff    func(a, b map[T]bool) (onlyA, onlyB []T)
+}
+
+var pairKind = kind[Pair]{
+	mk:      MakePair,
+	sorted:  func(s map[Pair]bool) []Pair { return PairSet(s).SortedPairs() },
+	compare: func(p, tr map[Pair]bool, u int) Confusion { return ComparePairs(p, tr, u) },
+	diff:    func(a, b map[Pair]bool) ([]Pair, []Pair) { return DiffModels(a, b) },
+}
+
+var depKind = kind[AppServicePair]{
+	mk:      func(app, group string) AppServicePair { return AppServicePair{App: app, Group: group} },
+	sorted:  func(s map[AppServicePair]bool) []AppServicePair { return AppServiceSet(s).SortedPairs() },
+	compare: func(p, tr map[AppServicePair]bool, u int) Confusion { return CompareAppService(p, tr, u) },
+	diff:    func(a, b map[AppServicePair]bool) ([]AppServicePair, []AppServicePair) { return DiffDeps(a, b) },
+}
+
+func (k kind[T]) list(elems [][2]string) []T {
+	var out []T
+	for _, e := range elems {
+		out = append(out, k.mk(e[0], e[1]))
 	}
-	got := s.SortedPairs()
-	want := []Pair{{A: "A", B: "B"}, {A: "A", B: "C"}, {A: "B", B: "C"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("SortedPairs = %v", got)
+	return out
+}
+
+func (k kind[T]) set(elems [][2]string) map[T]bool {
+	out := make(map[T]bool)
+	for _, p := range k.list(elems) {
+		out[p] = true
+	}
+	return out
+}
+
+func testSorted[T element[T]](t *testing.T, k kind[T]) {
+	for _, tc := range []struct{ in, want [][2]string }{
+		{in: nil, want: nil},
+		{in: [][2]string{{"B", "C"}, {"A", "B"}, {"A", "C"}}, want: [][2]string{{"A", "B"}, {"A", "C"}, {"B", "C"}}},
+		// The second field breaks ties on the first, and only then.
+		{in: [][2]string{{"B", "X"}, {"A", "Y"}, {"A", "X"}}, want: [][2]string{{"A", "X"}, {"A", "Y"}, {"B", "X"}}},
+	} {
+		got := k.sorted(k.set(tc.in))
+		if got == nil {
+			t.Errorf("sorted(%v) = nil, want an empty slice", tc.in)
+		}
+		if !slices.Equal(got, k.list(tc.want)) {
+			t.Errorf("sorted(%v) = %v, want %v", tc.in, got, tc.want)
+		}
 	}
 }
 
-func TestSortedAppServicePairs(t *testing.T) {
-	s := AppServiceSet{
-		{App: "B", Group: "X"}: true,
-		{App: "A", Group: "Y"}: true,
-		{App: "A", Group: "X"}: true,
-	}
-	got := s.SortedPairs()
-	want := []AppServicePair{{App: "A", Group: "X"}, {App: "A", Group: "Y"}, {App: "B", Group: "X"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("SortedPairs = %v", got)
-	}
-}
+func TestSortedPairs(t *testing.T)           { testSorted(t, pairKind) }
+func TestSortedAppServicePairs(t *testing.T) { testSorted(t, depKind) }
 
 func TestConfusionMetrics(t *testing.T) {
 	c := Confusion{TP: 30, FP: 10, FN: 70, TN: 890}
@@ -70,25 +105,62 @@ func TestConfusionMetrics(t *testing.T) {
 	}
 }
 
-func TestComparePairs(t *testing.T) {
-	truth := PairSet{MakePair("A", "B"): true, MakePair("A", "C"): true}
-	predicted := PairSet{MakePair("A", "B"): true, MakePair("B", "C"): true}
-	c := ComparePairs(predicted, truth, 10)
-	if c.TP != 1 || c.FP != 1 || c.FN != 1 || c.TN != 7 {
-		t.Errorf("confusion = %+v", c)
-	}
-	// Universe smaller than counts clamps TN at 0.
-	c2 := ComparePairs(predicted, truth, 2)
-	if c2.TN != 0 {
-		t.Errorf("clamped TN = %d", c2.TN)
+func testCompare[T element[T]](t *testing.T, k kind[T]) {
+	for _, tc := range []struct {
+		predicted, truth [][2]string
+		universe         int
+		want             Confusion
+	}{
+		{universe: 5, want: Confusion{TN: 5}},
+		{
+			predicted: [][2]string{{"A", "B"}, {"B", "C"}}, truth: [][2]string{{"A", "B"}, {"A", "C"}},
+			universe: 10, want: Confusion{TP: 1, FP: 1, FN: 1, TN: 7},
+		},
+		{
+			predicted: [][2]string{{"A", "S"}, {"A", "T"}}, truth: [][2]string{{"A", "S"}},
+			universe: 100, want: Confusion{TP: 1, FP: 1, TN: 98},
+		},
+		// A universe smaller than the counts floors TN at zero.
+		{
+			predicted: [][2]string{{"A", "B"}, {"B", "C"}}, truth: [][2]string{{"A", "B"}, {"A", "C"}},
+			universe: 2, want: Confusion{TP: 1, FP: 1, FN: 1, TN: 0},
+		},
+	} {
+		if got := k.compare(k.set(tc.predicted), k.set(tc.truth), tc.universe); got != tc.want {
+			t.Errorf("compare(%v, %v, %d) = %+v, want %+v", tc.predicted, tc.truth, tc.universe, got, tc.want)
+		}
 	}
 }
 
-func TestCompareAppService(t *testing.T) {
-	truth := AppServiceSet{{App: "A", Group: "S"}: true}
-	predicted := AppServiceSet{{App: "A", Group: "S"}: true, {App: "A", Group: "T"}: true}
-	c := CompareAppService(predicted, truth, 100)
-	if c.TP != 1 || c.FP != 1 || c.FN != 0 || c.TN != 98 {
-		t.Errorf("confusion = %+v", c)
+func TestComparePairs(t *testing.T)      { testCompare(t, pairKind) }
+func TestCompareAppService(t *testing.T) { testCompare(t, depKind) }
+
+func testDiff[T element[T]](t *testing.T, k kind[T]) {
+	for _, tc := range []struct{ a, b, onlyA, onlyB [][2]string }{
+		{},
+		{a: [][2]string{{"A", "B"}}, b: [][2]string{{"A", "B"}}},
+		{
+			a: [][2]string{{"A", "B"}, {"A", "C"}}, b: [][2]string{{"A", "B"}, {"B", "C"}},
+			onlyA: [][2]string{{"A", "C"}}, onlyB: [][2]string{{"B", "C"}},
+		},
+		{
+			a: [][2]string{{"B", "H"}, {"A", "H"}, {"A", "G"}}, b: nil,
+			onlyA: [][2]string{{"A", "G"}, {"A", "H"}, {"B", "H"}},
+		},
+	} {
+		a, b := k.set(tc.a), k.set(tc.b)
+		onlyA, onlyB := k.diff(a, b)
+		// reflect.DeepEqual, not slices.Equal: an empty side is nil.
+		if !reflect.DeepEqual(onlyA, k.list(tc.onlyA)) || !reflect.DeepEqual(onlyB, k.list(tc.onlyB)) {
+			t.Errorf("diff(%v, %v) = %v, %v, want %v, %v", tc.a, tc.b, onlyA, onlyB, tc.onlyA, tc.onlyB)
+		}
+		// Symmetry: swapping the arguments swaps the results.
+		swappedA, swappedB := k.diff(b, a)
+		if !reflect.DeepEqual(swappedA, onlyB) || !reflect.DeepEqual(swappedB, onlyA) {
+			t.Errorf("diff(%v, %v) = %v, %v: not the mirror of %v, %v", tc.b, tc.a, swappedA, swappedB, onlyA, onlyB)
+		}
 	}
 }
+
+func TestDiffModels(t *testing.T) { testDiff(t, pairKind) }
+func TestDiffDeps(t *testing.T)   { testDiff(t, depKind) }

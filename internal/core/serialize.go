@@ -4,28 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 )
-
-// sortPairs orders a pair slice lexicographically.
-func sortPairs(ps []Pair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].A != ps[j].A {
-			return ps[i].A < ps[j].A
-		}
-		return ps[i].B < ps[j].B
-	})
-}
-
-// sortAppServicePairs orders a dependency slice lexicographically.
-func sortAppServicePairs(ps []AppServicePair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].App != ps[j].App {
-			return ps[i].App < ps[j].App
-		}
-		return ps[i].Group < ps[j].Group
-	})
-}
 
 // ModelDocument is the on-disk form of a mined dependency model: either an
 // undirected application-pair model (approaches L1/L2) or a directed
@@ -119,24 +99,12 @@ func ReadModel(r io.Reader) (ModelDocument, error) {
 // DiffModels compares two pair models and returns the pairs only in a and
 // only in b — the "what changed since last week" view a moving landscape
 // needs.
-func DiffModels(a, b PairSet) (onlyA, onlyB []Pair) {
-	for p := range a {
-		if !b[p] {
-			onlyA = append(onlyA, p)
-		}
-	}
-	for p := range b {
-		if !a[p] {
-			onlyB = append(onlyB, p)
-		}
-	}
-	sortPairs(onlyA)
-	sortPairs(onlyB)
-	return onlyA, onlyB
-}
+func DiffModels(a, b PairSet) (onlyA, onlyB []Pair) { return diffSets(a, b) }
 
 // DiffDeps is DiffModels for directed dependency models.
-func DiffDeps(a, b AppServiceSet) (onlyA, onlyB []AppServicePair) {
+func DiffDeps(a, b AppServiceSet) (onlyA, onlyB []AppServicePair) { return diffSets(a, b) }
+
+func diffSets[T element[T]](a, b map[T]bool) (onlyA, onlyB []T) {
 	for p := range a {
 		if !b[p] {
 			onlyA = append(onlyA, p)
@@ -147,7 +115,7 @@ func DiffDeps(a, b AppServiceSet) (onlyA, onlyB []AppServicePair) {
 			onlyB = append(onlyB, p)
 		}
 	}
-	sortAppServicePairs(onlyA)
-	sortAppServicePairs(onlyB)
+	slices.SortFunc(onlyA, T.compare)
+	slices.SortFunc(onlyB, T.compare)
 	return onlyA, onlyB
 }

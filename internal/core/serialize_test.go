@@ -75,31 +75,3 @@ func TestReadModelErrors(t *testing.T) {
 		t.Error("expected validation error (no technique)")
 	}
 }
-
-func TestDiffModels(t *testing.T) {
-	a := PairSet{MakePair("A", "B"): true, MakePair("A", "C"): true}
-	b := PairSet{MakePair("A", "B"): true, MakePair("B", "C"): true}
-	onlyA, onlyB := DiffModels(a, b)
-	if !reflect.DeepEqual(onlyA, []Pair{{A: "A", B: "C"}}) {
-		t.Errorf("onlyA = %v", onlyA)
-	}
-	if !reflect.DeepEqual(onlyB, []Pair{{A: "B", B: "C"}}) {
-		t.Errorf("onlyB = %v", onlyB)
-	}
-	ea, eb := DiffModels(a, a)
-	if ea != nil || eb != nil {
-		t.Errorf("self diff = %v, %v", ea, eb)
-	}
-}
-
-func TestDiffDeps(t *testing.T) {
-	a := AppServiceSet{{App: "A", Group: "G"}: true}
-	b := AppServiceSet{{App: "A", Group: "H"}: true}
-	onlyA, onlyB := DiffDeps(a, b)
-	if len(onlyA) != 1 || onlyA[0].Group != "G" {
-		t.Errorf("onlyA = %v", onlyA)
-	}
-	if len(onlyB) != 1 || onlyB[0].Group != "H" {
-		t.Errorf("onlyB = %v", onlyB)
-	}
-}

@@ -93,20 +93,6 @@ func (g *Graph) NumEdges() int {
 	return n
 }
 
-// DependsOn returns the components node directly depends on, sorted.
-func (g *Graph) DependsOn(node string) []string {
-	out := append([]string(nil), g.succ[node]...)
-	sort.Strings(out)
-	return out
-}
-
-// Dependents returns the components directly depending on node, sorted.
-func (g *Graph) Dependents(node string) []string {
-	out := append([]string(nil), g.pred[node]...)
-	sort.Strings(out)
-	return out
-}
-
 // Impact returns every component transitively depending on node — the set
 // affected when node fails (impact prediction). The node itself is not
 // included. The result is sorted.

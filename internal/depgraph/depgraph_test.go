@@ -25,11 +25,11 @@ func TestBasicStructure(t *testing.T) {
 	if g.NumEdges() != 3 {
 		t.Errorf("NumEdges = %d", g.NumEdges())
 	}
-	if !reflect.DeepEqual(g.DependsOn("A"), []string{"B"}) {
-		t.Errorf("DependsOn(A) = %v", g.DependsOn("A"))
+	if !reflect.DeepEqual(g.RootCauses("A"), []string{"B", "C"}) {
+		t.Errorf("RootCauses(A) = %v", g.RootCauses("A"))
 	}
-	if !reflect.DeepEqual(g.Dependents("B"), []string{"A", "D"}) {
-		t.Errorf("Dependents(B) = %v", g.Dependents("B"))
+	if !reflect.DeepEqual(g.Impact("B"), []string{"A", "D"}) {
+		t.Errorf("Impact(B) = %v", g.Impact("B"))
 	}
 	// Duplicates and self edges collapse.
 	g.AddEdge("A", "B")
@@ -127,8 +127,8 @@ func TestFromDeps(t *testing.T) {
 	if g.NumEdges() != 1 {
 		t.Fatalf("edges = %d", g.NumEdges())
 	}
-	if !reflect.DeepEqual(g.DependsOn("GUI"), []string{"Owner"}) {
-		t.Errorf("DependsOn = %v", g.DependsOn("GUI"))
+	if !reflect.DeepEqual(g.RootCauses("GUI"), []string{"Owner"}) {
+		t.Errorf("RootCauses = %v", g.RootCauses("GUI"))
 	}
 }
 
@@ -159,7 +159,7 @@ func TestOnMinedModel(t *testing.T) {
 	}
 	// GUI applications are pure consumers: nothing depends on them.
 	for _, gui := range []string{"DPIMain", "DPIViewer", "WardBoard"} {
-		if deps := g.Dependents(gui); len(deps) != 0 {
+		if deps := g.Impact(gui); len(deps) != 0 {
 			t.Errorf("dependents of GUI app %s = %v", gui, deps)
 		}
 	}

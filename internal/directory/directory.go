@@ -34,49 +34,11 @@ type Service struct {
 	Name string `xml:"name,attr"`
 }
 
-// ServiceNames returns the function names of the group.
-func (g Group) ServiceNames() []string {
-	out := make([]string, len(g.Services))
-	for i, s := range g.Services {
-		out[i] = s.Name
-	}
-	return out
-}
-
-// Host returns the host part of the group's root URL, or "" if the URL does
-// not parse.
-func (g Group) Host() string {
-	u, err := url.Parse(g.RootURL)
-	if err != nil {
-		return ""
-	}
-	return u.Host
-}
-
 // Directory is a service directory: the ordered set of service groups.
 type Directory struct {
 	XMLName xml.Name `xml:"serviceDirectory"`
 	Version int      `xml:"version,attr"`
 	Groups  []Group  `xml:"group"`
-}
-
-// GroupIDs returns the ids of all groups in directory order.
-func (d *Directory) GroupIDs() []string {
-	out := make([]string, len(d.Groups))
-	for i, g := range d.Groups {
-		out[i] = g.ID
-	}
-	return out
-}
-
-// Lookup returns the group with the given id, or nil.
-func (d *Directory) Lookup(id string) *Group {
-	for i := range d.Groups {
-		if d.Groups[i].ID == id {
-			return &d.Groups[i]
-		}
-	}
-	return nil
 }
 
 // Validate checks structural invariants: non-empty unique ids, parseable
@@ -206,9 +168,6 @@ func urlFragment(root string) string {
 	}
 	return u.Host + u.Path
 }
-
-// Stops returns the scanner's stop patterns.
-func (cs *CitationScanner) Stops() []StopPattern { return cs.stops }
 
 // Stopped reports whether a log from source with the given message is
 // suppressed by a stop pattern.

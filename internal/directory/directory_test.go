@@ -50,8 +50,8 @@ func TestXMLRoundTrip(t *testing.T) {
 	if len(got.Groups) != 3 {
 		t.Fatalf("groups = %d", len(got.Groups))
 	}
-	if !reflect.DeepEqual(got.Groups[0].ServiceNames(), []string{"notify", "subscribe"}) {
-		t.Errorf("services = %v", got.Groups[0].ServiceNames())
+	if s := got.Groups[0].Services; len(s) != 2 || s[0].Name != "notify" || s[1].Name != "subscribe" {
+		t.Errorf("services = %v", s)
 	}
 	if got.Groups[0].Replicas[0].Host != "backup1.hcuge.ch" {
 		t.Errorf("replica = %+v", got.Groups[0].Replicas)
@@ -73,30 +73,6 @@ func TestReadRejectsInvalid(t *testing.T) {
 		if _, err := Read(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
-	}
-}
-
-func TestLookupAndIDs(t *testing.T) {
-	d := sampleDir()
-	if g := d.Lookup("UPSRV"); g == nil || g.RootURL != "http://upsrv.hcuge.ch/up" {
-		t.Errorf("Lookup = %+v", g)
-	}
-	if g := d.Lookup("MISSING"); g != nil {
-		t.Errorf("Lookup missing = %+v", g)
-	}
-	ids := d.GroupIDs()
-	if !reflect.DeepEqual(ids, []string{"DPINOTIFICATION", "UPSRV", "UPSRV2"}) {
-		t.Errorf("GroupIDs = %v", ids)
-	}
-}
-
-func TestGroupHost(t *testing.T) {
-	d := sampleDir()
-	if h := d.Groups[0].Host(); h != "myserver.hcuge.ch:9999" {
-		t.Errorf("Host = %q", h)
-	}
-	if h := (Group{RootURL: "://bad"}).Host(); h != "" {
-		t.Errorf("bad URL Host = %q", h)
 	}
 }
 
@@ -161,8 +137,8 @@ func TestStopPatterns(t *testing.T) {
 	if cs.Stopped("AnyApp", "plain client invocation (UPSRV)") {
 		t.Error("no stop should match")
 	}
-	if got := cs.Stops(); len(got) != 2 {
-		t.Errorf("Stops = %v", got)
+	if len(cs.stops) != 2 {
+		t.Errorf("stops = %v", cs.stops)
 	}
 }
 

@@ -291,9 +291,6 @@ func NewDetector(cfg Config) *Detector {
 	}
 }
 
-// Config returns the detector's effective configuration.
-func (d *Detector) Config() Config { return d.cfg }
-
 // counterName maps a change kind to its drift.* counter class name.
 func counterName(k Kind) string {
 	switch k {

@@ -107,14 +107,3 @@ func (a AblationsResult) String() string {
 	}
 	return b.String()
 }
-
-// Find returns the row with the given technique and variant prefix, for
-// tests.
-func (a AblationsResult) Find(technique, variantPrefix string) (AblationRow, bool) {
-	for _, r := range a.Rows {
-		if r.Technique == technique && strings.HasPrefix(r.Variant, variantPrefix) {
-			return r, true
-		}
-	}
-	return AblationRow{}, false
-}

@@ -1,6 +1,9 @@
 package eval
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestAblations asserts the DESIGN.md §5 design-choice relationships on the
 // shared week (slow: runs seven L1 variants over a full day).
@@ -12,11 +15,13 @@ func TestAblations(t *testing.T) {
 	a := r.Ablations(0)
 	get := func(technique, prefix string) AblationRow {
 		t.Helper()
-		row, ok := a.Find(technique, prefix)
-		if !ok {
-			t.Fatalf("missing ablation row %s/%s", technique, prefix)
+		for _, row := range a.Rows {
+			if row.Technique == technique && strings.HasPrefix(row.Variant, prefix) {
+				return row
+			}
 		}
-		return row
+		t.Fatalf("missing ablation row %s/%s", technique, prefix)
+		return AblationRow{}
 	}
 	paper := get("L1", "paper")
 	if paper.TP == 0 {

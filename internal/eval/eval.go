@@ -152,21 +152,6 @@ func (r *Runner) DepUniverse() int {
 // AppNames returns the application names (the log sources considered by L1).
 func (r *Runner) AppNames() []string { return r.Topo.AppNames() }
 
-// DepsToPairs converts mined app→service dependencies into undirected
-// application pairs via group ownership, dropping self pairs — the mapping
-// used in §4.9 to validate L1/L2 against L3.
-func (r *Runner) DepsToPairs(deps core.AppServiceSet) core.PairSet {
-	out := make(core.PairSet)
-	for d := range deps {
-		owner, ok := r.Owner[d.Group]
-		if !ok || owner == d.App {
-			continue
-		}
-		out[core.MakePair(d.App, owner)] = true
-	}
-	return out
-}
-
 // MineL1Day runs approach L1 on one simulated day.
 func (r *Runner) MineL1Day(day int) *l1.Result {
 	return l1.Mine(r.Stores[day], r.Sim.DayRange(day), r.AppNames(), r.Opts.L1)

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"logscape/internal/core"
 	"logscape/internal/core/l2"
 	"logscape/internal/logmodel"
 )
@@ -60,36 +59,6 @@ func TestAutoMinLogs(t *testing.T) {
 	}
 	if got := AutoMinLogs(10); got != 100 {
 		t.Errorf("AutoMinLogs(10) = %d (the paper's minlogs at full volume)", got)
-	}
-}
-
-func TestDepsToPairs(t *testing.T) {
-	r := testRunner(t)
-	deps := core.AppServiceSet{}
-	var g string
-	var owner string
-	for id, o := range r.Owner {
-		if o != "DPIMain" {
-			g, owner = id, o
-			break
-		}
-	}
-	deps[core.AppServicePair{App: "DPIMain", Group: g}] = true
-	// A self pair must be dropped.
-	var ownGroup string
-	for id, o := range r.Owner {
-		if o == owner {
-			ownGroup = id
-			break
-		}
-	}
-	deps[core.AppServicePair{App: owner, Group: ownGroup}] = true
-	pairs := r.DepsToPairs(deps)
-	if !pairs[core.MakePair("DPIMain", owner)] {
-		t.Error("pair missing")
-	}
-	if len(pairs) != 1 {
-		t.Errorf("pairs = %v", pairs)
 	}
 }
 

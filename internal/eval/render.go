@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"logscape/internal/core/l2"
@@ -217,22 +216,4 @@ func (f Figure4Result) String() string {
 	fmt.Fprintf(&b, "  b≠%-4s    %-6.0f %.0f\n", f.Type.Second, f.Table.O12, f.Table.O22)
 	fmt.Fprintf(&b, "G² = %.3f, p = %.4f, positive = %v\n", f.Test.G2, f.Test.PValue, f.Test.Positive)
 	return b.String()
-}
-
-// SortedKinds returns the FP kinds present in the result, in canonical
-// order — convenience for reports.
-func (f Figure8Result) SortedKinds() []FPKind {
-	var out []FPKind
-	for _, kind := range []FPKind{FPInverted, FPStackTrace, FPCoincidence, FPSimilarID, FPOther} {
-		if len(f.FPByKind[kind]) > 0 {
-			out = append(out, kind)
-		}
-	}
-	return out
-}
-
-// FormatPairs renders a pair list compactly.
-func FormatPairs(ps []string) string {
-	sort.Strings(ps)
-	return strings.Join(ps, ", ")
 }

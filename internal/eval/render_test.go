@@ -58,12 +58,6 @@ func TestSparkline(t *testing.T) {
 	}
 }
 
-func TestFormatPairs(t *testing.T) {
-	if got := FormatPairs([]string{"b", "a"}); got != "a, b" {
-		t.Errorf("FormatPairs = %q", got)
-	}
-}
-
 func TestPerDayResultString(t *testing.T) {
 	r := PerDayResult{Technique: "LX", Days: []DayDecisions{
 		{Day: 0, TP: 10, FP: 2},

@@ -62,9 +62,6 @@ type Config struct {
 	// Metrics, when non-nil, collects the run's counters, gauges and
 	// traces. Collection never perturbs emitted models.
 	Metrics *obs.Registry
-	// Backoff, when non-nil, is the retry schedule for transient read
-	// errors (the CLI installs a capped sleep; tests leave it nil).
-	Backoff func(attempt int)
 	// Wait is the tailer's quiescent-EOF hook for plain-file sources:
 	// return true to keep tailing (live mode), false to end the stream.
 	// nil ends at first quiescent EOF — the one-shot replay the CLI uses.
@@ -217,7 +214,7 @@ func (s *source) rotations() int64 {
 // retries below the decompressor (gzip errors are sticky), torn-tail
 // tolerance for .gz, rotation-aware tailing for plain files.
 func openSource(cfg Config) (*source, error) {
-	policy := stream.RetryPolicy{MaxRetries: 8, Backoff: cfg.Backoff}
+	policy := stream.RetryPolicy{MaxRetries: 8}
 	name := cfg.Source
 	if name == "-" {
 		return &source{

@@ -22,10 +22,6 @@ package hospital
 // configured.
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 
@@ -424,37 +420,4 @@ func pickRolloutEdge(topo *Topology, apps []string, avoid string) (string, strin
 		}
 	}
 	return "", ""
-}
-
-// WriteTruthPoints records the ground-truth change-point file: one JSON
-// object per line, in time order.
-func WriteTruthPoints(w io.Writer, pts []TruthPoint) error {
-	for _, p := range pts {
-		data, err := json.Marshal(p)
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s\n", data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadTruthPoints loads a change-point file written by WriteTruthPoints.
-func ReadTruthPoints(r io.Reader) ([]TruthPoint, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	var pts []TruthPoint
-	dec := json.NewDecoder(bytes.NewReader(data))
-	for dec.More() {
-		var p TruthPoint
-		if err := dec.Decode(&p); err != nil {
-			return nil, fmt.Errorf("hospital: truth points: %w", err)
-		}
-		pts = append(pts, p)
-	}
-	return pts, nil
 }

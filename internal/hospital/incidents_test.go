@@ -1,7 +1,6 @@
 package hospital
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -198,27 +197,6 @@ func TestTruthPointsMatchSchedule(t *testing.T) {
 	// recovery).
 	if counts["death"] != 2 || counts["birth"] != 3 || counts["delay-shift"] != 2 {
 		t.Errorf("truth kind counts = %v", counts)
-	}
-}
-
-func TestTruthPointsRoundTrip(t *testing.T) {
-	topo, cfg, schedule := scheduleFor(t, 7)
-	cfg.Incidents = schedule
-	sim := NewSimulator(cfg, topo)
-	pts := sim.TruthPoints()
-	var buf bytes.Buffer
-	if err := WriteTruthPoints(&buf, pts); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTruthPoints(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pts, got) {
-		t.Fatalf("round trip differs:\n%+v\n%+v", pts, got)
-	}
-	if _, err := ReadTruthPoints(strings.NewReader("{broken")); err == nil {
-		t.Error("malformed truth file accepted")
 	}
 }
 

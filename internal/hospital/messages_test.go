@@ -121,7 +121,10 @@ func TestWeekdayOnlyGUIsIdleOnWeekend(t *testing.T) {
 	topo := GenerateTopology(DefaultTopologyConfig(), 54)
 	sim := NewSimulator(DefaultConfig(54), topo)
 	store, _ := sim.GenerateDay(4) // Saturday
-	counts := store.CountBySource()
+	counts := make(map[string]int)
+	for _, e := range store.Entries() {
+		counts[e.Source]++
+	}
 	for name := range weekdayOnlyGUI {
 		// Only residual background noise may remain (no sessions).
 		if counts[name] > 100 {

@@ -171,15 +171,19 @@ func TestTopologyDirectory(t *testing.T) {
 	if len(d.Groups) != 47 {
 		t.Errorf("directory groups = %d", len(d.Groups))
 	}
+	listed := make(map[string]bool)
+	for _, g := range d.Groups {
+		listed[g.ID] = true
+	}
 	// Versioned ids must both exist.
 	for _, base := range versionedGroupBases {
-		if d.Lookup(base) == nil || d.Lookup(base+"2") == nil {
+		if !listed[base] || !listed[base+"2"] {
 			t.Errorf("versioned pair %s/%s2 missing", base, base)
 		}
 	}
 	// Legacy codenames must exist and be in the surname pool.
 	for _, id := range legacyGroupIDs {
-		if d.Lookup(id) == nil {
+		if !listed[id] {
 			t.Errorf("legacy group %s missing", id)
 		}
 		found := false

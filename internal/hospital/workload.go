@@ -312,9 +312,6 @@ func (s *Simulator) buildViews() {
 // Config returns the simulator's effective configuration.
 func (s *Simulator) Config() Config { return s.cfg }
 
-// Topology returns the simulated topology.
-func (s *Simulator) Topology() *Topology { return s.topo }
-
 // assignSkews draws the per-host clock offsets deterministically.
 func (s *Simulator) assignSkews() {
 	rng := rand.New(rand.NewSource(s.cfg.Seed ^ 0x5caff01d))
@@ -340,14 +337,6 @@ func userName(i int) string   { return fmt.Sprintf("u%04d", i) }
 func (s *Simulator) DayRange(day int) logmodel.TimeRange {
 	start := s.cfg.Start + logmodel.Millis(day)*logmodel.MillisPerDay
 	return logmodel.TimeRange{Start: start, End: start + logmodel.MillisPerDay}
-}
-
-// WeekRange returns the time range of the whole simulated period.
-func (s *Simulator) WeekRange() logmodel.TimeRange {
-	return logmodel.TimeRange{
-		Start: s.cfg.Start,
-		End:   s.cfg.Start + logmodel.Millis(s.cfg.Days)*logmodel.MillisPerDay,
-	}
 }
 
 // DayDate returns the calendar date of the i-th day.

@@ -26,7 +26,7 @@ func TestSimulatorDayDeterministic(t *testing.T) {
 		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
 	}
 	for i := 0; i < a.Len(); i++ {
-		if a.At(i) != b.At(i) {
+		if a.Entries()[i] != b.Entries()[i] {
 			t.Fatalf("entry %d differs", i)
 		}
 	}
@@ -172,21 +172,6 @@ func TestGenerateAll(t *testing.T) {
 	}
 	if stores[0].Len() == 0 || stores[1].Len() == 0 {
 		t.Error("empty stores")
-	}
-}
-
-func TestWeekRange(t *testing.T) {
-	topo := GenerateTopology(DefaultTopologyConfig(), 1)
-	sim := NewSimulator(smallConfig(1), topo)
-	wr := sim.WeekRange()
-	if wr.Days() != 7 {
-		t.Errorf("week days = %d", wr.Days())
-	}
-	if sim.DayRange(0).Start != wr.Start {
-		t.Error("day 0 start mismatch")
-	}
-	if sim.DayRange(6).End != wr.End {
-		t.Error("day 6 end mismatch")
 	}
 }
 

@@ -42,7 +42,7 @@ func TestWriteReadFilePlain(t *testing.T) {
 		t.Fatalf("len = %d, want %d", got.Len(), s.Len())
 	}
 	for i := 0; i < s.Len(); i++ {
-		if got.At(i) != s.At(i) {
+		if got.Entries()[i] != s.Entries()[i] {
 			t.Fatalf("entry %d differs", i)
 		}
 	}
@@ -101,8 +101,8 @@ func TestReadFilesMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 2 || got.At(0).Source != "B" {
-		t.Errorf("merged = %d entries, first %v", got.Len(), got.At(0))
+	if got.Len() != 2 || got.Entries()[0].Source != "B" {
+		t.Errorf("merged = %d entries, first %v", got.Len(), got.Entries()[0])
 	}
 }
 

@@ -45,9 +45,9 @@ func FuzzReadLogs(f *testing.F) {
 			t.Fatalf("round trip changed entry count: %d -> %d", store.Len(), got.Len())
 		}
 		for i := 0; i < store.Len(); i++ {
-			if got.At(i) != store.At(i) {
+			if got.Entries()[i] != store.Entries()[i] {
 				t.Fatalf("entry %d changed in round trip:\n was %+v\n now %+v",
-					i, store.At(i), got.At(i))
+					i, store.Entries()[i], got.Entries()[i])
 			}
 		}
 	})

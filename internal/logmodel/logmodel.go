@@ -55,16 +55,6 @@ func (s Severity) String() string {
 	return fmt.Sprintf("SEV(%d)", uint8(s))
 }
 
-// ParseSeverity parses a canonical severity name.
-func ParseSeverity(s string) (Severity, error) {
-	for i, n := range severityNames {
-		if s == n {
-			return Severity(i), nil
-		}
-	}
-	return 0, fmt.Errorf("logmodel: unknown severity %q", s)
-}
-
 // Entry is one log message in the centralized logging system.
 type Entry struct {
 	// Time is the client-side creation timestamp (§4.2: the server-side
@@ -131,25 +121,6 @@ func (r TimeRange) Split(width Millis) []TimeRange {
 		out = append(out, TimeRange{Start: s, End: e})
 	}
 	return out
-}
-
-// Day returns the i-th 24-hour day of the range (0-based), assuming the
-// range starts at a day boundary.
-func (r TimeRange) Day(i int) TimeRange {
-	s := r.Start + Millis(i)*MillisPerDay
-	e := s + MillisPerDay
-	if e > r.End {
-		e = r.End
-	}
-	return TimeRange{Start: s, End: e}
-}
-
-// Days returns the number of whole or partial days in the range.
-func (r TimeRange) Days() int {
-	if r.End <= r.Start {
-		return 0
-	}
-	return int((r.Duration() + MillisPerDay - 1) / MillisPerDay)
 }
 
 // Store is an in-memory collection of log entries with the indexes the
@@ -244,12 +215,6 @@ func (s *Store) Entries() []Entry {
 	return s.entries
 }
 
-// At returns the i-th entry in time order.
-func (s *Store) At(i int) Entry {
-	s.mustBeSorted()
-	return s.entries[i]
-}
-
 // Range returns the sub-slice of entries with Time in [r.Start, r.End).
 // The result shares backing storage with the store.
 func (s *Store) Range(r TimeRange) []Entry {
@@ -287,18 +252,6 @@ func (s *Store) Sources() []string {
 	return out
 }
 
-// SourceIndex maps every source to its ordered sequence of log timestamps —
-// the representation approach L1 operates on. Entries must be sorted.
-func (s *Store) SourceIndex() map[string][]Millis {
-	s.mustBeSorted()
-	idx := make(map[string][]Millis)
-	for i := range s.entries {
-		e := &s.entries[i]
-		idx[e.Source] = append(idx[e.Source], e.Time)
-	}
-	return idx
-}
-
 // SourceIndexRange is SourceIndex restricted to a time range.
 func (s *Store) SourceIndexRange(r TimeRange) map[string][]Millis {
 	sub := s.Range(r)
@@ -308,15 +261,6 @@ func (s *Store) SourceIndexRange(r TimeRange) map[string][]Millis {
 		idx[e.Source] = append(idx[e.Source], e.Time)
 	}
 	return idx
-}
-
-// CountBySource returns the number of entries per source.
-func (s *Store) CountBySource() map[string]int {
-	c := make(map[string]int)
-	for i := range s.entries {
-		c[s.entries[i].Source]++
-	}
-	return c
 }
 
 // ActivitySeries returns, for the given source, the number of logs per
@@ -350,18 +294,6 @@ func (s *Store) Filter(pred func(*Entry) bool) *Store {
 	}
 	out.unsorted = s.unsorted
 	return out
-}
-
-// FilterSource returns a new store with only the given source's entries.
-func (s *Store) FilterSource(source string) *Store {
-	return s.Filter(func(e *Entry) bool { return e.Source == source })
-}
-
-// Clone returns a deep copy of the store.
-func (s *Store) Clone() *Store {
-	es := make([]Entry, len(s.entries))
-	copy(es, s.entries)
-	return &Store{entries: es, unsorted: s.unsorted}
 }
 
 // escapeMessage makes a message safe for the tab-separated wire format. It

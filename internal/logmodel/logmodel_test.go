@@ -24,13 +24,13 @@ func TestMillisConversions(t *testing.T) {
 
 func TestSeverity(t *testing.T) {
 	for _, s := range []Severity{SevDebug, SevInfo, SevWarn, SevError} {
-		parsed, err := ParseSeverity(s.String())
-		if err != nil || parsed != s {
-			t.Errorf("round trip %v: %v, %v", s, parsed, err)
+		parsed, ok := parseSeverityBytes([]byte(s.String()))
+		if !ok || parsed != s {
+			t.Errorf("round trip %v: %v, %v", s, parsed, ok)
 		}
 	}
-	if _, err := ParseSeverity("TRACE"); err == nil {
-		t.Error("expected error for unknown severity")
+	if _, ok := parseSeverityBytes([]byte("TRACE")); ok {
+		t.Error("unknown severity accepted")
 	}
 	if s := Severity(9).String(); s != "SEV(9)" {
 		t.Errorf("unknown severity String = %q", s)
@@ -60,17 +60,6 @@ func TestTimeRange(t *testing.T) {
 	if got := r.Split(0); got != nil {
 		t.Errorf("zero width Split = %v", got)
 	}
-	week := TimeRange{Start: 0, End: 7 * MillisPerDay}
-	if week.Days() != 7 {
-		t.Errorf("Days = %d", week.Days())
-	}
-	d2 := week.Day(2)
-	if d2.Start != 2*MillisPerDay || d2.End != 3*MillisPerDay {
-		t.Errorf("Day(2) = %+v", d2)
-	}
-	if (TimeRange{}).Days() != 0 {
-		t.Error("empty Days")
-	}
 }
 
 func mkEntry(t Millis, src string) Entry {
@@ -92,8 +81,8 @@ func TestStoreAppendSort(t *testing.T) {
 		t.Error("out-of-order append should mark unsorted")
 	}
 	s.Sort()
-	if !s.Sorted() || s.At(0).Source != "C" {
-		t.Errorf("after Sort: first = %+v", s.At(0))
+	if !s.Sorted() || s.Entries()[0].Source != "C" {
+		t.Errorf("after Sort: first = %+v", s.Entries()[0])
 	}
 	if s.Len() != 3 {
 		t.Errorf("Len = %d", s.Len())
@@ -110,7 +99,7 @@ func TestStoreAppendAll(t *testing.T) {
 	if !s.Sorted() {
 		t.Error("in-order batches should stay sorted")
 	}
-	if s.Len() != 4 || s.At(2).Source != "C" {
+	if s.Len() != 4 || s.Entries()[2].Source != "C" {
 		t.Errorf("bulk append order wrong: len=%d entries=%+v", s.Len(), s.Entries())
 	}
 
@@ -127,7 +116,7 @@ func TestStoreAppendAll(t *testing.T) {
 		t.Error("internally unsorted batch should mark the store unsorted")
 	}
 	s2.Sort()
-	if s2.At(0).Source != "B" || s2.Len() != 3 {
+	if s2.Entries()[0].Source != "B" || s2.Len() != 3 {
 		t.Errorf("Sort after bulk append: %+v", s2.Entries())
 	}
 
@@ -141,8 +130,8 @@ func TestStoreAppendAll(t *testing.T) {
 	bulk.Sort()
 	single.Sort()
 	for i := 0; i < single.Len(); i++ {
-		if bulk.At(i) != single.At(i) {
-			t.Fatalf("entry %d: bulk %+v vs single %+v", i, bulk.At(i), single.At(i))
+		if bulk.Entries()[i] != single.Entries()[i] {
+			t.Fatalf("entry %d: bulk %+v vs single %+v", i, bulk.Entries()[i], single.Entries()[i])
 		}
 	}
 }
@@ -153,7 +142,7 @@ func TestStoreSortStable(t *testing.T) {
 	s.Append(mkEntry(10, "second"))
 	s.Append(mkEntry(5, "zero"))
 	s.Sort()
-	if s.At(1).Source != "first" || s.At(2).Source != "second" {
+	if s.Entries()[1].Source != "first" || s.Entries()[2].Source != "second" {
 		t.Error("Sort is not stable for equal timestamps")
 	}
 }
@@ -215,10 +204,6 @@ func TestStoreSources(t *testing.T) {
 	if len(got) != 2 || got[0] != "A" || got[1] != "B" {
 		t.Errorf("Sources = %v", got)
 	}
-	counts := s.CountBySource()
-	if counts["B"] != 2 || counts["A"] != 1 {
-		t.Errorf("CountBySource = %v", counts)
-	}
 }
 
 func TestSourceIndex(t *testing.T) {
@@ -226,9 +211,9 @@ func TestSourceIndex(t *testing.T) {
 	s.Append(mkEntry(1, "A"))
 	s.Append(mkEntry(2, "B"))
 	s.Append(mkEntry(3, "A"))
-	idx := s.SourceIndex()
+	idx := s.SourceIndexRange(s.Span())
 	if len(idx["A"]) != 2 || idx["A"][0] != 1 || idx["A"][1] != 3 {
-		t.Errorf("SourceIndex[A] = %v", idx["A"])
+		t.Errorf("SourceIndexRange over the span [A] = %v", idx["A"])
 	}
 	sub := s.SourceIndexRange(TimeRange{Start: 2, End: 4})
 	if len(sub["A"]) != 1 || sub["A"][0] != 3 || len(sub["B"]) != 1 {
@@ -274,9 +259,10 @@ func TestFilter(t *testing.T) {
 	s.Append(mkEntry(1, "A"))
 	s.Append(mkEntry(2, "B"))
 	s.Append(mkEntry(3, "A"))
-	got := s.FilterSource("A")
-	if got.Len() != 2 || got.At(0).Time != 1 || got.At(1).Time != 3 {
-		t.Errorf("FilterSource = %+v", got.Entries())
+	fromA := func(e *Entry) bool { return e.Source == "A" }
+	got := s.Filter(fromA)
+	if got.Len() != 2 || got.Entries()[0].Time != 1 || got.Entries()[1].Time != 3 {
+		t.Errorf("Filter by source = %+v", got.Entries())
 	}
 	if !got.Sorted() {
 		t.Error("filtered store lost sortedness")
@@ -289,17 +275,7 @@ func TestFilter(t *testing.T) {
 	u := NewStore(0)
 	u.Append(mkEntry(5, "X"))
 	u.Append(mkEntry(1, "X"))
-	if u.FilterSource("X").Sorted() {
+	if u.Filter(func(*Entry) bool { return true }).Sorted() {
 		t.Error("unsorted filter reported sorted")
-	}
-}
-
-func TestClone(t *testing.T) {
-	s := NewStore(0)
-	s.Append(mkEntry(1, "A"))
-	c := s.Clone()
-	c.Append(mkEntry(2, "B"))
-	if s.Len() != 1 || c.Len() != 2 {
-		t.Errorf("Clone not independent: %d vs %d", s.Len(), c.Len())
 	}
 }

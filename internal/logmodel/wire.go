@@ -43,9 +43,8 @@ func ParseEntry(line string) (Entry, error) {
 
 // Writer streams entries to an io.Writer in wire format.
 type Writer struct {
-	bw    *bufio.Writer
-	buf   []byte
-	count int
+	bw  *bufio.Writer
+	buf []byte
 }
 
 // NewWriter returns a Writer on w.
@@ -57,15 +56,9 @@ func NewWriter(w io.Writer) *Writer {
 func (w *Writer) Write(e Entry) error {
 	w.buf = AppendEntry(w.buf[:0], e)
 	w.buf = append(w.buf, '\n')
-	if _, err := w.bw.Write(w.buf); err != nil {
-		return err
-	}
-	w.count++
-	return nil
+	_, err := w.bw.Write(w.buf)
+	return err
 }
-
-// Count returns the number of entries written so far.
-func (w *Writer) Count() int { return w.count }
 
 // Flush flushes buffered output. It must be called before the underlying
 // writer is closed.

@@ -304,7 +304,7 @@ func ParseEntryBytesInto(e *Entry, line []byte, it *Intern) error {
 	return nil
 }
 
-// parseSeverityBytes is ParseSeverity over bytes, allocation-free.
+// parseSeverityBytes parses a canonical severity name, allocation-free.
 func parseSeverityBytes(b []byte) (Severity, bool) {
 	for i := range severityNames {
 		if string(b) == severityNames[i] {

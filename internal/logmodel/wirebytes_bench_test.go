@@ -4,11 +4,10 @@ import (
 	"testing"
 )
 
-// The wire micro-benchmarks are the allocation half of the CI bench gate:
-// their allocs/op are deterministic (unlike the end-to-end ingest benchmark,
-// whose count breathes with GC timing), so cmd/benchjson compare pins them
-// exactly while ns/op gets a tolerance. Keep their names stable — they are
-// referenced by BENCH_BASELINE.json and .github/workflows/ci.yml.
+// The wire micro-benchmarks time the parser and formatter in isolation.
+// Their zero-allocation budgets are gated in tier-1 by
+// TestParseEntryBytesAllocFree and TestAppendEntryAllocFree; end-to-end
+// numbers live in the bench/ ledger (BENCHMARK.json).
 
 var benchLines = [][]byte{
 	[]byte("2005-12-06T08:00:00.000Z\tDPIFormidoc\tws-034\tu0117\tINFO\topen form F-207"),

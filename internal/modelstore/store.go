@@ -175,13 +175,6 @@ func OpenRead(dir string) (*Store, error) {
 // Empty reports whether the store holds no segments yet.
 func (s *Store) Empty() bool { return len(s.segs) == 0 }
 
-// Geometry returns the store's effective configuration (sans Metrics).
-func (s *Store) Geometry() Config {
-	cfg := s.cfg
-	cfg.Metrics = nil
-	return cfg
-}
-
 func readMeta(dir string) (*storeMeta, error) {
 	data, err := os.ReadFile(filepath.Join(dir, metaFile))
 	if os.IsNotExist(err) {

@@ -247,7 +247,7 @@ func TestOpenReadIsReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Geometry(); got.BucketWidth != 1000 || got.WindowBuckets != 2 {
+	if got := r.cfg; got.BucketWidth != 1000 || got.WindowBuckets != 2 {
 		t.Fatalf("geometry not recovered from sidecar: %+v", got)
 	}
 	if err := r.Append(rec(1)); err == nil {

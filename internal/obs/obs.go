@@ -234,11 +234,10 @@ func bucketOf(v int64) int {
 	return n
 }
 
-// Meter instruments the body of an index fan-out (parallel.Map /
-// parallel.ForEach) for one named stage: it counts items into
-// "<stage>.items", and records per-item busy time into "<stage>.busy_ns"
-// and the queue wait from fan-out creation to item start into
-// "<stage>.wait_ns". The item count equals the fan-out size, so the counter
+// Meter instruments the body of an index fan-out (parallel.Map) for one
+// named stage: it counts items into "<stage>.items", and records per-item
+// busy time into "<stage>.busy_ns" and the queue wait from fan-out creation
+// to item start into "<stage>.wait_ns". The item count equals the fan-out size, so the counter
 // is worker-count independent; the timings are not and live in histograms.
 // With a nil registry the body is returned unchanged (zero overhead).
 func Meter[T any](r *Registry, stage string, fn func(i int) T) func(i int) T {

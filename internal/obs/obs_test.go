@@ -38,7 +38,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 func TestConcurrentIncrements(t *testing.T) {
 	r := obs.New()
 	const goroutines, perG = 8, 10000
-	parallel.ForEach(goroutines, goroutines, func(i int) {
+	parallel.Map(goroutines, goroutines, func(int) struct{} {
 		c := r.Counter("shared")
 		g := r.Gauge("level")
 		h := r.Histogram("lat")
@@ -47,6 +47,7 @@ func TestConcurrentIncrements(t *testing.T) {
 			g.Add(1)
 			h.Observe(int64(j))
 		}
+		return struct{}{}
 	})
 	if got := r.Counter("shared").Value(); got != goroutines*perG {
 		t.Fatalf("counter = %d, want %d", got, goroutines*perG)

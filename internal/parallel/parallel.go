@@ -100,16 +100,6 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 	return out
 }
 
-// ForEach runs fn(i) for every i in [0, n) using at most workers
-// goroutines, for loop bodies that write their results through the index
-// themselves (e.g. into a caller-allocated slice).
-func ForEach(workers, n int, fn func(i int)) {
-	Map(workers, n, func(i int) struct{} {
-		fn(i)
-		return struct{}{}
-	})
-}
-
 // Shard is a contiguous index range [Lo, Hi) of some indexed input.
 type Shard struct{ Lo, Hi int }
 

@@ -56,16 +56,6 @@ func TestMapCallsEachIndexOnce(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	out := make([]int, 50)
-	ForEach(4, len(out), func(i int) { out[i] = i + 1 })
-	for i, v := range out {
-		if v != i+1 {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}
-
 func TestShards(t *testing.T) {
 	tests := []struct {
 		workers, n int
@@ -185,7 +175,7 @@ func TestMapShardsZeroItemsMergeSafe(t *testing.T) {
 	merged := map[string]int{}
 	for _, p := range parts {
 		for k, v := range p {
-			merged[k] += v //lint:allow maporder integer counts in a test, addition is exact and commutative
+			merged[k] += v
 		}
 	}
 	if len(merged) != 0 {

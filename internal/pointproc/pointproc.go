@@ -166,19 +166,3 @@ func MergeSorted(a, b []logmodel.Millis) []logmodel.Millis {
 	out = append(out, b[j:]...)
 	return out
 }
-
-// CountInRange returns the number of points of the sorted sequence a that
-// fall in [r.Start, r.End).
-func CountInRange(a []logmodel.Millis, r logmodel.TimeRange) int {
-	lo := sort.Search(len(a), func(i int) bool { return a[i] >= r.Start })
-	hi := sort.Search(len(a), func(i int) bool { return a[i] >= r.End })
-	return hi - lo
-}
-
-// SliceRange returns the sub-slice of the sorted sequence a inside
-// [r.Start, r.End), sharing backing storage.
-func SliceRange(a []logmodel.Millis, r logmodel.TimeRange) []logmodel.Millis {
-	lo := sort.Search(len(a), func(i int) bool { return a[i] >= r.Start })
-	hi := sort.Search(len(a), func(i int) bool { return a[i] >= r.End })
-	return a[lo:hi]
-}

@@ -234,18 +234,3 @@ func TestMergeSorted(t *testing.T) {
 		t.Error("merge with nil")
 	}
 }
-
-func TestCountInRangeSliceRange(t *testing.T) {
-	a := []logmodel.Millis{10, 20, 30, 40}
-	r := logmodel.TimeRange{Start: 15, End: 40}
-	if n := CountInRange(a, r); n != 2 {
-		t.Errorf("CountInRange = %d", n)
-	}
-	s := SliceRange(a, r)
-	if len(s) != 2 || s[0] != 20 || s[1] != 30 {
-		t.Errorf("SliceRange = %v", s)
-	}
-	if n := CountInRange(a, logmodel.TimeRange{Start: 100, End: 200}); n != 0 {
-		t.Errorf("out-of-range count = %d", n)
-	}
-}

@@ -49,12 +49,6 @@ type Session struct {
 // Start returns the timestamp of the first entry.
 func (s *Session) Start() logmodel.Millis { return s.Entries[0].Time }
 
-// End returns the timestamp of the last entry.
-func (s *Session) End() logmodel.Millis { return s.Entries[len(s.Entries)-1].Time }
-
-// Duration returns End − Start.
-func (s *Session) Duration() logmodel.Millis { return s.End() - s.Start() }
-
 // Len returns the number of entries.
 func (s *Session) Len() int { return len(s.Entries) }
 

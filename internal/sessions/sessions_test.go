@@ -35,8 +35,8 @@ func TestBuildBasic(t *testing.T) {
 	if s.User != "u1" || s.Len() != 4 {
 		t.Errorf("session = %+v", s)
 	}
-	if s.Start() != 0 || s.End() != 3000 || s.Duration() != 3000 {
-		t.Errorf("bounds = %v..%v", s.Start(), s.End())
+	if last := s.Entries[s.Len()-1].Time; s.Start() != 0 || last != 3000 {
+		t.Errorf("bounds = %v..%v", s.Start(), last)
 	}
 	if !reflect.DeepEqual(s.Sources(), []string{"A", "B", "C"}) {
 		t.Errorf("sources = %v", s.Sources())

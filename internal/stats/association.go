@@ -49,12 +49,6 @@ func (t ContingencyTable) Expected() (e11, e12, e21, e22 float64) {
 	return
 }
 
-// Valid reports whether the table has non-negative cells and a positive
-// total.
-func (t ContingencyTable) Valid() bool {
-	return t.O11 >= 0 && t.O12 >= 0 && t.O21 >= 0 && t.O22 >= 0 && t.N() > 0
-}
-
 // String renders the table in the layout of figure 4.
 func (t ContingencyTable) String() string {
 	return fmt.Sprintf("[[%g %g] [%g %g]]", t.O11, t.O21, t.O12, t.O22)
@@ -111,32 +105,6 @@ func PearsonX2(t ContingencyTable) float64 {
 	return n * d * d / den
 }
 
-// OddsRatio returns the sample odds ratio O11·O22 / (O12·O21). It returns
-// +Inf when the denominator is zero and the numerator positive, and NaN for
-// a 0/0 table.
-func OddsRatio(t ContingencyTable) float64 {
-	num := t.O11 * t.O22
-	den := t.O12 * t.O21
-	return num / den
-}
-
-// Dice returns the Dice coefficient 2·O11 / (R1 + C1), a simple association
-// measure from the collocation-extraction literature.
-func Dice(t ContingencyTable) float64 {
-	den := t.R1() + t.C1()
-	if den == 0 {
-		return 0
-	}
-	return 2 * t.O11 / den
-}
-
-// PointwiseMI returns the pointwise mutual information log(O11/E11). It
-// returns −Inf when O11 = 0 and NaN for an empty table.
-func PointwiseMI(t ContingencyTable) float64 {
-	e11, _, _, _ := t.Expected()
-	return math.Log(t.O11 / e11)
-}
-
 // PositiveAssociation reports whether the observed joint count exceeds its
 // expectation under independence, i.e. whether the association, if any, is
 // attraction rather than repulsion. Both G² and X² are two-sided statistics,
@@ -167,10 +135,4 @@ func TestAssociation(t ContingencyTable) AssociationTest {
 		PValue:   ChiSquaredSF(g2, 1),
 		Positive: PositiveAssociation(t),
 	}
-}
-
-// Significant reports whether the test indicates a positive association at
-// significance level alpha (e.g. 0.01).
-func (a AssociationTest) Significant(alpha float64) bool {
-	return a.Positive && a.PValue < alpha
 }

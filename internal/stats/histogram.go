@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // Histogram is a fixed-width binned count of a sample over [Low, High). It
 // backs the Agrawal et al. delay-histogram baseline (§2.1 of the paper):
 // delays between the activity of dependent components pile up in a few bins
@@ -49,12 +47,6 @@ func (h *Histogram) N() int64 {
 	}
 	return n
 }
-
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.Counts) }
-
-// BinWidth returns the width of one bin.
-func (h *Histogram) BinWidth() float64 { return (h.High - h.Low) / float64(len(h.Counts)) }
 
 // UniformityResult is the outcome of a chi-squared goodness-of-fit test of a
 // histogram against the uniform distribution.
@@ -110,21 +102,3 @@ func ChiSquaredUniformity(h *Histogram) (UniformityResult, error) {
 // NonUniform reports whether the test rejects uniformity at significance
 // level alpha.
 func (u UniformityResult) NonUniform(alpha float64) bool { return u.PValue < alpha }
-
-// Entropy returns the empirical Shannon entropy (nats) of the in-range bin
-// distribution; a secondary non-uniformity indicator used by the baseline's
-// diagnostics.
-func (h *Histogram) Entropy() float64 {
-	n := float64(h.N())
-	if n == 0 {
-		return 0
-	}
-	var e float64
-	for _, c := range h.Counts {
-		if c > 0 {
-			p := float64(c) / n
-			e -= p * math.Log(p)
-		}
-	}
-	return e
-}

@@ -24,9 +24,6 @@ func TestHistogramBasic(t *testing.T) {
 			t.Errorf("bin %d = %d", i, c)
 		}
 	}
-	if h.Bins() != 10 || h.BinWidth() != 1 {
-		t.Errorf("Bins/BinWidth = %d/%v", h.Bins(), h.BinWidth())
-	}
 }
 
 func TestHistogramEdgeExactlyHigh(t *testing.T) {
@@ -114,26 +111,6 @@ func TestChiSquaredUniformityShortSample(t *testing.T) {
 	}
 	if _, err := ChiSquaredUniformity(h); err != ErrShortSample {
 		t.Errorf("err = %v", err)
-	}
-}
-
-func TestEntropy(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	if h.Entropy() != 0 {
-		t.Error("entropy of empty histogram")
-	}
-	// Uniform over 4 bins → entropy = ln 4.
-	for i := 0; i < 4; i++ {
-		h.Counts[i] = 10
-	}
-	if got := h.Entropy(); !almostEqual(got, 1.3862943611198906, 1e-12) {
-		t.Errorf("Entropy = %v", got)
-	}
-	// Single bin → entropy 0.
-	h2 := NewHistogram(0, 1, 4)
-	h2.Counts[2] = 100
-	if got := h2.Entropy(); got != 0 {
-		t.Errorf("Entropy single bin = %v", got)
 	}
 }
 

@@ -102,7 +102,7 @@ func TestIncrementalTalliesMatchRecomputation(t *testing.T) {
 				if ti != ts {
 					return errf("op %d: tables diverge for type %d: %v vs %v", op, k, ti, ts)
 				}
-				if !ti.Valid() {
+				if ti.N() == 0 { //lint:allow floateq integer-valued counts compare exactly
 					continue
 				}
 				gi, gs := LogLikelihoodG2(ti), LogLikelihoodG2(ts)

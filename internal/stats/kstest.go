@@ -1,14 +1,11 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
-// KSResult is the outcome of a one-sample Kolmogorov–Smirnov test.
+// KSResult is the outcome of a Kolmogorov–Smirnov test.
 type KSResult struct {
-	// D is the KS statistic: the supremum distance between the empirical
-	// and the hypothesized CDF.
+	// D is the KS statistic: the supremum distance between the two
+	// empirical CDFs.
 	D float64
 	// PValue is the asymptotic p-value (Kolmogorov distribution with the
 	// finite-n correction of Stephens).
@@ -17,49 +14,12 @@ type KSResult struct {
 	N int
 }
 
-// KSTestUniform tests whether the sample xs is drawn from the uniform
-// distribution on [low, high). It is the distribution-free alternative to
-// the binned chi-squared uniformity test used by the Agrawal baseline and
-// the L2 delay analysis — preferable for small samples where binning
-// wastes power. It returns ErrEmpty for an empty sample and ErrBadLevel
-// for high ≤ low.
-func KSTestUniform(xs []float64, low, high float64) (KSResult, error) {
-	if len(xs) == 0 {
-		return KSResult{}, ErrEmpty
-	}
-	if high <= low {
-		return KSResult{}, ErrBadLevel
-	}
-	u := make([]float64, 0, len(xs))
-	for _, x := range xs {
-		v := (x - low) / (high - low)
-		if v < 0 {
-			v = 0
-		}
-		if v > 1 {
-			v = 1
-		}
-		u = append(u, v)
-	}
-	sort.Float64s(u)
-	return ksAgainstCDF(u, func(x float64) float64 { return x }), nil
-}
-
-// KSTestCDF tests the sorted sample against an arbitrary continuous CDF.
-func KSTestCDF(sorted []float64, cdf func(float64) float64) (KSResult, error) {
-	if len(sorted) == 0 {
-		return KSResult{}, ErrEmpty
-	}
-	return ksAgainstCDF(sorted, cdf), nil
-}
-
 // KSTestTwoSample tests whether two sorted samples were drawn from the
 // same distribution (two-sample Kolmogorov–Smirnov). D is the supremum
 // distance between the two empirical CDFs; the p-value uses the Kolmogorov
 // asymptotic with the effective sample size n·m/(n+m) and Stephens'
 // finite-sample adjustment — the correction that makes the test honest
-// when the reference CDF is itself estimated from a sample, which the
-// one-sample form (KSTestCDF against an empirical reference) is not.
+// when the reference CDF is itself estimated from a sample.
 func KSTestTwoSample(a, b []float64) (KSResult, error) {
 	if len(a) == 0 || len(b) == 0 {
 		return KSResult{}, ErrEmpty
@@ -95,25 +55,6 @@ func KSTestTwoSample(a, b []float64) (KSResult, error) {
 	return KSResult{D: d, PValue: ksSurvival(lambda), N: int(ne)}, nil
 }
 
-// ksAgainstCDF computes D and its p-value for a sorted sample.
-func ksAgainstCDF(sorted []float64, cdf func(float64) float64) KSResult {
-	n := float64(len(sorted))
-	var d float64
-	for i, x := range sorted {
-		f := cdf(x)
-		if hi := float64(i+1)/n - f; hi > d {
-			d = hi
-		}
-		if lo := f - float64(i)/n; lo > d {
-			d = lo
-		}
-	}
-	// Stephens' finite-sample adjustment.
-	sqrtN := math.Sqrt(n)
-	lambda := (sqrtN + 0.12 + 0.11/sqrtN) * d
-	return KSResult{D: d, PValue: ksSurvival(lambda), N: len(sorted)}
-}
-
 // ksSurvival evaluates the Kolmogorov distribution tail
 // Q(λ) = 2 Σ_{k≥1} (−1)^{k−1} exp(−2k²λ²).
 func ksSurvival(lambda float64) float64 {
@@ -139,7 +80,3 @@ func ksSurvival(lambda float64) float64 {
 	}
 	return p
 }
-
-// NonUniform reports whether the test rejects the hypothesized distribution
-// at significance level alpha.
-func (k KSResult) NonUniform(alpha float64) bool { return k.PValue < alpha }

@@ -6,98 +6,6 @@ import (
 	"testing"
 )
 
-func TestKSTestUniformAccepts(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = 2 + 3*rng.Float64() // uniform on [2, 5)
-	}
-	res, err := KSTestUniform(xs, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NonUniform(0.01) {
-		t.Errorf("uniform sample rejected: %+v", res)
-	}
-	if res.N != 500 {
-		t.Errorf("N = %d", res.N)
-	}
-}
-
-func TestKSTestUniformRejectsPeaked(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = 0.3 + 0.02*rng.NormFloat64()
-	}
-	res, err := KSTestUniform(xs, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.NonUniform(0.001) {
-		t.Errorf("peaked sample accepted: %+v", res)
-	}
-	if res.D < 0.2 {
-		t.Errorf("D = %v", res.D)
-	}
-}
-
-func TestKSTestErrors(t *testing.T) {
-	if _, err := KSTestUniform(nil, 0, 1); err != ErrEmpty {
-		t.Errorf("empty err = %v", err)
-	}
-	if _, err := KSTestUniform([]float64{1}, 1, 1); err != ErrBadLevel {
-		t.Errorf("bad range err = %v", err)
-	}
-	if _, err := KSTestCDF(nil, nil); err != ErrEmpty {
-		t.Errorf("empty CDF err = %v", err)
-	}
-}
-
-func TestKSTestCDFNormal(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	xs := make([]float64, 400)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	sorted := SortedCopy(xs)
-	res, err := KSTestCDF(sorted, func(x float64) float64 { return NormalCDF(x) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NonUniform(0.01) {
-		t.Errorf("normal sample rejected against normal CDF: %+v", res)
-	}
-	// The same sample against a shifted CDF must be rejected.
-	res2, _ := KSTestCDF(sorted, func(x float64) float64 { return NormalCDF(x - 1) })
-	if !res2.NonUniform(0.001) {
-		t.Errorf("shifted CDF accepted: %+v", res2)
-	}
-}
-
-func TestKSNullCalibration(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	const trials = 1000
-	rejected := 0
-	for i := 0; i < trials; i++ {
-		xs := make([]float64, 50)
-		for j := range xs {
-			xs[j] = rng.Float64()
-		}
-		res, err := KSTestUniform(xs, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.PValue < 0.05 {
-			rejected++
-		}
-	}
-	rate := float64(rejected) / trials
-	if rate > 0.08 || rate < 0.02 {
-		t.Errorf("null rejection rate = %.3f, want ≈ 0.05", rate)
-	}
-}
-
 func TestKSSurvivalBounds(t *testing.T) {
 	if p := ksSurvival(0); p != 1 {
 		t.Errorf("Q(0) = %v", p)

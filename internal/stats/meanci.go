@@ -20,21 +20,3 @@ func MeanCI(xs []float64, level float64) (CI, error) {
 	t := StudentTQuantile(1-(1-level)/2, n-1)
 	return CI{Low: m - t*se, High: m + t*se, Level: level}, nil
 }
-
-// TrimmedMean returns the mean of xs after removing the lowest and highest
-// frac fraction of the sorted sample (frac in [0, 0.5)); a robustness
-// middle ground between mean and median used by diagnostics.
-func TrimmedMean(sorted []float64, frac float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	if frac < 0 {
-		frac = 0
-	}
-	k := int(frac * float64(n))
-	if 2*k >= n {
-		return Median(sorted)
-	}
-	return Mean(sorted[k : n-k])
-}

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // CI is a two-sided confidence interval at the given confidence level.
 type CI struct {
@@ -29,9 +26,6 @@ func (ci CI) StrictlyNegative() bool { return ci.High < 0 }
 // dependent application and the random-point sample (§3.1: "If the upper
 // bound of CI_b is below the lower bound for CI_r ...").
 func (ci CI) Below(other CI) bool { return ci.High < other.Low }
-
-// Width returns High − Low.
-func (ci CI) Width() float64 { return ci.High - ci.Low }
 
 // QuantileCIIndices returns 1-based order-statistic indices (j, k) such
 // that [x_(j), x_(k)] is a distribution-free confidence interval for the
@@ -144,40 +138,4 @@ func MedianCI(sorted []float64, level float64) (CI, error) {
 // MedianCIOf sorts a copy of xs and returns MedianCI of the result.
 func MedianCIOf(xs []float64, level float64) (CI, error) {
 	return MedianCI(SortedCopy(xs), level)
-}
-
-// PairedMedianTest performs the median test the paper applies in §4.7: for
-// paired samples (a_i, b_i) it computes a distribution-free confidence
-// interval at the given level for the median of the differences a_i − b_i.
-// The null hypothesis of a zero (or opposite-signed) median is rejected when
-// the interval is strictly positive, respectively strictly negative.
-type PairedMedianTest struct {
-	// Median is the sample median of the differences.
-	Median float64
-	// CI is the order-statistic confidence interval for the median
-	// difference.
-	CI CI
-}
-
-// NewPairedMedianTest computes the paired median test for samples a and b at
-// the given confidence level. It returns ErrMismatch when the samples have
-// different lengths and ErrShortSample when the sample is too small to
-// support the level.
-func NewPairedMedianTest(a, b []float64, level float64) (PairedMedianTest, error) {
-	if len(a) != len(b) {
-		return PairedMedianTest{}, ErrMismatch
-	}
-	if len(a) == 0 {
-		return PairedMedianTest{}, ErrEmpty
-	}
-	d := make([]float64, len(a))
-	for i := range a {
-		d[i] = a[i] - b[i]
-	}
-	sort.Float64s(d)
-	ci, err := MedianCI(d, level)
-	if err != nil {
-		return PairedMedianTest{}, err
-	}
-	return PairedMedianTest{Median: Median(d), CI: ci}, nil
 }

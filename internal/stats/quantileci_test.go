@@ -174,36 +174,7 @@ func TestCIRelations(t *testing.T) {
 	if !neg.StrictlyNegative() || neg.StrictlyPositive() {
 		t.Error("StrictlyNegative")
 	}
-	if a.Width() != 1 {
-		t.Errorf("Width = %v", a.Width())
-	}
 	if !a.Contains(1) || !a.Contains(2) || a.Contains(2.1) {
 		t.Error("Contains bounds")
-	}
-}
-
-func TestPairedMedianTest(t *testing.T) {
-	// All positive differences of magnitude ~2: the CI must be strictly
-	// positive.
-	a := []float64{5, 6, 7, 8, 9, 10, 11, 12, 13, 14}
-	b := []float64{3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
-	res, err := NewPairedMedianTest(a, b, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Median != 2 {
-		t.Errorf("Median = %v", res.Median)
-	}
-	if !res.CI.StrictlyPositive() {
-		t.Errorf("CI = %+v, want strictly positive", res.CI)
-	}
-	if _, err := NewPairedMedianTest(a, b[:3], 0.95); err != ErrMismatch {
-		t.Errorf("mismatch err = %v", err)
-	}
-	if _, err := NewPairedMedianTest(nil, nil, 0.95); err != ErrEmpty {
-		t.Errorf("empty err = %v", err)
-	}
-	if _, err := NewPairedMedianTest(a[:3], b[:3], 0.95); err != ErrShortSample {
-		t.Errorf("short err = %v", err)
 	}
 }

@@ -81,16 +81,6 @@ func (r Regression) SlopeCI(level float64) CI {
 	return CI{Low: r.Slope - t*r.SlopeSE, High: r.Slope + t*r.SlopeSE, Level: level}
 }
 
-// InterceptCI returns the confidence interval for the intercept at the given
-// level.
-func (r Regression) InterceptCI(level float64) CI {
-	t := StudentTQuantile(1-(1-level)/2, r.N-2)
-	return CI{Low: r.Intercept - t*r.InterceptSE, High: r.Intercept + t*r.InterceptSE, Level: level}
-}
-
-// Predict returns the fitted value at x.
-func (r Regression) Predict(x float64) float64 { return r.Intercept + r.Slope*x }
-
 // QQPoint is one point of a normal quantile-quantile plot.
 type QQPoint struct {
 	// Theoretical is the standard normal quantile for the plotting position.

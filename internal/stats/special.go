@@ -68,21 +68,6 @@ func NormalQuantile(p float64) float64 {
 	return x
 }
 
-// GammaP returns the regularized lower incomplete gamma function P(a, x).
-// It panics for a ≤ 0 or x < 0.
-func GammaP(a, x float64) float64 {
-	if a <= 0 || x < 0 {
-		panic("stats: GammaP requires a > 0 and x ≥ 0")
-	}
-	if x == 0 {
-		return 0
-	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	return 1 - gammaCF(a, x)
-}
-
 // GammaQ returns the regularized upper incomplete gamma function Q(a, x).
 func GammaQ(a, x float64) float64 {
 	if a <= 0 || x < 0 {
@@ -142,15 +127,6 @@ func gammaCF(a, x float64) float64 {
 		}
 	}
 	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
-
-// ChiSquaredCDF returns P(X ≤ x) for a chi-squared variable with df degrees
-// of freedom.
-func ChiSquaredCDF(x float64, df int) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return GammaP(float64(df)/2, x/2)
 }
 
 // ChiSquaredSF returns the tail probability P(X > x) for a chi-squared

@@ -59,31 +59,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the unbiased sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the smallest element of xs. It panics on an empty sample.
-func Min(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs. It panics on an empty sample.
-func Max(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Sorted reports whether xs is sorted in non-decreasing order.
-func Sorted(xs []float64) bool { return sort.Float64sAreSorted(xs) }
-
 // SortedCopy returns a sorted copy of xs, leaving xs untouched.
 func SortedCopy(xs []float64) []float64 {
 	ys := make([]float64, len(xs))
@@ -146,6 +121,3 @@ func Summary(sorted []float64) FiveNum {
 		Max:    sorted[len(sorted)-1],
 	}
 }
-
-// IQR returns the interquartile range of the summary.
-func (f FiveNum) IQR() float64 { return f.Q3 - f.Q1 }

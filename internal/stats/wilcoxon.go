@@ -26,52 +26,22 @@ type WilcoxonResult struct {
 // the sign-flip distribution is enumerated exactly (2^20 ≈ 1M terms).
 const exactWilcoxonLimit = 20
 
-// WilcoxonSignedRank performs the paired, two-sided Wilcoxon signed rank
-// test on samples a and b, testing the null hypothesis that the median of
-// the differences a_i − b_i is zero. Zero differences are dropped
-// (Wilcoxon's original treatment); tied absolute differences receive
-// midranks.
-//
-// The paper uses this test in §4.7 with n = 7 paired days: when all seven
-// differences share the same sign the exact two-sided p-value is
-// 2·(1/2⁷) = 0.015625, the value reported in the text.
-func WilcoxonSignedRank(a, b []float64) (WilcoxonResult, error) {
-	if len(a) != len(b) {
-		return WilcoxonResult{}, ErrMismatch
-	}
-	diffs := make([]float64, 0, len(a))
-	for i := range a {
-		d := a[i] - b[i]
-		if d != 0 {
-			diffs = append(diffs, d)
-		}
-	}
-	return wilcoxonFromDiffs(diffs)
-}
-
-// WilcoxonSignedRankDiffs runs the test directly on a sample of differences.
+// WilcoxonSignedRankDiffs runs the test on a sample of paired differences.
+// Zero differences are dropped; it returns ErrEmpty when none remain.
 func WilcoxonSignedRankDiffs(diffs []float64) (WilcoxonResult, error) {
-	nz := make([]float64, 0, len(diffs))
-	for _, d := range diffs {
-		if d != 0 {
-			nz = append(nz, d)
-		}
-	}
-	return wilcoxonFromDiffs(nz)
-}
-
-func wilcoxonFromDiffs(diffs []float64) (WilcoxonResult, error) {
-	n := len(diffs)
-	if n == 0 {
-		return WilcoxonResult{}, ErrEmpty
-	}
 	type absDiff struct {
 		abs float64
 		pos bool
 	}
-	ads := make([]absDiff, n)
-	for i, d := range diffs {
-		ads[i] = absDiff{abs: math.Abs(d), pos: d > 0}
+	ads := make([]absDiff, 0, len(diffs))
+	for _, d := range diffs {
+		if d != 0 {
+			ads = append(ads, absDiff{abs: math.Abs(d), pos: d > 0})
+		}
+	}
+	n := len(ads)
+	if n == 0 {
+		return WilcoxonResult{}, ErrEmpty
 	}
 	sort.Slice(ads, func(i, j int) bool { return ads[i].abs < ads[j].abs })
 	// Midranks for ties.

@@ -13,7 +13,11 @@ import (
 func TestWilcoxonPaperValue(t *testing.T) {
 	a := []float64{0.75, 0.74, 0.73, 0.77, 0.78, 0.72, 0.76}
 	b := []float64{0.70, 0.69, 0.71, 0.72, 0.73, 0.68, 0.70}
-	res, err := WilcoxonSignedRank(a, b)
+	diffs := make([]float64, len(a))
+	for i := range a {
+		diffs[i] = a[i] - b[i]
+	}
+	res, err := WilcoxonSignedRankDiffs(diffs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,14 +33,11 @@ func TestWilcoxonPaperValue(t *testing.T) {
 }
 
 func TestWilcoxonErrors(t *testing.T) {
-	if _, err := WilcoxonSignedRank([]float64{1}, []float64{1, 2}); err != ErrMismatch {
-		t.Errorf("mismatch err = %v", err)
-	}
-	if _, err := WilcoxonSignedRank(nil, nil); err != ErrEmpty {
+	if _, err := WilcoxonSignedRankDiffs(nil); err != ErrEmpty {
 		t.Errorf("empty err = %v", err)
 	}
 	// All differences zero → nothing to rank.
-	if _, err := WilcoxonSignedRank([]float64{1, 2}, []float64{1, 2}); err != ErrEmpty {
+	if _, err := WilcoxonSignedRankDiffs([]float64{0, 0}); err != ErrEmpty {
 		t.Errorf("all-zero err = %v", err)
 	}
 }

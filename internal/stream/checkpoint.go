@@ -75,35 +75,9 @@ type CheckpointBucket struct {
 // typically take a checkpoint inside OnAdvance, right after a bucket
 // closed, with offset = Feeder.Consumed().
 func (in *Ingester) Checkpoint(offset, rotations int64) *Checkpoint {
-	c := &Checkpoint{
-		Version:       checkpointVersion,
-		Offset:        offset,
-		Rotations:     rotations,
-		BucketWidth:   in.cfg.BucketWidth,
-		WindowBuckets: in.cfg.WindowBuckets,
-		Origin:        in.origin,
-		Cur:           in.cur,
-		Open:          in.open,
-		Stats:         in.stats,
-	}
-	if !in.started {
-		c.Cur = -1 // sentinel: no origin fixed yet
-	}
-	if n := len(in.pending); n > 0 {
-		c.Pending = make([][]byte, 0, n)
-		for _, e := range in.pending {
-			c.Pending = append(c.Pending, logmodel.AppendEntry(nil, e))
-		}
-	}
+	c := in.checkpointHead(offset, rotations)
 	for _, b := range in.win {
-		cb := CheckpointBucket{Index: b.Index}
-		if n := len(b.Entries); n > 0 {
-			cb.Entries = make([][]byte, 0, n)
-		}
-		for _, e := range b.Entries {
-			cb.Entries = append(cb.Entries, logmodel.AppendEntry(nil, e))
-		}
-		c.Buckets = append(c.Buckets, cb)
+		c.Buckets = append(c.Buckets, CheckpointBucket{Index: b.Index, Entries: wireLines(b.Entries)})
 	}
 	return c
 }
@@ -116,6 +90,15 @@ func (in *Ingester) Checkpoint(offset, rotations int64) *Checkpoint {
 // (the open bucket) are still included — they have not been delivered,
 // so no store record holds them.
 func (in *Ingester) CheckpointLight(offset, rotations int64) *Checkpoint {
+	c := in.checkpointHead(offset, rotations)
+	c.WindowInStore = true
+	return c
+}
+
+// checkpointHead is what both checkpoint forms share: the transport
+// position, the window geometry and cursor, the stats and the pending
+// (open-bucket) entries — everything but the delivered window.
+func (in *Ingester) checkpointHead(offset, rotations int64) *Checkpoint {
 	c := &Checkpoint{
 		Version:       checkpointVersion,
 		Offset:        offset,
@@ -125,19 +108,25 @@ func (in *Ingester) CheckpointLight(offset, rotations int64) *Checkpoint {
 		Origin:        in.origin,
 		Cur:           in.cur,
 		Open:          in.open,
+		Pending:       wireLines(in.pending),
 		Stats:         in.stats,
-		WindowInStore: true,
 	}
 	if !in.started {
 		c.Cur = -1 // sentinel: no origin fixed yet
 	}
-	if n := len(in.pending); n > 0 {
-		c.Pending = make([][]byte, 0, n)
-		for _, e := range in.pending {
-			c.Pending = append(c.Pending, logmodel.AppendEntry(nil, e))
-		}
-	}
 	return c
+}
+
+// wireLines renders entries as wire-format lines, nil for none.
+func wireLines(es []logmodel.Entry) [][]byte {
+	if len(es) == 0 {
+		return nil
+	}
+	lines := make([][]byte, 0, len(es))
+	for _, e := range es {
+		lines = append(lines, logmodel.AppendEntry(nil, e))
+	}
+	return lines
 }
 
 // Restore rebuilds an ingester (and the given freshly constructed miners)

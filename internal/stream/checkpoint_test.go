@@ -64,7 +64,7 @@ func TestCheckpointRestoreContinuesIdentically(t *testing.T) {
 	// Reference: one uninterrupted run.
 	refMiners := ckptMiners(wcfg)
 	ref := NewIngester(wcfg, refMiners...)
-	ref.AddAll(es)
+	ref.AddBatch(es)
 	ref.Flush()
 
 	// Interrupted run: checkpoint at the 3rd closed bucket, drop everything,
@@ -98,7 +98,7 @@ func TestCheckpointRestoreContinuesIdentically(t *testing.T) {
 	}
 	// The entry that closed bucket 3 is in the checkpoint's pending set;
 	// resume strictly after it.
-	resumed.AddAll(es[cut+1:])
+	resumed.AddBatch(es[cut+1:])
 	resumed.Flush()
 
 	if got, want := snapshots(t, postMiners), snapshots(t, refMiners); !reflect.DeepEqual(got, want) {

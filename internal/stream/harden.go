@@ -50,9 +50,10 @@ type RetryPolicy struct {
 	// before the error is surfaced. 0 means no retries.
 	MaxRetries int
 	// Backoff, when non-nil, is called before retry attempt n (1-based).
-	// It is the only place the ingest path may block; tests leave it nil,
-	// the CLI installs a capped time.Sleep schedule. Determinism note: the
-	// backoff must not influence *what* is read, only when.
+	// It is the only place the ingest path may block. No source follow.Run
+	// opens returns a transient error, so production leaves it nil; the
+	// chaos transport's burst stalls are what exercise it. Determinism
+	// note: the backoff must not influence *what* is read, only when.
 	Backoff func(attempt int)
 }
 

@@ -221,11 +221,6 @@ func (in *Ingester) admit(e *logmodel.Entry) {
 	in.stats.Accepted++
 }
 
-// AddAll consumes all entries of es.
-func (in *Ingester) AddAll(es []logmodel.Entry) {
-	in.AddBatch(es)
-}
-
 // AddBatch consumes all entries of es and returns how many were accepted.
 // Bucket assignment, delivery order, statistics and final counter values
 // are identical to calling Add once per entry; the difference is purely

@@ -23,7 +23,7 @@ func collect(cfg Config) (*Ingester, *[]Bucket) {
 func TestIngesterBucketing(t *testing.T) {
 	w := logmodel.Millis(1000)
 	in, got := collect(Config{BucketWidth: w, WindowBuckets: 3})
-	in.AddAll([]logmodel.Entry{
+	in.AddBatch([]logmodel.Entry{
 		at(1500, "A"), // origin aligns to 1000; bucket 0 = [1000, 2000)
 		at(1999, "B"),
 		at(1400, "C"), // out of order within the open bucket: kept, sorted
@@ -81,7 +81,7 @@ func TestIngesterFlushSemantics(t *testing.T) {
 
 func TestIngesterCorruptTimestamps(t *testing.T) {
 	in, got := collect(Config{BucketWidth: 1000, WindowBuckets: 2})
-	in.AddAll([]logmodel.Entry{
+	in.AddBatch([]logmodel.Entry{
 		at(-MaxAbsTime, "A"),
 		at(MaxAbsTime, "B"),
 		at(MaxAbsTime-1, "C"), // just inside the bound: accepted
@@ -128,7 +128,7 @@ func TestIngesterNegativeTimes(t *testing.T) {
 	// The bucket grid must align toward −∞ so pre-epoch streams bucket
 	// consistently.
 	in, got := collect(Config{BucketWidth: 1000, WindowBuckets: 4})
-	in.AddAll([]logmodel.Entry{at(-1500, "A"), at(-400, "B"), at(600, "C")})
+	in.AddBatch([]logmodel.Entry{at(-1500, "A"), at(-400, "B"), at(600, "C")})
 	in.Flush()
 	if len(*got) != 3 {
 		t.Fatalf("delivered %d buckets, want 3", len(*got))

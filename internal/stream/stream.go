@@ -47,12 +47,6 @@ type Config struct {
 	RecycleBuckets bool
 }
 
-// DefaultConfig returns the default window configuration with every field
-// set explicitly.
-func DefaultConfig() Config {
-	return Config{}.withDefaults()
-}
-
 func (c Config) withDefaults() Config {
 	if c.BucketWidth == 0 {
 		c.BucketWidth = logmodel.MillisPerHour

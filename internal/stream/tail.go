@@ -62,9 +62,6 @@ func NewTailer(path string, cfg TailerConfig) (*Tailer, error) {
 	}, nil
 }
 
-// Offset returns the read position in the current file.
-func (t *Tailer) Offset() int64 { return t.offset }
-
 // Rotations returns the number of rotations (rename or truncate) seen.
 func (t *Tailer) Rotations() int64 { return t.rotations + t.truncations }
 

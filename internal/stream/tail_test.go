@@ -208,8 +208,8 @@ func TestTailerSeekTo(t *testing.T) {
 	if err != nil || string(got) != "56789\n" {
 		t.Fatalf("after SeekTo(5) read %q, %v", got, err)
 	}
-	if tl.Offset() != 11 {
-		t.Errorf("offset = %d, want 11", tl.Offset())
+	if tl.offset != 11 {
+		t.Errorf("offset = %d, want 11", tl.offset)
 	}
 	if err := tl.SeekTo(999); err == nil || !strings.Contains(err.Error(), "beyond file") {
 		t.Errorf("SeekTo past EOF = %v, want a refusal naming the cause", err)

@@ -2,15 +2,6 @@ package textproc
 
 import "sort"
 
-// Match is one occurrence of a pattern in the scanned text.
-type Match struct {
-	// Pattern is the index of the matched pattern in the order given to
-	// NewMatcher.
-	Pattern int
-	// End is the byte offset just past the end of the occurrence.
-	End int
-}
-
 // Matcher is an Aho–Corasick automaton over a fixed set of byte patterns.
 // It finds all occurrences of all patterns in a single pass over the text,
 // which keeps approach L3 linear in the number of logs regardless of the
@@ -84,26 +75,6 @@ func NewMatcher(patterns []string) *Matcher {
 	return m
 }
 
-// NumPatterns returns the number of patterns in the automaton.
-func (m *Matcher) NumPatterns() int { return len(m.patterns) }
-
-// Pattern returns the i-th pattern.
-func (m *Matcher) Pattern(i int) string { return m.patterns[i] }
-
-// FindAll returns every occurrence of every pattern in text, ordered by end
-// offset.
-func (m *Matcher) FindAll(text string) []Match {
-	var out []Match
-	state := int32(0)
-	for i := 0; i < len(text); i++ {
-		state = m.next[state][text[i]]
-		for _, pi := range m.out[state] {
-			out = append(out, Match{Pattern: int(pi), End: i + 1})
-		}
-	}
-	return out
-}
-
 // FindSet returns the set of distinct pattern indexes occurring in text,
 // sorted ascending. It allocates only when there are matches.
 func (m *Matcher) FindSet(text string) []int {
@@ -127,18 +98,6 @@ func (m *Matcher) FindSet(text string) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Contains reports whether any pattern occurs in text, without allocating.
-func (m *Matcher) Contains(text string) bool {
-	state := int32(0)
-	for i := 0; i < len(text); i++ {
-		state = m.next[state][text[i]]
-		if len(m.out[state]) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // FindSetWordBounded is FindSet restricted to occurrences that are

@@ -31,9 +31,6 @@ func Train(messages []string, support int) *Classifier {
 	return NewClassifier(SLCT(messages, support))
 }
 
-// NumTemplates returns the number of templates.
-func (c *Classifier) NumTemplates() int { return len(c.templates) }
-
 // Template returns the i-th template.
 func (c *Classifier) Template(i int) Template { return c.templates[i] }
 

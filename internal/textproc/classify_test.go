@@ -20,8 +20,8 @@ func trainingCorpus(rng *rand.Rand) []string {
 func TestTrainAndClassify(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := Train(trainingCorpus(rng), 30)
-	if c.NumTemplates() < 3 {
-		t.Fatalf("templates = %d", c.NumTemplates())
+	if n := len(c.templates); n < 3 {
+		t.Fatalf("templates = %d", n)
 	}
 	id, ok := c.Classify("invoke service zzz999 ok")
 	if !ok {

@@ -23,7 +23,7 @@ func TestReadWriteLogsRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %d vs %d entries", got.Len(), store.Len())
 	}
 	for i := 0; i < got.Len(); i++ {
-		if got.At(i) != store.At(i) {
+		if got.Entries()[i] != store.Entries()[i] {
 			t.Fatalf("entry %d differs", i)
 		}
 	}

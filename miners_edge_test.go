@@ -141,7 +141,7 @@ func TestZeroValueStoreUsable(t *testing.T) {
 		t.Error("out-of-order append not detected")
 	}
 	s.Sort()
-	if !s.Sorted() || s.At(0).Source != "c" {
+	if !s.Sorted() || s.Entries()[0].Source != "c" {
 		t.Error("Sort did not restore order")
 	}
 }

@@ -77,7 +77,7 @@ func runStreamDay(t *testing.T, workers int, checkBatch bool) streamRun {
 			}
 		}
 	}
-	ing.AddAll(store.Entries())
+	ing.AddBatch(store.Entries())
 	ing.Flush()
 
 	if got := len(run.buckets); got < 20 {
