@@ -6,8 +6,8 @@ package main
 //
 // The machinery lives in internal/follow (the same engine cmd/depmined
 // hosts once per tenant stream); this file only adapts the parsed flags
-// to a follow.Config, installs the CLI's retry backoff, and prints the
-// end-of-run summary the engine reports back.
+// to a follow.Config and prints the end-of-run summary the engine reports
+// back.
 
 import (
 	"fmt"

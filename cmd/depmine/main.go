@@ -286,7 +286,7 @@ func run(o options) error {
 		}
 	}
 	if o.impact != "" {
-		printImpact(o.impact, pairs, deps, o.dirPath)
+		printImpact(o.impact, pairs, deps)
 	}
 	emit.End()
 	trace.End()
@@ -302,7 +302,7 @@ func run(o options) error {
 // applications). For an app→service model the graph mixes application and
 // service-group nodes (edges app → group), which keeps the analysis useful
 // without knowing group ownership.
-func printImpact(node string, pairs core.PairSet, deps core.AppServiceSet, _ string) {
+func printImpact(node string, pairs core.PairSet, deps core.AppServiceSet) {
 	var g *depgraph.Graph
 	if deps != nil {
 		g = depgraph.New()

@@ -10,13 +10,11 @@
 //
 //	-json           emit findings as a JSON array instead of text
 //	-tests          also check in-package _test.go files
-//	-config FILE    severity configuration (default: .lintscape.json at
-//	                the module root, if present)
 //	-workers N      analysis parallelism (0 = all cores, 1 = sequential)
 //	-list           print the analyzers and their docs, then exit
 //
-// Exit status is 1 when any error-severity finding remains after
-// //lint:allow filtering, 2 on operational failure, 0 otherwise.
+// Exit status is 1 when any finding remains after //lint:allow filtering,
+// 2 on operational failure, 0 otherwise.
 package main
 
 import (
@@ -33,7 +31,6 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	tests := flag.Bool("tests", false, "also analyze in-package _test.go files")
-	configPath := flag.String("config", "", "severity configuration file (default: .lintscape.json at the module root)")
 	workers := flag.Int("workers", 0, "analysis parallelism: 0 = all cores, 1 = sequential")
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	flag.Parse()
@@ -48,11 +45,9 @@ func main() {
 	// Load packages, run the suite (per-package analyzers in parallel,
 	// program-level dataflow analyzers over the whole load), print.
 	res, err := runner.Run(analyzers.All(), runner.Options{
-		Patterns:   flag.Args(),
-		Tests:      *tests,
-		Workers:    *workers,
-		ConfigPath: *configPath,
-		Known:      analyzers.Names(),
+		Patterns: flag.Args(),
+		Tests:    *tests,
+		Workers:  *workers,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lintscape:", err)
@@ -63,7 +58,6 @@ func main() {
 
 // report prints the findings and returns the exit code.
 func report(findings []analysis.Finding, jsonOut bool) int {
-	failed := false
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -74,20 +68,12 @@ func report(findings []analysis.Finding, jsonOut bool) int {
 			fmt.Fprintln(os.Stderr, "lintscape:", err)
 			return 2
 		}
-		for _, f := range findings {
-			failed = failed || f.Severity == analysis.SeverityError
-		}
 	} else {
 		for _, f := range findings {
-			label := ""
-			if f.Severity == analysis.SeverityWarn {
-				label = " [warn]"
-			}
-			fmt.Printf("%s%s\n", f.String(), label)
-			failed = failed || f.Severity == analysis.SeverityError
+			fmt.Println(f)
 		}
 	}
-	if failed {
+	if len(findings) > 0 {
 		return 1
 	}
 	return 0

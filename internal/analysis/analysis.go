@@ -10,8 +10,8 @@ import (
 
 // Analyzer describes one invariant checker.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, severity configuration
-	// and //lint:allow directives. It must be a lowercase identifier.
+	// Name identifies the analyzer in diagnostics and //lint:allow
+	// directives. It must be a lowercase identifier.
 	Name string
 	// Doc is the one-paragraph description printed by `lintscape -list`:
 	// the invariant the analyzer encodes and how to satisfy it.
@@ -48,8 +48,8 @@ type ProgramUnit struct {
 	Pkg   *types.Package
 	Files []*ast.File
 	Info  *types.Info
-	// RelDir is the package directory relative to the module root (the
-	// severity-configuration key). Drivers without a module root use ".".
+	// RelDir is the package directory relative to the module root. Drivers
+	// without a module root use ".".
 	RelDir string
 	// Sources maps file names to raw content, for directive scanning.
 	Sources map[string][]byte
@@ -63,9 +63,8 @@ type ProgramPass struct {
 	// Units are the loaded packages, in deterministic (load) order.
 	// Program analyzers must not depend on the order beyond determinism.
 	Units []*ProgramUnit
-	// Report delivers one diagnostic, attributed to the unit it was found
-	// in so the driver can resolve per-directory severity.
-	Report func(*ProgramUnit, Diagnostic)
+	// Report delivers one diagnostic to the driver.
+	Report func(Diagnostic)
 	// ExportFact, when non-nil, receives one human-readable fact string
 	// per function-summary fact the analyzer derives (anchored at the
 	// function's declaration). The test harness matches these against
@@ -93,7 +92,7 @@ func (p *Pass) Inspect(fn func(ast.Node) bool) {
 }
 
 // Finding is a Diagnostic resolved to a concrete position and annotated
-// with its analyzer and severity; the driver's unit of output.
+// with its analyzer; the driver's unit of output.
 type Finding struct {
 	Analyzer string         `json:"analyzer"`
 	Pos      token.Position `json:"-"`
@@ -101,7 +100,6 @@ type Finding struct {
 	Line     int            `json:"line"`
 	Col      int            `json:"col"`
 	Message  string         `json:"message"`
-	Severity Severity       `json:"severity"`
 }
 
 // String renders the finding in the conventional file:line:col form.

@@ -102,7 +102,7 @@ func RunProgram(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
 		Analyzer: a,
 		Fset:     fset,
 		Units:    units,
-		Report: func(u *analysis.ProgramUnit, d analysis.Diagnostic) {
+		Report: func(d analysis.Diagnostic) {
 			pos := fset.Position(d.Pos)
 			findings = append(findings, analysis.Finding{
 				Analyzer: a.Name, Pos: pos,

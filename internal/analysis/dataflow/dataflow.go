@@ -44,24 +44,16 @@ type Program struct {
 	// SCCs are the strongly connected components of the call graph in
 	// bottom-up (callee-before-caller) order; each component is sorted.
 	SCCs [][]string
-	// borrowed indexes //lint:borrowed annotations by file name.
-	borrowed map[string][]analysis.Borrowed
 }
 
 // BuildProgram indexes the functions and static call graph of the units.
 func BuildProgram(fset *token.FileSet, units []*analysis.ProgramUnit) *Program {
 	p := &Program{
-		Fset:     fset,
-		Units:    units,
-		Funcs:    make(map[string]*Func),
-		borrowed: make(map[string][]analysis.Borrowed),
+		Fset:  fset,
+		Units: units,
+		Funcs: make(map[string]*Func),
 	}
 	for _, u := range units {
-		for name, src := range u.Sources {
-			if bs := analysis.ParseBorrowed(name, src); len(bs) > 0 {
-				p.borrowed[name] = bs
-			}
-		}
 		for _, f := range u.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
@@ -267,26 +259,4 @@ func (p *Program) tarjan() [][]string {
 		}
 	}
 	return sccs
-}
-
-// BorrowedParams returns the bitset of fn's parameters annotated
-// //lint:borrowed for the named analyzer, plus the parameter names.
-func (p *Program) BorrowedParams(fn *Func, analyzer string) (uint64, []string) {
-	pos := p.Fset.Position(fn.Decl.Pos())
-	var bits uint64
-	var names []string
-	for _, b := range p.borrowed[pos.Filename] {
-		if b.TargetLine != pos.Line || !b.Matches(analyzer) {
-			continue
-		}
-		for _, name := range b.Params {
-			for i, param := range fn.Params {
-				if param.Name == name && i < 64 {
-					bits |= 1 << i
-					names = append(names, name)
-				}
-			}
-		}
-	}
-	return bits, names
 }

@@ -1,8 +1,8 @@
 // Package dataflow is the interprocedural taint/escape engine under the
-// viewescape, recycleuse and taintorder analyzers (see DESIGN.md §8).
+// recycleuse and taintorder analyzers (see DESIGN.md §8).
 //
 // The engine is built for one job: proving lifetime and ordering contracts
-// ("this value aliases a reused buffer", "this value is in map-iteration
+// ("this slice is recycled after the call", "this value is in map-iteration
 // order") across function boundaries, using only the standard library —
 // packages are type-checked against compiler export data (go list -export),
 // never re-implemented.
@@ -23,7 +23,7 @@
 //   - ParamOut[i]: the taint written through pointer-like parameter i
 //     (pointers, maps, slices), so out-parameters propagate.
 //   - ParamEscape[i]: non-empty when taint entering parameter i reaches a
-//     sink inside the function (heap store, channel send, reporting call),
+//     sink inside the function (heap store, reporting call),
 //     so a violation buried two helpers deep surfaces at the call site that
 //     supplied the tainted value.
 //

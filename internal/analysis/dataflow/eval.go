@@ -60,9 +60,6 @@ func (in *interp) eval(e ast.Expr) Cell {
 			}
 			return base.Join(idx)
 		}
-		if spec.ElementsAlias && !pointerFree(in.typeOf(e)) {
-			return base
-		}
 		return Cell{} // element load is a durable copy
 	case *ast.IndexListExpr:
 		return Cell{}
@@ -216,7 +213,7 @@ func (in *interp) evalCall(call *ast.CallExpr) []Cell {
 		return in.funcLit(lit, argCells)
 	}
 
-	ci := &CallInfo{Call: call, Callee: MatchCallee(info, call), Unit: in.fn.Unit}
+	ci := &CallInfo{Call: call, Callee: MatchCallee(info, call)}
 	nResults := callResults(info, call)
 
 	if spec.Sanitize != nil {
@@ -402,12 +399,6 @@ func (in *interp) applySource(call *ast.CallExpr, st SourceTaint, nResults int) 
 			out[j] = Cell{Src: st.Reason}
 		}
 	}
-	for i, a := range call.Args {
-		if i >= 64 || st.PtrArgs&(1<<i) == 0 {
-			continue
-		}
-		in.paramOutTarget(a, Cell{Src: st.Reason}, "source")
-	}
 	// Still evaluate arguments for their side effects.
 	for _, a := range call.Args {
 		in.eval(a)
@@ -417,7 +408,7 @@ func (in *interp) applySource(call *ast.CallExpr, st SourceTaint, nResults int) 
 
 // applySanitize clears taint from the values a sanitizer call cleans.
 func (in *interp) applySanitize(call *ast.CallExpr) {
-	eff, _ := in.spec().Sanitize(&CallInfo{Call: call, Callee: StaticCallee(in.info(), call), Unit: in.fn.Unit})
+	eff, _ := in.spec().Sanitize(&CallInfo{Call: call, Callee: StaticCallee(in.info(), call)})
 	// cleanObj strong-cleans one root object. For parameters the pending
 	// ParamOut record is reset too: the summary pass is one linear abstract
 	// execution, so a sanitizer running after the stores means the
@@ -457,9 +448,6 @@ func (in *interp) applySanitize(call *ast.CallExpr) {
 		if i < 64 && eff.Args&(1<<i) != 0 {
 			clean(a)
 		}
-		if i < 64 && eff.PtrArgs&(1<<i) != 0 {
-			clean(a)
-		}
 	}
 }
 
@@ -475,8 +463,7 @@ func (in *interp) evalBuiltin(name string, call *ast.CallExpr) []Cell {
 		var elems Cell
 		for i, a := range call.Args[1:] {
 			c := in.eval(a)
-			if !spec.ValueMode && !spec.ElementsAlias &&
-				call.Ellipsis.IsValid() && i == len(call.Args)-2 {
+			if !spec.ValueMode && call.Ellipsis.IsValid() && i == len(call.Args)-2 {
 				// Element-copy mode, spread append: the elements are
 				// copied out of the tainted slice, and copies are durable.
 				continue
@@ -484,13 +471,13 @@ func (in *interp) evalBuiltin(name string, call *ast.CallExpr) []Cell {
 			elems = elems.Join(c)
 		}
 		// In every mode appending a tainted value itself retains it (e.g.
-		// a pooled slice header appended into a [][]Entry); in alias and
-		// value modes spread elements carry taint too.
+		// a pooled slice header appended into a [][]Entry); in value mode
+		// spread elements carry taint too.
 		return []Cell{base.Join(elems)}
 	case "copy":
 		if len(call.Args) == 2 {
 			src := in.eval(call.Args[1])
-			if spec.ValueMode || spec.ElementsAlias {
+			if spec.ValueMode {
 				if src.Tainted() {
 					in.storeInto(call.Args[0], src)
 				}

@@ -35,13 +35,6 @@ func (ci *CallInfo) CalleeIs(pkgPath, name string) bool {
 	return pkg != nil && pkg.Path() == pkgPath
 }
 
-// IsNil reports whether e is a statically nil expression (the untyped nil
-// literal, possibly parenthesised or converted).
-func (ci *CallInfo) IsNil(e ast.Expr) bool {
-	tv, ok := ci.Unit.Info.Types[e]
-	return ok && tv.IsNil()
-}
-
 // isMapType reports whether t's underlying type is a map.
 func isMapType(t types.Type) bool {
 	if t == nil {

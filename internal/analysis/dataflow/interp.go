@@ -48,10 +48,6 @@ func (a *analyzer) interpret(fn *Func, report bool) *Summary {
 	}
 	in.rets = []*retCtx{{flow: in.sum.ResultFlow, named: fn.Results}}
 
-	borrowedBits := uint64(0)
-	if a.spec.Borrowed {
-		borrowedBits, _ = a.prog.BorrowedParams(fn, a.spec.Name)
-	}
 	for i, p := range fn.Params {
 		if p.Obj == nil {
 			continue
@@ -59,9 +55,6 @@ func (a *analyzer) interpret(fn *Func, report bool) *Summary {
 		cell := Cell{}
 		if i < 64 {
 			cell.Params = 1 << i
-		}
-		if borrowedBits&(1<<i) != 0 {
-			cell.Src = fmt.Sprintf("borrowed parameter %q", p.Name)
 		}
 		if a.spec.ParamSource != nil {
 			if reason, ok := a.spec.ParamSource(fn, i, p.Obj); ok {
@@ -74,9 +67,9 @@ func (a *analyzer) interpret(fn *Func, report bool) *Summary {
 	return in.sum
 }
 
-func (in *interp) spec() *Spec                    { return in.a.spec }
-func (in *interp) info() *types.Info              { return in.fn.Unit.Info }
-func (in *interp) typeOf(e ast.Expr) types.Type   { return in.info().TypeOf(e) }
+func (in *interp) spec() *Spec                  { return in.a.spec }
+func (in *interp) info() *types.Info            { return in.fn.Unit.Info }
+func (in *interp) typeOf(e ast.Expr) types.Type { return in.info().TypeOf(e) }
 func (in *interp) obj(id *ast.Ident) types.Object {
 	if o := in.info().Uses[id]; o != nil {
 		return o
@@ -105,7 +98,7 @@ func (in *interp) reportf(pos token.Pos, src, sink string) {
 		return
 	}
 	in.reported[key] = true
-	in.a.pass.Report(in.fn.Unit, analysis.Diagnostic{Pos: pos, Message: msg})
+	in.a.pass.Report(analysis.Diagnostic{Pos: pos, Message: msg})
 }
 
 // escapeBits records that the parameters in cell reach the described sink,
@@ -203,10 +196,7 @@ func (in *interp) stmt(s ast.Stmt) {
 		in.branches(s.Body.List, nil)
 	case *ast.SendStmt:
 		in.eval(s.Chan)
-		cell := in.eval(s.Value)
-		if in.spec().ChanSend {
-			in.sink(s.Arrow, cell, "channel send")
-		}
+		in.eval(s.Value)
 	case *ast.GoStmt:
 		in.evalCall(s.Call)
 	case *ast.DeferStmt:
@@ -389,7 +379,7 @@ func (in *interp) rangeStmt(s *ast.RangeStmt) {
 	spec := in.spec()
 
 	var elem Cell
-	if spec.ElementsAlias || spec.ValueMode {
+	if spec.ValueMode {
 		elem = cellX
 	}
 	if spec.RangeSource != nil {

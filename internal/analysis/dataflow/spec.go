@@ -118,7 +118,6 @@ type CallInfo struct {
 	// object (useful for name-based sink matching) even though the engine
 	// has no summary for them.
 	Callee *types.Func
-	Unit   *analysis.ProgramUnit
 }
 
 // SourceTaint describes which outputs of a matched source call become
@@ -129,9 +128,6 @@ type SourceTaint struct {
 	Reason string
 	// Results is the bitset of tainted call results.
 	Results uint64
-	// PtrArgs is the bitset of arguments whose pointed-to value becomes
-	// tainted (for out-parameter sources like ParseEntryBytesInto).
-	PtrArgs uint64
 }
 
 // SanitizeEffect describes which values a matched sanitizer call cleans.
@@ -140,42 +136,28 @@ type SanitizeEffect struct {
 	Results uint64
 	// Args is the bitset of arguments cleaned in place (sort.Strings).
 	Args uint64
-	// PtrArgs is the bitset of arguments whose pointed-to value is
-	// cleanly (re)initialized.
-	PtrArgs uint64
 }
 
 // Spec instantiates the engine for one analyzer: where taint is born, how
 // it propagates, what kills it, and where it must not arrive.
 type Spec struct {
-	// Name is the analyzer name (for //lint:borrowed matching).
-	Name string
-
-	// ElementsAlias selects alias-style element semantics: indexing and
-	// dereferencing a tainted container yields a tainted value (the
-	// elements alias the tainted memory, as with view-mode entries).
-	// When false (recycleuse), an element load is a durable copy.
-	ElementsAlias bool
 	// ValueMode selects order-taint semantics (taintorder): taint rides
-	// through operators, conversions and copies, because the property
-	// ("derived from map-iteration order") survives copying. When false,
-	// copy operations (string conversion, concatenation) produce fresh
-	// memory and clear the taint.
+	// through operators, conversions, copies and element loads, because
+	// the property ("derived from map-iteration order") survives copying.
+	// When false (alias mode, recycleuse's: the taint means "shares recycled
+	// memory"), copy operations (string conversion, concatenation, loading
+	// an element out of a container) produce durable values and clear it.
 	ValueMode bool
 	// HeapStores makes stores into non-fresh heap memory (maps, fields
 	// and elements reached through pointers, package-level variables) and
 	// assignments to package-level variables sinks.
 	HeapStores bool
-	// ChanSend makes sending a tainted value on a channel a sink.
-	ChanSend bool
 	// ParamStores makes stores through pointer-like parameters (including
 	// the receiver) sinks instead of ParamOut flows: for contracts like
 	// bucket recycling, a method retaining contract-tainted data in its
 	// own receiver state is itself the violation — there is no caller
 	// able to judge durability.
 	ParamStores bool
-	// Borrowed honors //lint:borrowed annotations naming this analyzer.
-	Borrowed bool
 
 	// Source matches taint-source calls.
 	Source func(ci *CallInfo) (SourceTaint, bool)
@@ -187,8 +169,7 @@ type Spec struct {
 	// (e.g. Bucket parameters under RecycleBuckets); it returns the taint
 	// reason.
 	ParamSource func(fn *Func, i int, v *types.Var) (string, bool)
-	// Sanitize matches calls that launder taint (strings.Clone, intern-
-	// mode parses, sorts).
+	// Sanitize matches calls that launder taint (slices.Clone, sorts).
 	Sanitize func(ci *CallInfo) (SanitizeEffect, bool)
 	// CallSink matches calls that must not receive tainted arguments
 	// (writers for taintorder); it returns the sink description.

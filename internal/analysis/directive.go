@@ -152,74 +152,3 @@ func FilterByDirectives(findings []Finding, sources map[string][]byte) []Finding
 	}
 	return kept
 }
-
-// BorrowedPrefix introduces a borrowed-parameter annotation:
-//
-//	//lint:borrowed <analyzer>[,<analyzer>...] <param>[,<param>...] <why>
-//
-// placed on (or directly above) a function declaration. It tells the named
-// dataflow analyzers that the listed parameters are borrowed memory — owned
-// by the caller and only valid for the duration of the call — so retaining
-// them (storing into heap structures, sending on channels) is a contract
-// violation the analyzer reports. The trailing free text documents who owns
-// the memory; like allow justifications, it is mandatory (allowaudit flags
-// its absence).
-const BorrowedPrefix = "//lint:borrowed"
-
-// Borrowed is one parsed //lint:borrowed annotation.
-type Borrowed struct {
-	// File and Line locate the annotation itself.
-	File string
-	Line int
-	// TargetLine is the line of the function declaration the annotation
-	// applies to: its own line when it trails code, the next line
-	// otherwise.
-	TargetLine int
-	// Analyzers lists the dataflow analyzers the annotation addresses.
-	Analyzers []string
-	// Params lists the borrowed parameter names.
-	Params []string
-	// Note is the free-text ownership rationale.
-	Note string
-}
-
-// Matches reports whether the annotation addresses the named analyzer.
-func (b Borrowed) Matches(analyzer string) bool {
-	for _, a := range b.Analyzers {
-		if a == analyzer {
-			return true
-		}
-	}
-	return false
-}
-
-// ParseBorrowed scans raw source for //lint:borrowed annotations, with the
-// same text-based grammar rules as ParseDirectives.
-func ParseBorrowed(filename string, src []byte) []Borrowed {
-	var out []Borrowed
-	for i, line := range strings.Split(string(src), "\n") {
-		idx := strings.Index(line, BorrowedPrefix)
-		if idx < 0 || mentionOnly(line, idx) {
-			continue
-		}
-		rest := line[idx+len(BorrowedPrefix):]
-		if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-			continue
-		}
-		rest = trimTrailingComment(rest)
-		fields := strings.Fields(rest)
-		b := Borrowed{File: filename, Line: i + 1, TargetLine: i + 1}
-		if len(fields) > 0 {
-			b.Analyzers = strings.Split(fields[0], ",")
-		}
-		if len(fields) > 1 {
-			b.Params = strings.Split(fields[1], ",")
-			b.Note = strings.TrimSpace(strings.Join(fields[2:], " "))
-		}
-		if strings.TrimSpace(line[:idx]) == "" {
-			b.TargetLine = i + 2
-		}
-		out = append(out, b)
-	}
-	return out
-}

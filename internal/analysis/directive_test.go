@@ -34,24 +34,3 @@ func g() {
 		t.Errorf("standalone directive: got %+v", ds[2])
 	}
 }
-
-// TestParseBorrowedMentions checks the same mention rules for
-// //lint:borrowed annotations.
-func TestParseBorrowedMentions(t *testing.T) {
-	src := []byte(`package p
-
-// Write //lint:borrowed <analyzer> <param> <why> above the function.
-var doc = "//lint:borrowed recycleuse buf quoted"
-
-//lint:borrowed recycleuse buf caller owns the buffer
-func f(buf []byte) {}
-`)
-	bs := ParseBorrowed("p.go", src)
-	if len(bs) != 1 {
-		t.Fatalf("got %d annotations %+v, want 1", len(bs), bs)
-	}
-	b := bs[0]
-	if b.Line != 6 || b.TargetLine != 7 || b.Params[0] != "buf" || b.Note != "caller owns the buffer" {
-		t.Errorf("annotation: got %+v", b)
-	}
-}

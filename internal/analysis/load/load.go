@@ -26,7 +26,7 @@ type Package struct {
 	// Dir is the absolute package directory.
 	Dir string
 	// RelDir is Dir relative to the module root with forward slashes
-	// ("." for the root package) — the key severity configuration uses.
+	// ("." for the root package).
 	RelDir string
 	// Fset is the shared file set of the load.
 	Fset *token.FileSet

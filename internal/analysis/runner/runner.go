@@ -1,16 +1,14 @@
 // Package runner executes the lintscape analyzer suite over a set of
 // packages: it loads them, runs the per-package analyzers in parallel and
 // the program-level (dataflow) analyzers over the whole load, applies the
-// severity configuration and the //lint:allow directives, and returns the
-// surviving findings sorted deterministically. cmd/lintscape and the
-// dogfood self-check test share this one implementation so the CLI and the
-// test cannot drift.
+// //lint:allow directives, and returns the surviving findings sorted
+// deterministically. cmd/lintscape and the dogfood self-check test share
+// this one implementation so the CLI and the test cannot drift.
 package runner
 
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 
@@ -31,18 +29,12 @@ type Options struct {
 	// (0 = GOMAXPROCS, 1 = sequential). Program-level analysis is
 	// single-threaded regardless, so findings are identical at any width.
 	Workers int
-	// ConfigPath names an explicit severity configuration file. When
-	// empty, the module root's .lintscape.json is used if present.
-	ConfigPath string
-	// Known is the registered analyzer name set, used to validate the
-	// severity configuration (typo'd names are load errors, not silence).
-	Known map[string]bool
 }
 
 // Result is the outcome of a Run.
 type Result struct {
-	// Findings are the surviving findings (severity applied, directives
-	// filtered), in SortFindings order. File names are module-relative.
+	// Findings are the surviving findings (directives filtered), in
+	// SortFindings order. File names are module-relative.
 	Findings []analysis.Finding
 	// ModuleDir is the main module root the load resolved.
 	ModuleDir string
@@ -67,19 +59,14 @@ func Run(suite []*analysis.Analyzer, opts Options) (*Result, error) {
 		return nil, errors.New(strings.Join(loadErrs, "\n"))
 	}
 
-	cfg, err := severityConfig(opts.ConfigPath, res.ModuleDir, opts.Known)
-	if err != nil {
-		return nil, err
-	}
-
 	perPkg := parallel.Map(parallel.Workers(opts.Workers), len(res.Packages), func(i int) []analysis.Finding {
-		return checkPackage(res.Packages[i], suite, cfg, res.ModuleDir)
+		return checkPackage(res.Packages[i], suite, res.ModuleDir)
 	})
 	var findings []analysis.Finding
 	for _, fs := range perPkg {
 		findings = append(findings, fs...)
 	}
-	findings = append(findings, checkProgram(res, suite, cfg)...)
+	findings = append(findings, checkProgram(res, suite)...)
 
 	allSources := make(map[string][]byte)
 	for _, pkg := range res.Packages {
@@ -92,15 +79,11 @@ func Run(suite []*analysis.Analyzer, opts Options) (*Result, error) {
 	return &Result{Findings: findings, ModuleDir: res.ModuleDir}, nil
 }
 
-// checkPackage runs every non-off per-package analyzer over one package.
-func checkPackage(pkg *load.Package, suite []*analysis.Analyzer, cfg *analysis.SeverityConfig, moduleDir string) []analysis.Finding {
+// checkPackage runs every per-package analyzer over one package.
+func checkPackage(pkg *load.Package, suite []*analysis.Analyzer, moduleDir string) []analysis.Finding {
 	var findings []analysis.Finding
 	for _, a := range suite {
 		if a.Run == nil {
-			continue
-		}
-		sev := cfg.Severity(pkg.RelDir, a.Name)
-		if sev == analysis.SeverityOff {
 			continue
 		}
 		pass := &analysis.Pass{
@@ -115,16 +98,14 @@ func checkPackage(pkg *load.Package, suite []*analysis.Analyzer, cfg *analysis.S
 				findings = append(findings, analysis.Finding{
 					Analyzer: a.Name, Pos: pos,
 					File: relFile(moduleDir, pos.Filename), Line: pos.Line, Col: pos.Column,
-					Message:  d.Message,
-					Severity: sev,
+					Message: d.Message,
 				})
 			},
 		}
 		if _, err := a.Run(pass); err != nil {
 			findings = append(findings, analysis.Finding{
 				Analyzer: a.Name, File: pkg.RelDir,
-				Message:  fmt.Sprintf("analyzer failed: %v", err),
-				Severity: analysis.SeverityError,
+				Message: fmt.Sprintf("analyzer failed: %v", err),
 			})
 		}
 	}
@@ -132,18 +113,13 @@ func checkPackage(pkg *load.Package, suite []*analysis.Analyzer, cfg *analysis.S
 }
 
 // checkProgram runs the program-level analyzers once over the whole load.
-// Per-directory severity is resolved from the unit a diagnostic is
-// attributed to.
-func checkProgram(res *load.Result, suite []*analysis.Analyzer, cfg *analysis.SeverityConfig) []analysis.Finding {
+func checkProgram(res *load.Result, suite []*analysis.Analyzer) []analysis.Finding {
 	units := make([]*analysis.ProgramUnit, 0, len(res.Packages))
-	relDirs := make(map[*analysis.ProgramUnit]string, len(res.Packages))
 	for _, pkg := range res.Packages {
-		u := &analysis.ProgramUnit{
+		units = append(units, &analysis.ProgramUnit{
 			Pkg: pkg.Types, Files: pkg.Files, Info: pkg.Info,
 			RelDir: pkg.RelDir, Sources: pkg.Sources,
-		}
-		units = append(units, u)
-		relDirs[u] = pkg.RelDir
+		})
 	}
 
 	var findings []analysis.Finding
@@ -155,17 +131,12 @@ func checkProgram(res *load.Result, suite []*analysis.Analyzer, cfg *analysis.Se
 			Analyzer: a,
 			Fset:     res.Fset,
 			Units:    units,
-			Report: func(u *analysis.ProgramUnit, d analysis.Diagnostic) {
-				sev := cfg.Severity(relDirs[u], a.Name)
-				if sev == analysis.SeverityOff {
-					return
-				}
+			Report: func(d analysis.Diagnostic) {
 				pos := res.Fset.Position(d.Pos)
 				findings = append(findings, analysis.Finding{
 					Analyzer: a.Name, Pos: pos,
 					File: relFile(res.ModuleDir, pos.Filename), Line: pos.Line, Col: pos.Column,
-					Message:  d.Message,
-					Severity: sev,
+					Message: d.Message,
 				})
 			},
 		}
@@ -173,27 +144,10 @@ func checkProgram(res *load.Result, suite []*analysis.Analyzer, cfg *analysis.Se
 			findings = append(findings, analysis.Finding{
 				Analyzer: a.Name,
 				Message:  fmt.Sprintf("analyzer failed: %v", err),
-				Severity: analysis.SeverityError,
 			})
 		}
 	}
 	return findings
-}
-
-// severityConfig loads the explicit config, or the module's
-// .lintscape.json when present, or returns nil (everything
-// error-severity).
-func severityConfig(configPath, moduleDir string, known map[string]bool) (*analysis.SeverityConfig, error) {
-	if configPath != "" {
-		return analysis.LoadSeverityConfig(configPath, known)
-	}
-	if moduleDir != "" {
-		def := filepath.Join(moduleDir, ".lintscape.json")
-		if _, err := os.Stat(def); err == nil {
-			return analysis.LoadSeverityConfig(def, known)
-		}
-	}
-	return nil, nil
 }
 
 // relFile renders a finding file name relative to the module root.

@@ -1,9 +1,8 @@
 // Package allowaudit validates the lint directives themselves: every
-// //lint:allow needs a known analyzer list and a justification, every
-// //lint:borrowed needs a known dataflow analyzer, parameter names and an
-// ownership note. An unjustified or misspelled directive silently disables
-// (or fails to disable) checking, so the audit is itself an analyzer — and
-// the one analyzer whose findings //lint:allow can never suppress.
+// //lint:allow needs a known analyzer list and a justification. An
+// unjustified or misspelled directive silently disables (or fails to
+// disable) checking, so the audit is itself an analyzer — and the one
+// analyzer whose findings //lint:allow can never suppress.
 package allowaudit
 
 import (
@@ -23,10 +22,9 @@ var Known map[string]bool
 // Analyzer flags malformed or unknown-name lint directives.
 var Analyzer = &analysis.Analyzer{
 	Name: analysis.AuditAnalyzerName,
-	Doc: "validate //lint:allow and //lint:borrowed directives: analyzer names must be " +
-		"registered (or \"all\" for allow), allow directives need a justification, borrowed " +
-		"annotations need parameter names and an ownership note; a malformed directive " +
-		"suppresses nothing and is itself a finding that no directive can suppress",
+	Doc: "validate //lint:allow directives: analyzer names must be registered (or \"all\") " +
+		"and every directive needs a justification; a malformed directive suppresses " +
+		"nothing and is itself a finding that no directive can suppress",
 	Run: run,
 }
 
@@ -51,27 +49,6 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 			if d.Justification == "" {
 				pass.Reportf(at, "//lint:allow %s without a justification; say why the finding is acceptable", strings.Join(d.Analyzers, ","))
-			}
-		}
-		for _, b := range analysis.ParseBorrowed(name, src) {
-			at := linePos(pass.Fset, name, b.Line)
-			if len(b.Analyzers) == 0 {
-				pass.Reportf(at, "//lint:borrowed without an analyzer list; write //lint:borrowed <analyzer> <param> <why>")
-				continue
-			}
-			for _, a := range b.Analyzers {
-				// "all" is not meaningful for borrowed: each dataflow
-				// analyzer assigns its own ownership semantics.
-				if !Known[a] {
-					pass.Reportf(at, "//lint:borrowed names unknown analyzer %q (known: %s)", a, knownList())
-				}
-			}
-			if len(b.Params) == 0 {
-				pass.Reportf(at, "//lint:borrowed %s without parameter names", strings.Join(b.Analyzers, ","))
-				continue
-			}
-			if b.Note == "" {
-				pass.Reportf(at, "//lint:borrowed %s %s without an ownership note; say who owns the memory", strings.Join(b.Analyzers, ","), strings.Join(b.Params, ","))
 			}
 		}
 	}

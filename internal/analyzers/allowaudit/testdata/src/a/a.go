@@ -32,31 +32,3 @@ func badNoWhy() time.Time {
 func badEmpty() time.Time {
 	return time.Now() //lint:allow // want `without an analyzer list`
 }
-
-// goodBorrowed: known dataflow analyzer, params and note present.
-//
-//lint:borrowed recycleuse buf the caller reuses the buffer between calls
-func goodBorrowed(buf []byte) int {
-	return len(buf)
-}
-
-// badBorrowedUnknown names an unregistered analyzer.
-//
-//lint:borrowed recycluse buf typo in the analyzer name // want `unknown analyzer "recycluse"`
-func badBorrowedUnknown(buf []byte) int {
-	return len(buf)
-}
-
-// badBorrowedNoParams lists no parameter names.
-//
-//lint:borrowed recycleuse // want `without parameter names`
-func badBorrowedNoParams(buf []byte) int {
-	return len(buf)
-}
-
-// badBorrowedNoNote gives no ownership note.
-//
-//lint:borrowed viewescape buf // want `without an ownership note`
-func badBorrowedNoNote(buf []byte) int {
-	return len(buf)
-}

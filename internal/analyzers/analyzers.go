@@ -13,7 +13,6 @@ import (
 	"logscape/internal/analyzers/maporder"
 	"logscape/internal/analyzers/recycleuse"
 	"logscape/internal/analyzers/taintorder"
-	"logscape/internal/analyzers/viewescape"
 	"logscape/internal/analyzers/wallclock"
 )
 
@@ -28,7 +27,6 @@ func All() []*analysis.Analyzer {
 		maporder.Analyzer,
 		recycleuse.Analyzer,
 		taintorder.Analyzer,
-		viewescape.Analyzer,
 		wallclock.Analyzer,
 	}
 }

@@ -7,6 +7,10 @@ import (
 	"logscape/internal/analysis"
 )
 
+// parallelPath is the shared engine: the one package whose job is to write
+// the go statements, WaitGroups and channels everyone else routes through.
+const parallelPath = "logscape/internal/parallel"
+
 // Analyzer flags bare go statements, sync.WaitGroup uses and channel
 // creation outside the shared parallel engine.
 var Analyzer = &analysis.Analyzer{
@@ -18,6 +22,9 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) (any, error) {
+	if pass.Pkg.Path() == parallelPath {
+		return nil, nil
+	}
 	pass.Inspect(func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:

@@ -7,9 +7,8 @@
 // raw `go` statement, a sync.WaitGroup or an ad-hoc channel fan-out
 // anywhere else reintroduces scheduling order into results, so the
 // analyzer flags them all and steers to parallel.Map / parallel.MapShards.
-// internal/parallel itself is exempted through the driver's severity
-// configuration, not in the analyzer, so fixtures and new call sites stay
-// uniformly checked.
+// internal/parallel itself — the engine, and the only exemption — is
+// skipped by package path.
 //
 // See DESIGN.md §8 (Static invariants).
 package bareconc

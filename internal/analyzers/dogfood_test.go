@@ -30,7 +30,6 @@ func TestDogfood(t *testing.T) {
 		Dir:      "../..", // module root, relative to this package
 		Patterns: []string{"./..."},
 		Tests:    true,
-		Known:    analyzers.Names(),
 	})
 	if err != nil {
 		t.Fatalf("runner.Run: %v", err)
@@ -83,8 +82,7 @@ var keptExports = map[string]string{
 	"(*logscape/internal/daemon.Daemon).WaitIdle":          "test synchronisation: sequence a kill after the tail has drained, without sleeping",
 
 	// Named by an analyzer's diagnostic as the fix.
-	"(logscape/internal/logmodel.Entry).Clone": "the durable copy viewescape's diagnostic prescribes (DESIGN.md §12)",
-	"logscape/internal/stats.ApproxEqual":      "the comparison floateq's diagnostic prescribes",
+	"logscape/internal/stats.ApproxEqual": "the comparison floateq's diagnostic prescribes",
 
 	// The benchmark's pinned surface (bench/README.md): bench/ is a module of
 	// its own, so a load of this one does not see its callers.

@@ -3,8 +3,6 @@
 // the Entries slice of every bucket that retires from the window, so code
 // receiving a stream.Bucket (miners' Advance, OnAdvance hooks, helpers
 // they call) must not retain the slice — only element copies are durable.
-// The same borrowed-buffer rule applies to the Feeder's line buffers,
-// annotated //lint:borrowed recycleuse at the declaration.
 //
 // The analyzer runs the internal/analysis/dataflow engine with
 // element-copy semantics: ranging over a pooled slice and copying entries
@@ -23,11 +21,11 @@ import (
 
 const streamPath = "logscape/internal/stream"
 
-// Analyzer flags retention of pooled bucket slices and borrowed buffers.
+// Analyzer flags retention of pooled bucket slices.
 var Analyzer = &analysis.Analyzer{
 	Name: "recycleuse",
-	Doc: "forbid retaining the Entries slice of a stream.Bucket (or a whole Bucket, or a " +
-		"//lint:borrowed buffer) beyond the receiving call: under Config.RecycleBuckets the " +
+	Doc: "forbid retaining the Entries slice of a stream.Bucket (or a whole Bucket) " +
+		"beyond the receiving call: under Config.RecycleBuckets the " +
 		"ingester reuses retired bucket slices, so only element copies are durable — copy " +
 		"what you keep (append to a fresh slice) instead of keeping the slice (DESIGN.md §12)",
 	RunProgram: run,
@@ -52,20 +50,15 @@ func isBucket(t types.Type) bool {
 	return obj.Name() == "Bucket" && obj.Pkg() != nil && obj.Pkg().Path() == streamPath
 }
 
+// spec leaves ValueMode off: element loads are durable copies. An Entry
+// copied out of a pooled slice survives recycling (its strings live in the
+// intern arena); only the slice header (and the Bucket carrying it) is
+// pooled.
 var spec = &dataflow.Spec{
-	Name: "recycleuse",
-	// Element loads are durable copies: an Entry copied out of a pooled
-	// slice survives recycling (its strings live in the intern arena).
-	// Only the slice header (and the Bucket carrying it) is pooled.
-	ElementsAlias: false,
-	HeapStores:    true,
-	// Buckets legitimately travel over channels (the ingester delivers
-	// them); the recycle barrier is window retirement, not the send.
-	ChanSend: false,
+	HeapStores: true,
 	// A miner retaining the bucket in its own receiver state is the
 	// violation — report at the store, not as a caller out-flow.
 	ParamStores: true,
-	Borrowed:    true,
 
 	ParamSource: func(fn *dataflow.Func, i int, v *types.Var) (string, bool) {
 		if isBucket(v.Type()) {

@@ -1,5 +1,5 @@
-// Fixture for the recycleuse analyzer: pooled bucket slices and borrowed
-// buffers must not be retained; element copies and aggregates stay quiet.
+// Fixture for the recycleuse analyzer: pooled bucket slices must not be
+// retained; element copies and aggregates stay quiet.
 package a
 
 import (
@@ -9,7 +9,6 @@ import (
 
 var savedEntries []logmodel.Entry
 var savedBucket stream.Bucket
-var savedLine []byte
 
 type miner struct {
 	history [][]logmodel.Entry
@@ -71,18 +70,4 @@ func goodElement(b stream.Bucket) {
 	if len(b.Entries) > 0 {
 		savedEntries = append(savedEntries, b.Entries[0])
 	}
-}
-
-// badBorrowed retains a borrowed line buffer.
-//
-//lint:borrowed recycleuse buf the feeder reuses the line buffer between calls
-func badBorrowed(buf []byte) {
-	savedLine = buf // want `borrowed parameter "buf" is retained via assignment to package-level variable savedLine`
-}
-
-// goodBorrowedCopy copies the borrowed buffer before keeping it.
-//
-//lint:borrowed recycleuse buf the feeder reuses the line buffer between calls
-func goodBorrowedCopy(buf []byte) {
-	savedLine = append([]byte(nil), buf...)
 }

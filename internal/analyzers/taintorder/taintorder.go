@@ -67,9 +67,7 @@ func qualifiedName(fn *types.Func) string {
 }
 
 var spec = &dataflow.Spec{
-	Name:      "taintorder",
 	ValueMode: true,
-	Borrowed:  true,
 
 	RangeSource: func(unit *analysis.ProgramUnit, rng *ast.RangeStmt) (string, bool) {
 		if t := unit.Info.TypeOf(rng.X); t != nil {

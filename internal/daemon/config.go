@@ -9,6 +9,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+
+	"logscape/internal/stream"
 )
 
 // Error classes the HTTP layer maps to status codes. Every daemon error
@@ -161,23 +163,14 @@ func readStreamConfig(path string) (StreamConfig, bool, error) {
 	return c, true, nil
 }
 
-// writeStreamConfig persists a stream.json atomically (tmp + rename), the
-// same crash-safety discipline the checkpoint writer uses.
+// writeStreamConfig persists a stream.json atomically, the same
+// crash-safety discipline the checkpoint writer uses.
 func writeStreamConfig(path string, c StreamConfig) error {
 	b, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return stream.WriteFileAtomic(path, append(b, '\n'))
 }
 
 // tenantDir returns the tenant's state directory under root.

@@ -113,12 +113,17 @@ func FuzzParseBytes(f *testing.F) {
 			t.Fatalf("intern mode modified its input: %q -> %q", line, raw)
 		}
 
-		view, viewErr := ParseEntryBytes([]byte(line), nil)
-		if viewErr != nil {
-			t.Fatalf("view mode rejected %q accepted by intern mode: %v", line, viewErr)
+		// want came through ParseEntry's private copy; the nil-Intern parse
+		// over a caller's buffer must agree with it and leave the buffer be.
+		plain, plainErr := ParseEntryBytes(raw, nil)
+		if plainErr != nil {
+			t.Fatalf("nil-Intern parse rejected %q accepted by intern mode: %v", line, plainErr)
 		}
-		if view != want {
-			t.Fatalf("view-mode entry differs on %q:\n want %+v\n got  %+v", line, want, view)
+		if plain != want {
+			t.Fatalf("nil-Intern entry differs on %q:\n want %+v\n got  %+v", line, want, plain)
+		}
+		if string(raw) != line {
+			t.Fatalf("nil-Intern parse modified its input: %q -> %q", line, raw)
 		}
 
 		// Round trip: the wire form of a parsed entry reparses to the same

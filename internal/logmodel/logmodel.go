@@ -75,20 +75,6 @@ type Entry struct {
 	Message string
 }
 
-// Clone returns a durable deep copy of e: every string field is copied off
-// whatever backing array it aliased. It is the sanctioned way to retain an
-// entry produced by view-mode parsing (ParseEntryBytes with a nil Intern)
-// beyond the lifetime of the read buffer — see the ownership contract in
-// DESIGN.md §12. Entries produced by intern-mode parsing are already
-// durable and do not need cloning.
-func (e Entry) Clone() Entry {
-	e.Source = strings.Clone(e.Source)
-	e.Host = strings.Clone(e.Host)
-	e.User = strings.Clone(e.User)
-	e.Message = strings.Clone(e.Message)
-	return e
-}
-
 // TimeRange is a half-open interval [Start, End) of Millis.
 type TimeRange struct {
 	Start, End Millis

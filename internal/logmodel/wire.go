@@ -23,9 +23,6 @@ import (
 // (e.g. the chaos injector's clock-skew fault) shares the exact layout.
 const TimeLayout = "2006-01-02T15:04:05.000Z07:00"
 
-// timeLayout is the internal alias TimeLayout grew out of.
-const timeLayout = TimeLayout
-
 // FormatEntry renders an entry as one wire-format line (without trailing
 // newline).
 func FormatEntry(e Entry) string {
@@ -34,10 +31,7 @@ func FormatEntry(e Entry) string {
 
 // ParseEntry parses one wire-format line.
 func ParseEntry(line string) (Entry, error) {
-	// View-mode parse over a private copy of the line: the returned fields
-	// alias the copy, which nothing else references, so the Entry is as
-	// durable as with the old per-field copies — at one allocation instead
-	// of several. Bulk callers should use ParseEntryBytes with an Intern.
+	// Bulk callers should use ParseEntryBytes with an Intern.
 	return ParseEntryBytes([]byte(line), nil)
 }
 
@@ -75,9 +69,10 @@ func WriteAll(w io.Writer, s *Store) error {
 	return lw.Flush()
 }
 
-// maxLineBytes caps one wire-format line, matching the scanner limit the
-// Reader historically used (and stream.MaxLineBytes on the hardened path).
-const maxLineBytes = 1 << 22
+// MaxLineBytes caps one wire-format line: the Reader fails a longer line
+// with bufio.ErrTooLong, the hardened stream path (stream.Feeder) drops it
+// as oversized.
+const MaxLineBytes = 1 << 22
 
 // Reader streams entries from an io.Reader in wire format. Entries share an
 // intern table: repeated Source/Host/User values are allocated once per
@@ -104,7 +99,7 @@ func (r *Reader) readLine() ([]byte, error) {
 	for {
 		chunk, err := r.br.ReadSlice('\n')
 		if err == bufio.ErrBufferFull {
-			if len(r.long)+len(chunk) > maxLineBytes {
+			if len(r.long)+len(chunk) > MaxLineBytes {
 				return nil, bufio.ErrTooLong
 			}
 			r.long = append(r.long, chunk...)

@@ -13,12 +13,11 @@ import (
 // ParseEntry and FormatEntry (a property pinned by FuzzParseBytes and the
 // differential tests in wirebytes_test.go) without the per-entry garbage —
 // no strings.SplitN, no time.Parse on the fast path, no fmt.Sprintf.
-// DESIGN.md §12 describes the ownership and aliasing rules.
+// DESIGN.md §12 describes the ownership rules.
 
 // byteView returns a string sharing b's backing array — zero-copy, so the
 // caller must guarantee the bytes are never modified for the lifetime of the
-// string (arena bytes are write-once; view-mode parse results alias the
-// caller's buffer and inherit its lifetime).
+// string. Only the intern arena qualifies: its bytes are write-once.
 func byteView(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -177,9 +176,8 @@ func (it *Intern) message(b []byte) string {
 // unescapeAppend appends the unescaped form of m to dst, mirroring
 // unescapeMessage byte for byte: \t \n \r \\ collapse, an invalid escape
 // keeps the backslash and the following byte, a trailing lone backslash is
-// preserved. Output length never exceeds len(m), so unescaping in place via
-// unescapeAppend(b[:0], b) cannot reallocate and every write lands at or
-// before the read position.
+// preserved. Output length never exceeds len(m), which is what lets
+// Intern.message reserve len(m) arena bytes up front.
 func unescapeAppend(dst, m []byte) []byte {
 	for i := 0; i < len(m); i++ {
 		c := m[i]
@@ -208,19 +206,16 @@ func unescapeAppend(dst, m []byte) []byte {
 	return dst
 }
 
-// ParseEntryBytes parses one wire-format line without allocating in steady
-// state. It is equivalent to ParseEntry: the same Entry on success, an error
-// for exactly the same inputs (with matching messages).
+// ParseEntryBytes parses one wire-format line. It is equivalent to
+// ParseEntry: the same Entry on success, an error for exactly the same
+// inputs (with matching messages).
 //
-// Ownership depends on it:
-//
-//   - it != nil (intern mode): line is never modified; Source/Host/User are
-//     interned and Message is unescape-copied into the arena, so the Entry is
-//     durable — safe to retain after the read buffer is reused.
-//   - it == nil (view mode): the message field is unescaped in place
-//     (modifying line) and all string fields alias line's backing array. The
-//     Entry is only valid until the buffer is reused; this is the zero-copy
-//     mode for callers that consume the entry immediately.
+// line is never modified and the Entry is durable — safe to retain after
+// the read buffer is reused. With an Intern, Source/Host/User are interned
+// and Message is unescape-copied into the arena, so the steady state
+// allocates nothing; with a nil Intern every string field is a plain copy
+// (one allocation each), the form for one-off parses that have no table to
+// share.
 func ParseEntryBytes(line []byte, it *Intern) (Entry, error) {
 	var e Entry
 	if err := ParseEntryBytesInto(&e, line, it); err != nil {
@@ -272,7 +267,7 @@ func ParseEntryBytesInto(e *Entry, line []byte, it *Intern) error {
 		// time.Parse so acceptance (and the error text) matches ParseEntry
 		// exactly, including exotica like comma fractional separators or
 		// out-of-range zone offsets.
-		t, err := time.Parse(timeLayout, string(f[0]))
+		t, err := time.Parse(TimeLayout, string(f[0]))
 		if err != nil {
 			return fmt.Errorf("logmodel: bad timestamp %q: %w", f[0], err)
 		}
@@ -293,13 +288,10 @@ func ParseEntryBytesInto(e *Entry, line []byte, it *Intern) error {
 		e.Source, e.Host, e.User = it.triple(key, f[1], f[2], f[3])
 		e.Message = it.message(rest)
 	} else {
-		e.Source = byteView(f[1])
-		e.Host = byteView(f[2])
-		e.User = byteView(f[3])
-		if bytes.IndexByte(rest, '\\') >= 0 {
-			rest = unescapeAppend(rest[:0], rest)
-		}
-		e.Message = byteView(rest)
+		e.Source = string(f[1])
+		e.Host = string(f[2])
+		e.User = string(f[3])
+		e.Message = unescapeMessage(string(rest))
 	}
 	return nil
 }
@@ -450,7 +442,7 @@ func parseWireTime(b []byte) (Millis, bool) {
 }
 
 // appendWireTime appends m in TimeLayout (UTC), matching
-// m.Time().Format(timeLayout) exactly.
+// m.Time().Format(TimeLayout) exactly.
 func appendWireTime(dst []byte, m Millis) []byte {
 	ms := int64(m)
 	sec := floorDiv(ms, 1000)
@@ -461,7 +453,7 @@ func appendWireTime(dst []byte, m Millis) []byte {
 	if year < 0 || year > 9999 {
 		// time.Format pads years outside [0, 9999] differently (sign,
 		// variable width); rare enough to delegate.
-		return append(dst, m.Time().Format(timeLayout)...)
+		return append(dst, m.Time().Format(TimeLayout)...)
 	}
 	dst = pad4(dst, year)
 	dst = append(dst, '-')

@@ -26,17 +26,6 @@ func BenchmarkWireParseBytes(b *testing.B) {
 	}
 }
 
-func BenchmarkWireParseBytesView(b *testing.B) {
-	// View mode over lines without escapes: the input is not rewritten, so
-	// reusing the same lines across iterations is sound.
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ParseEntryBytes(benchLines[i&1], nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkWireAppendEntry(b *testing.B) {
 	it := NewIntern()
 	var es [4]Entry

@@ -52,9 +52,10 @@ var wireLines = []string{
 	"\t\t\t\t\t",
 }
 
-// TestParseEntryBytesDifferential pins ParseEntryBytes (both modes) to
-// ParseEntry: the same Entry on success, an error for exactly the same
-// inputs with the same message.
+// TestParseEntryBytesDifferential pins ParseEntryBytes, with and without an
+// Intern, to ParseEntry: the same Entry on success, an error for exactly the
+// same inputs with the same message. The two paths unescape independently
+// (arena unescapeAppend against the string reference unescapeMessage).
 func TestParseEntryBytesDifferential(t *testing.T) {
 	it := NewIntern()
 	for _, line := range wireLines {
@@ -77,13 +78,16 @@ func TestParseEntryBytesDifferential(t *testing.T) {
 			t.Fatalf("intern mode modified its input: %q -> %q", line, interned)
 		}
 
-		view := []byte(line)
-		got, gotErr = ParseEntryBytes(view, nil)
+		plain := []byte(line)
+		got, gotErr = ParseEntryBytes(plain, nil)
 		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("view mode disagreement on %q: %v vs %v", line, wantErr, gotErr)
+			t.Fatalf("nil-Intern disagreement on %q: %v vs %v", line, wantErr, gotErr)
 		}
 		if wantErr == nil && got != want {
-			t.Fatalf("view mode entry differs on %q:\n want %+v\n got  %+v", line, want, got)
+			t.Fatalf("nil-Intern entry differs on %q:\n want %+v\n got  %+v", line, want, got)
+		}
+		if string(plain) != line {
+			t.Fatalf("nil-Intern parse modified its input: %q -> %q", line, plain)
 		}
 	}
 }
@@ -233,26 +237,32 @@ func TestInternDurability(t *testing.T) {
 	}
 }
 
-// TestViewModeAliasing documents view mode's contract: fields alias the
-// input buffer, and only the message region may be rewritten (unescaping).
-func TestViewModeAliasing(t *testing.T) {
-	buf := []byte("2005-12-06T08:00:00.000Z\tSrc\tHost\tUser\tINFO\tplain message")
-	orig := string(buf)
-	e, err := ParseEntryBytes(buf, nil)
-	if err != nil {
+// TestNilInternDurability pins durability as the only parse contract: with
+// no Intern the entry is made of plain copies, so overwriting the buffer
+// leaves it intact, and the parse itself never writes to the buffer — not
+// even to unescape the message.
+func TestNilInternDurability(t *testing.T) {
+	const orig = "2005-12-06T08:00:00.000Z\tSrc\tHost\tUser\tINFO\ta message with \\t escape"
+	buf := []byte(orig)
+	var e Entry
+	if err := ParseEntryBytesInto(&e, buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != orig {
-		t.Fatalf("escape-free line modified in view mode: %q", buf)
+		t.Fatalf("nil-Intern parse modified its input: %q", buf)
 	}
-	buf[25] = 'X' // first byte of the source field
-	if e.Source != "Xrc" {
-		t.Fatalf("view-mode source does not alias the buffer: %q", e.Source)
+	for i := range buf {
+		buf[i] = 'X'
+	}
+	want := Entry{Time: e.Time, Source: "Src", Host: "Host", User: "User", Severity: SevInfo,
+		Message: "a message with \t escape"}
+	if e != want {
+		t.Fatalf("nil-Intern entry corrupted by buffer reuse: %+v", e)
 	}
 }
 
 // TestUnescapeAppendMatchesUnescapeMessage pins the byte-level unescaper to
-// the string one, including in-place operation.
+// the string one.
 func TestUnescapeAppendMatchesUnescapeMessage(t *testing.T) {
 	cases := []string{
 		"", "plain", "a\\tb", "a\\nb\\rc", "\\\\", "\\", "x\\", "\\x", "\\t\\t\\t",
@@ -264,33 +274,20 @@ func TestUnescapeAppendMatchesUnescapeMessage(t *testing.T) {
 		if got := string(unescapeAppend(nil, []byte(c))); got != want {
 			t.Fatalf("unescapeAppend(%q) = %q, want %q", c, got, want)
 		}
-		b := []byte(c)
-		if got := string(unescapeAppend(b[:0], b)); got != want {
-			t.Fatalf("in-place unescapeAppend(%q) = %q, want %q", c, got, want)
-		}
 	}
 }
 
 // --- allocation budgets ----------------------------------------------------
 
 // TestParseEntryBytesAllocFree pins the steady-state allocation budget of
-// the ingest hot path: zero allocations per entry for view-mode parsing, and
-// amortized-zero for intern mode (one arena chunk per ~2k messages is the
-// only allowed source).
+// the ingest hot path, intern-mode parsing: amortized zero per entry (one
+// arena chunk per ~4k messages is the only allowed source), by value and
+// through a pointer.
 func TestParseEntryBytesAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	line := []byte("2005-12-06T08:00:00.000Z\tDPIFormidoc\tws-034\tu0117\tINFO\topen form F-207")
-
-	view := testing.AllocsPerRun(1000, func() {
-		if _, err := ParseEntryBytes(line, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if view != 0 {
-		t.Fatalf("view-mode ParseEntryBytes allocates %v/op, want 0", view)
-	}
 
 	it := NewIntern()
 	if _, err := ParseEntryBytes(line, it); err != nil { // warm the tables
@@ -308,13 +305,13 @@ func TestParseEntryBytesAllocFree(t *testing.T) {
 	}
 
 	var e Entry
-	into := testing.AllocsPerRun(1000, func() {
-		if err := ParseEntryBytesInto(&e, line, nil); err != nil {
+	into := testing.AllocsPerRun(5000, func() {
+		if err := ParseEntryBytesInto(&e, line, it); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if into != 0 {
-		t.Fatalf("view-mode ParseEntryBytesInto allocates %v/op, want 0", into)
+	if into > 0.01 {
+		t.Fatalf("intern-mode ParseEntryBytesInto allocates %v/op, want amortized ~0", into)
 	}
 }
 
@@ -372,7 +369,7 @@ func TestReadBatch(t *testing.T) {
 }
 
 // TestReaderLongLine checks the ReadSlice spill path: lines longer than the
-// reader's internal buffer parse intact, and lines beyond maxLineBytes fail
+// reader's internal buffer parse intact, and lines beyond MaxLineBytes fail
 // with bufio.ErrTooLong rather than buffering unboundedly.
 func TestReaderLongLine(t *testing.T) {
 	long := strings.Repeat("x", 1<<17) // past the 64KiB bufio buffer
@@ -384,23 +381,5 @@ func TestReaderLongLine(t *testing.T) {
 	}
 	if got.Message != long {
 		t.Fatalf("long message mangled: len %d want %d", len(got.Message), len(long))
-	}
-}
-
-func TestEntryCloneDetachesFromBuffer(t *testing.T) {
-	line := []byte("2004-03-01T00:00:00.000Z\tsrc\thostA\tuserB\tINFO\thello world")
-	e, err := ParseEntryBytes(line, nil) // view mode: fields alias line
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := e.Clone()
-	for i := range line {
-		line[i] = 'x' // clobber the buffer, as a reader reusing it would
-	}
-	if c.Source != "src" || c.Host != "hostA" || c.User != "userB" || c.Message != "hello world" {
-		t.Errorf("clone aliases the clobbered buffer: %+v", c)
-	}
-	if c.Time != e.Time || c.Severity != e.Severity {
-		t.Errorf("clone changed value fields: %+v vs %+v", c, e)
 	}
 }

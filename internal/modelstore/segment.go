@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"logscape/internal/logmodel"
+	"logscape/internal/stream"
 )
 
 // Segment file format (versioned; see DESIGN.md §14):
@@ -268,16 +269,10 @@ func decodeSegment(data []byte) (level int, recs []Record, err error) {
 	return level, recs, nil
 }
 
-// writeSegment atomically persists a segment file: full image to a
-// sibling temp file, rename over the target. A crash mid-write leaves the
-// previous version (or nothing) — never a torn file.
+// writeSegment atomically persists a segment file and returns its size.
 func writeSegment(path string, level int, recs []Record) (int, error) {
 	data := encodeSegment(level, recs)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return 0, err
-	}
-	return len(data), os.Rename(tmp, path)
+	return len(data), stream.WriteFileAtomic(path, data)
 }
 
 // readSegment loads and verifies one segment file.

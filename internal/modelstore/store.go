@@ -11,6 +11,7 @@ import (
 
 	"logscape/internal/logmodel"
 	"logscape/internal/obs"
+	"logscape/internal/stream"
 )
 
 // metaVersion guards the store.json sidecar that pins the store's geometry.
@@ -198,12 +199,7 @@ func writeMeta(dir string, m storeMeta) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(dir, metaFile)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return stream.WriteFileAtomic(filepath.Join(dir, metaFile), data)
 }
 
 // segName builds a segment file name. The zero-padded fixed-width start

@@ -212,19 +212,33 @@ func parseLines(lines [][]byte, it *logmodel.Intern) ([]logmodel.Entry, error) {
 	return es, nil
 }
 
-// WriteCheckpointFile atomically persists the checkpoint: write to a
-// sibling temp file, fsync-free rename over the target. A crash mid-write
-// leaves the previous checkpoint intact — resume never sees a torn file.
+// WriteFileAtomic replaces the file at path with data: the full image goes
+// to a sibling temp file, which is then renamed over the target. A killed
+// process leaves the previous version (or nothing) — never a torn file —
+// and any failure removes the temp file. Every state file of the system
+// (checkpoint, store segments and meta, the daemon's stream.json) is
+// written here. Nothing is synced, so the guarantee covers a process kill,
+// not power loss.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	err := os.WriteFile(tmp, data, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp) // best effort; the write or rename error is the one to report
+	}
+	return err
+}
+
+// WriteCheckpointFile atomically persists the checkpoint (WriteFileAtomic),
+// so resume never sees a torn file.
 func WriteCheckpointFile(path string, c *Checkpoint) error {
 	data, err := json.Marshal(c)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return WriteFileAtomic(path, data)
 }
 
 // ReadCheckpointFile loads a checkpoint written by WriteCheckpointFile.

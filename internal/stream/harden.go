@@ -164,11 +164,11 @@ func (g *TornGzipReader) tearOK(err error) bool {
 	return false
 }
 
-// MaxLineBytes caps one wire-format line. Longer lines are dropped as
+// MaxLineBytes is the wire format's line cap. Longer lines are dropped as
 // oversized (quarantined, counted) and the remainder of the physical line
 // is discarded — a corrupted stream must not make the reader buffer
-// unboundedly. The cap matches the batch reader's scanner limit.
-const MaxLineBytes = 1 << 22
+// unboundedly.
+const MaxLineBytes = logmodel.MaxLineBytes
 
 // FeedStats summarizes one Feeder run, by fault class.
 type FeedStats struct {

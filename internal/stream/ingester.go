@@ -25,6 +25,12 @@ type IngestStats struct {
 	Buckets int
 }
 
+// freeSlices caps the recycled-slice pool (RecycleBuckets): large enough to
+// hold one diurnal cycle's spread of bucket sizes for best-fit reuse, small
+// enough that the idle pool after a sparse stretch stays negligible next to
+// the window itself.
+const freeSlices = 6
+
 // Ingester consumes a log stream and turns it into the closed buckets the
 // stream miners advance on. The first accepted entry fixes the stream
 // origin: the bucket grid is aligned to floor(Time / BucketWidth), so
@@ -37,12 +43,6 @@ type IngestStats struct {
 // the open bucket closes it — empty buckets in between are skipped, not
 // delivered (the miners retire by index gap), so a long quiet period costs
 // O(1), not O(gap).
-// freeSlices caps the recycled-slice pool (RecycleBuckets): large enough to
-// hold one diurnal cycle's spread of bucket sizes for best-fit reuse, small
-// enough that the idle pool after a sparse stretch stays negligible next to
-// the window itself.
-const freeSlices = 6
-
 type Ingester struct {
 	cfg    Config
 	miners []Miner
