@@ -11,7 +11,6 @@ package logscape_test
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -596,22 +595,4 @@ func BenchmarkIngestE2E(b *testing.B) {
 		b.Fatalf("ingested %d entries, want %d", stats.Accepted, entries)
 	}
 	b.ReportMetric(float64(entries*b.N)/b.Elapsed().Seconds(), "entries/s")
-}
-
-// BenchmarkSlotTest measures the core L1 primitive.
-func BenchmarkSlotTest(b *testing.B) {
-	r := benchSetup(b)
-	hr := logmodel.TimeRange{
-		Start: r.Sim.DayRange(0).Start + 10*logmodel.MillisPerHour,
-		End:   r.Sim.DayRange(0).Start + 11*logmodel.MillisPerHour,
-	}
-	idx := r.Stores[0].SourceIndexRange(hr)
-	a := idx["DPIFormidoc"]
-	c := idx["DPIPublication"]
-	rng := rand.New(rand.NewSource(1))
-	cfg := r.Opts.L1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l1.SlotTest(rng, a, c, hr, cfg)
-	}
 }

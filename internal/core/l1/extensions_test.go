@@ -117,7 +117,7 @@ func TestResampleJitteredBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	slot := logmodel.TimeRange{Start: 1000, End: 5000}
 	total := []logmodel.Millis{1000, 1100, 4900, 4999}
-	pts := resampleJittered(rng, total, slot, 500, 500)
+	pts := resampleJittered(nil, rng, total, slot, 500, 500)
 	if len(pts) != 500 {
 		t.Fatalf("len = %d", len(pts))
 	}

@@ -1,9 +1,6 @@
 package l1
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"io"
 	"math/rand"
 	"sort"
 
@@ -11,7 +8,6 @@ import (
 	"logscape/internal/logmodel"
 	"logscape/internal/obs"
 	"logscape/internal/parallel"
-	"logscape/internal/pointproc"
 	"logscape/internal/stats"
 )
 
@@ -160,79 +156,23 @@ func DirectionTest(rng *rand.Rand, a, b []logmodel.Millis, slot logmodel.TimeRan
 
 // DirectionTestRef is DirectionTest with an explicit total-activity
 // sequence for the RefTotalActivity reference (ignored under RefUniform;
-// falls back to uniform when total is empty).
+// falls back to uniform when total is empty). It runs the kernel the miner
+// runs, then sorts its two distance samples out into the result.
 func DirectionTestRef(rng *rand.Rand, a, b, total []logmodel.Millis, slot logmodel.TimeRange, cfg Config) DirectionResult {
-	cfg = cfg.withDefaults()
-	dist := pointproc.DistNearest
-	if cfg.Distance == DistNext {
-		dist = pointproc.DistNext
-	}
-	var random []logmodel.Millis
-	if cfg.Reference == RefTotalActivity && len(total) > 0 {
-		random = resampleJittered(rng, total, slot, cfg.SampleSize, cfg.ReferenceJitter)
-	} else {
-		random = pointproc.UniformPoints(rng, slot, cfg.SampleSize)
-	}
-	sub := pointproc.Subsample(rng, b, cfg.SampleSize)
-	sr := pointproc.DistanceSample(random, a, dist)
-	sb := pointproc.DistanceSample(sub, a, dist)
-	sort.Float64s(sr)
-	sort.Float64s(sb)
-	res := DirectionResult{RandomSample: sr, CandidateSample: sb}
-	ciFor := func(sorted []float64) (stats.CI, error) {
-		if cfg.Statistic == StatMean {
-			return stats.MeanCI(sorted, cfg.Level)
-		}
-		return stats.MedianCI(sorted, cfg.Level)
-	}
-	ciR, errR := ciFor(sr)
-	ciB, errB := ciFor(sb)
-	if errR != nil || errB != nil {
-		return res
-	}
-	res.RandomCI, res.CandidateCI = ciR, ciB
-	res.Valid = true
-	res.Positive = ciB.Below(ciR)
-	res.Farther = ciR.Below(ciB)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	res := s.direction(rng, a, b, total, slot, cfg.withDefaults())
+	res.RandomSample, res.CandidateSample = sortedSeconds(nil, s.sr), sortedSeconds(nil, s.sb)
 	return res
-}
-
-// resampleJittered draws n points by resampling the total-activity
-// timestamps with uniform jitter of ±j, clamped to the slot — an empirical
-// non-homogeneous reference process whose intensity follows the overall
-// load.
-func resampleJittered(rng *rand.Rand, total []logmodel.Millis, slot logmodel.TimeRange, n int, j logmodel.Millis) []logmodel.Millis {
-	out := make([]logmodel.Millis, n)
-	for i := range out {
-		t := total[rng.Intn(len(total))] + logmodel.Millis(rng.Int63n(int64(2*j+1))) - j
-		if t < slot.Start {
-			t = slot.Start
-		}
-		if t >= slot.End {
-			t = slot.End - 1
-		}
-		out[i] = t
-	}
-	return out
 }
 
 // SlotTest runs the test in both directions for one slot and reports
 // whether the slot is positive (both directions positive, per §3.1: "the
-// test ... is positive in both directions").
+// test ... is positive in both directions"), against the uniform reference.
 func SlotTest(rng *rand.Rand, a, b []logmodel.Millis, slot logmodel.TimeRange, cfg Config) bool {
-	return SlotTestRef(rng, a, b, nil, slot, cfg)
-}
-
-// SlotTestRef is SlotTest with an explicit total-activity sequence for the
-// RefTotalActivity reference.
-func SlotTestRef(rng *rand.Rand, a, b, total []logmodel.Millis, slot logmodel.TimeRange, cfg Config) bool {
-	cfg = cfg.withDefaults()
-	d1 := DirectionTestRef(rng, b, a, total, slot, cfg) // distances of A's logs to B
-	if !d1.Valid || !(d1.Positive || cfg.TwoSided && d1.Farther) {
-		return false
-	}
-	d2 := DirectionTestRef(rng, a, b, total, slot, cfg) // distances of B's logs to A
-	return d2.Valid && (d2.Positive || cfg.TwoSided && d2.Farther)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return s.slotTest(rng, a, b, nil, slot, cfg.withDefaults())
 }
 
 // PairResult is the slotted outcome for one application pair.
@@ -294,15 +234,21 @@ func (r *Result) DependentPairs() core.PairSet {
 // across window advances and still reproduce the batch result byte for
 // byte.
 func pairSeed(base int64, slotStart logmodel.Millis, p core.Pair) int64 {
-	h := fnv.New64a()
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], uint64(base))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(slotStart))
-	h.Write(buf[:])
-	io.WriteString(h, p.A)
-	h.Write([]byte{0})
-	io.WriteString(h, p.B)
-	return int64(h.Sum64())
+	// FNV-1a-64 (hash/fnv allocates a hasher per call) over the
+	// little-endian base and slot start, then A, a zero byte, B.
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for _, w := range [2]uint64{uint64(base), uint64(slotStart)} {
+		for i := 0; i < 64; i += 8 {
+			h = (h ^ (w >> i & 0xff)) * prime64
+		}
+	}
+	for _, s := range [3]string{p.A, "\x00", p.B} {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * prime64
+		}
+	}
+	return int64(h)
 }
 
 // EqualCountSlots divides the range into n slots holding approximately
@@ -418,11 +364,13 @@ func SlotOutcomes(entries []logmodel.Entry, slot logmodel.TimeRange, sources []s
 	return parallel.Map(parallel.Workers(cfg.Workers), len(pairs),
 		obs.Meter(cfg.Metrics, "l1.pair_tests", func(k int) SlotOutcome {
 			p := pairs[k]
-			rng := rand.New(rand.NewSource(pairSeed(cfg.Seed, slot.Start, p)))
+			s := scratchPool.Get().(*scratch)
+			s.rng.Seed(pairSeed(cfg.Seed, slot.Start, p))
 			o := SlotOutcome{
 				Pair:     p,
-				Positive: SlotTestRef(rng, idx[p.A], idx[p.B], total, slot, cfg),
+				Positive: s.slotTest(s.rng, idx[p.A], idx[p.B], total, slot, cfg),
 			}
+			scratchPool.Put(s)
 			if o.Positive {
 				positive.Inc()
 			}

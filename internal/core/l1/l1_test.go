@@ -2,6 +2,7 @@ package l1
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"logscape/internal/core"
@@ -132,8 +133,13 @@ func TestPairResultDerived(t *testing.T) {
 // buildStore creates a store from per-source timestamp sequences.
 func buildStore(seqs map[string][]logmodel.Millis) *logmodel.Store {
 	s := logmodel.NewStore(0)
-	for src, ts := range seqs {
-		for _, t := range ts {
+	srcs := make([]string, 0, len(seqs))
+	for src := range seqs {
+		srcs = append(srcs, src)
+	}
+	sort.Strings(srcs) // entries stamped alike keep one order, whatever the map's
+	for _, src := range srcs {
+		for _, t := range seqs[src] {
 			s.Append(logmodel.Entry{Time: t, Source: src, Severity: logmodel.SevInfo})
 		}
 	}

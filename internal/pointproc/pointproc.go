@@ -3,22 +3,37 @@ package pointproc
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"logscape/internal/logmodel"
 )
+
+// lowerBound returns the index of the first point of the sorted sequence a
+// at or after t (len(a) when there is none). It halves a window that holds
+// the answer without branching on the comparison (lt compiles to a SETcc),
+// which for the slot test's random points would mispredict every other time.
+func lowerBound(a []logmodel.Millis, t logmodel.Millis) int {
+	base, n := 0, len(a)
+	for n > 1 {
+		half, lt := n>>1, 0
+		if a[base+half-1] < t {
+			lt = 1
+		}
+		base += half & -lt
+		n -= half
+	}
+	if n == 1 && a[base] < t {
+		base++
+	}
+	return base
+}
 
 // DistNearest returns dist(t, A) as defined by equation (1) of the paper:
 // the smallest absolute difference between t and any point of the sorted
 // sequence a. It returns math.MaxInt64 (as Millis) for an empty sequence.
 func DistNearest(t logmodel.Millis, a []logmodel.Millis) logmodel.Millis {
-	n := len(a)
-	if n == 0 {
-		return logmodel.Millis(math.MaxInt64)
-	}
-	i := sort.Search(n, func(j int) bool { return a[j] >= t })
+	i := lowerBound(a, t)
 	best := logmodel.Millis(math.MaxInt64)
-	if i < n {
+	if i < len(a) {
 		best = a[i] - t
 	}
 	if i > 0 {
@@ -34,76 +49,70 @@ func DistNearest(t logmodel.Millis, a []logmodel.Millis) logmodel.Millis {
 // ablation in DESIGN.md (§5.2). It returns math.MaxInt64 when no later
 // arrival exists.
 func DistNext(t logmodel.Millis, a []logmodel.Millis) logmodel.Millis {
-	n := len(a)
-	i := sort.Search(n, func(j int) bool { return a[j] >= t })
-	if i == n {
+	i := lowerBound(a, t)
+	if i == len(a) {
 		return logmodel.Millis(math.MaxInt64)
 	}
 	return a[i] - t
 }
 
-// DistanceSample computes dist(p, a) for every point p of points, using the
-// given distance function (DistNearest or DistNext), and returns the
-// distances as float64 seconds. Points whose distance is undefined
-// (MaxInt64) are skipped.
-func DistanceSample(points, a []logmodel.Millis,
-	dist func(logmodel.Millis, []logmodel.Millis) logmodel.Millis) []float64 {
-	out := make([]float64, 0, len(points))
+// DistanceSample appends dist(p, a) to dst for every point p of points,
+// using the given distance function (DistNearest or DistNext). Points whose
+// distance is undefined (MaxInt64) are skipped. Distances stay integer
+// milliseconds: the L1 slot test reads two order statistics of a sample and
+// converts only those.
+func DistanceSample(dst, points, a []logmodel.Millis,
+	dist func(logmodel.Millis, []logmodel.Millis) logmodel.Millis) []logmodel.Millis {
 	for _, p := range points {
-		d := dist(p, a)
-		if d == logmodel.Millis(math.MaxInt64) {
-			continue
+		if d := dist(p, a); d != logmodel.Millis(math.MaxInt64) {
+			dst = append(dst, d)
 		}
-		out = append(out, d.Seconds())
 	}
-	return out
+	return dst
 }
 
-// UniformPoints draws n independent uniform random points in [r.Start,
-// r.End) — the random sample S_r of §3.1. The result is unsorted.
-func UniformPoints(rng *rand.Rand, r logmodel.TimeRange, n int) []logmodel.Millis {
+// UniformPoints appends to dst n independent uniform random points in
+// [r.Start, r.End) — the random sample S_r of §3.1, unsorted. An empty range
+// appends nothing and draws nothing.
+func UniformPoints(dst []logmodel.Millis, rng *rand.Rand, r logmodel.TimeRange, n int) []logmodel.Millis {
 	d := int64(r.Duration())
-	if d <= 0 || n <= 0 {
-		return nil
+	if d <= 0 {
+		return dst
 	}
-	out := make([]logmodel.Millis, n)
-	for i := range out {
-		out[i] = r.Start + logmodel.Millis(rng.Int63n(d))
+	for i := 0; i < n; i++ {
+		dst = append(dst, r.Start+logmodel.Millis(rng.Int63n(d)))
 	}
-	return out
+	return dst
 }
 
-// Subsample returns at most n points of a chosen uniformly without
+// Subsample appends to dst at most n points of a chosen uniformly without
 // replacement, preserving order — the subsampling of B in §3.1 that bounds
-// the cost of the per-slot test. When len(a) ≤ n the original slice is
-// returned unchanged.
-func Subsample(rng *rand.Rand, a []logmodel.Millis, n int) []logmodel.Millis {
-	if n <= 0 {
-		return nil
-	}
+// the cost of the per-slot test. When len(a) ≤ n that is all of a, and
+// nothing is drawn. marks is Subsample's working memory, all false between
+// calls; it is returned, grown to len(a) if it was shorter, for the next
+// call.
+func Subsample(dst []logmodel.Millis, marks []bool, rng *rand.Rand, a []logmodel.Millis, n int) ([]logmodel.Millis, []bool) {
 	if len(a) <= n {
-		return a
+		return append(dst, a...), marks
 	}
-	// Floyd's algorithm for a sorted sample of indices.
-	chosen := make(map[int]bool, n)
+	if len(marks) < len(a) {
+		marks = make([]bool, len(a))
+	}
+	// Floyd's algorithm: round j marks one index in [0, j] not yet marked.
 	for j := len(a) - n; j < len(a); j++ {
 		k := rng.Intn(j + 1)
-		if chosen[k] {
-			chosen[j] = true
-		} else {
-			chosen[k] = true
+		if marks[k] {
+			k = j
+		}
+		marks[k] = true
+	}
+	for i, m := range marks[:len(a)] {
+		if m {
+			marks[i] = false
+			dst = append(dst, a[i])
 		}
 	}
-	idx := make([]int, 0, n)
-	for k := range chosen {
-		idx = append(idx, k)
-	}
-	sort.Ints(idx)
-	out := make([]logmodel.Millis, n)
-	for i, k := range idx {
-		out[i] = a[k]
-	}
-	return out
+	return dst, marks
 }
 
 // Homogeneous generates a homogeneous Poisson process with the given rate

@@ -78,19 +78,20 @@ func TestDistNearestMatchesBruteForce(t *testing.T) {
 func TestDistanceSample(t *testing.T) {
 	a := []logmodel.Millis{1000, 3000}
 	pts := []logmodel.Millis{0, 2000, 5000}
-	got := DistanceSample(pts, a, DistNearest)
-	want := []float64{1, 1, 2}
+	got := DistanceSample(nil, pts, a, DistNearest)
+	want := []logmodel.Millis{1000, 1000, 2000}
 	if len(got) != 3 {
 		t.Fatalf("len = %d", len(got))
 	}
 	for i := range want {
-		if got[i] != want[i] { //lint:allow floateq distances here are exact small integers in float64
+		if got[i] != want[i] {
 			t.Errorf("sample[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	// DistNext drops the last point (no later arrival).
-	gotNext := DistanceSample(pts, a, DistNext)
-	if len(gotNext) != 2 || gotNext[0] != 1 || gotNext[1] != 1 {
+	// DistNext drops the last point (no later arrival), and the sample is
+	// appended to what dst already holds.
+	gotNext := DistanceSample(got[:1], pts, a, DistNext)
+	if len(gotNext) != 3 || gotNext[1] != 1000 || gotNext[2] != 1000 {
 		t.Errorf("next sample = %v", gotNext)
 	}
 }
@@ -98,7 +99,7 @@ func TestDistanceSample(t *testing.T) {
 func TestUniformPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	r := logmodel.TimeRange{Start: 100, End: 1100}
-	pts := UniformPoints(rng, r, 1000)
+	pts := UniformPoints(nil, rng, r, 1000)
 	if len(pts) != 1000 {
 		t.Fatalf("len = %d", len(pts))
 	}
@@ -116,10 +117,10 @@ func TestUniformPoints(t *testing.T) {
 	if mean < 500 || mean > 700 {
 		t.Errorf("mean = %v, want ≈ 600", mean)
 	}
-	if got := UniformPoints(rng, logmodel.TimeRange{Start: 5, End: 5}, 10); got != nil {
+	if got := UniformPoints(nil, rng, logmodel.TimeRange{Start: 5, End: 5}, 10); got != nil {
 		t.Error("empty range should yield nil")
 	}
-	if got := UniformPoints(rng, r, 0); got != nil {
+	if got := UniformPoints(nil, rng, r, 0); got != nil {
 		t.Error("n=0 should yield nil")
 	}
 }
@@ -130,7 +131,7 @@ func TestSubsample(t *testing.T) {
 	for i := range a {
 		a[i] = logmodel.Millis(i)
 	}
-	got := Subsample(rng, a, 10)
+	got, marks := Subsample(nil, nil, rng, a, 10)
 	if len(got) != 10 {
 		t.Fatalf("len = %d", len(got))
 	}
@@ -139,12 +140,17 @@ func TestSubsample(t *testing.T) {
 			t.Fatal("subsample not strictly increasing (duplicates or disorder)")
 		}
 	}
+	for i, m := range marks {
+		if m {
+			t.Fatalf("marks[%d] left set", i)
+		}
+	}
 	// n ≥ len(a): identity.
-	same := Subsample(rng, a, 200)
+	same, _ := Subsample(nil, marks, rng, a, 200)
 	if len(same) != 100 {
 		t.Errorf("oversized subsample len = %d", len(same))
 	}
-	if got := Subsample(rng, a, 0); got != nil {
+	if got, _ := Subsample(nil, marks, rng, a, 0); got != nil {
 		t.Error("n=0 should yield nil")
 	}
 }
@@ -158,8 +164,11 @@ func TestSubsampleUnbiased(t *testing.T) {
 	}
 	counts := make([]int, 20)
 	const trials = 5000
+	var sub []logmodel.Millis
+	var marks []bool
 	for i := 0; i < trials; i++ {
-		for _, p := range Subsample(rng, a, 5) {
+		sub, marks = Subsample(sub[:0], marks, rng, a, 5)
+		for _, p := range sub {
 			counts[int(p)]++
 		}
 	}

@@ -1,6 +1,9 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // CI is a two-sided confidence interval at the given confidence level.
 type CI struct {
@@ -34,7 +37,7 @@ func (ci CI) Below(other CI) bool { return ci.High < other.Low }
 // P(x_(j) ≤ q_p ≤ x_(k)) = P(j ≤ B < k) with B ~ Binomial(n, p), and (j, k)
 // are chosen as the tightest symmetric pair around np achieving the level.
 //
-// For n below exactSearchLimit the pair is found by exact binomial search;
+// For n up to exactSearchLimit the pair is found by exact binomial search;
 // beyond that the normal approximation
 //
 //	j = ⌊np − z·√(np(1−p))⌋, k = ⌈np + z·√(np(1−p))⌉ + 1
@@ -58,7 +61,6 @@ func QuantileCIIndices(n int, p, level float64) (j, k int, err error) {
 	if maxCover < level {
 		return 0, 0, ErrShortSample
 	}
-	const exactSearchLimit = 2000
 	if n > exactSearchLimit {
 		z := NormalQuantile(1 - (1-level)/2)
 		np := float64(n) * p
@@ -115,6 +117,41 @@ func QuantileCIIndices(n int, p, level float64) (j, k int, err error) {
 		}
 	}
 	return j, k, nil
+}
+
+// exactSearchLimit is the largest n QuantileCIIndices searches exactly.
+const exactSearchLimit = 2000
+
+// medianCIMemo holds what MedianCIIndices has computed: (n, level's bits)
+// to (j, k), (0, 0) where QuantileCIIndices returns an error.
+var (
+	medianCIMu   sync.RWMutex
+	medianCIMemo = make(map[[2]uint64][2]int)
+)
+
+// MedianCIIndices returns QuantileCIIndices(n, 0.5, level), with ok false
+// where that returns an error. The pair is a pure function of (n, level), so
+// over the exact-search range — a binomial search through the incomplete
+// beta function per call — it is computed once and looked up after: the L1
+// slot test asks four times per pair test, mostly for one n.
+func MedianCIIndices(n int, level float64) (j, k int, ok bool) {
+	if n <= 0 || n > exactSearchLimit { // an error or a closed form: nothing to save
+		j, k, err := QuantileCIIndices(n, 0.5, level)
+		return j, k, err == nil
+	}
+	key := [2]uint64{uint64(n), math.Float64bits(level)}
+	medianCIMu.RLock()
+	jk, hit := medianCIMemo[key]
+	medianCIMu.RUnlock()
+	if !hit {
+		if j, k, err := QuantileCIIndices(n, 0.5, level); err == nil {
+			jk = [2]int{j, k}
+		}
+		medianCIMu.Lock()
+		medianCIMemo[key] = jk
+		medianCIMu.Unlock()
+	}
+	return jk[0], jk[1], jk[0] > 0
 }
 
 // QuantileCI returns a distribution-free confidence interval for the

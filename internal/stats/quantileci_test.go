@@ -1,9 +1,12 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
+
+	"logscape/internal/parallel"
 )
 
 func TestQuantileCIIndicesErrors(t *testing.T) {
@@ -118,6 +121,38 @@ func TestQuantileCINormalApproxAgreement(t *testing.T) {
 	}
 	if abs(jE-jA) > 3 || abs(kE-kA) > 3 {
 		t.Errorf("exact (%d,%d) vs approx (%d,%d) disagree", jE, kE, jA, kA)
+	}
+}
+
+// TestMedianCIIndicesMatchQuantileCIIndices: the looked-up pair is the
+// computed pair — cold, warm, and asked for from several goroutines at once
+// — over the whole memoised range, across its edge, and for every input
+// QuantileCIIndices rejects.
+func TestMedianCIIndicesMatchQuantileCIIndices(t *testing.T) {
+	check := func(t *testing.T, n int, level float64) {
+		wantJ, wantK, err := QuantileCIIndices(n, 0.5, level)
+		j, k, ok := MedianCIIndices(n, level)
+		if ok != (err == nil) || ok && (j != wantJ || k != wantK) {
+			t.Errorf("MedianCIIndices(%d, %v) = (%d, %d, %v), QuantileCIIndices gives (%d, %d, %v)",
+				n, level, j, k, ok, wantJ, wantK, err)
+		}
+	}
+	for _, level := range []float64{0.95, 0.99} {
+		parallel.Map(4, 4, func(g int) struct{} {
+			for n := 1 + g%2; n <= exactSearchLimit; n += 2 { // two workers race on every n
+				check(t, n, level)
+			}
+			return struct{}{}
+		})
+		for n := -1; n <= exactSearchLimit+50; n++ { // warm now, plus both edges
+			check(t, n, level)
+		}
+	}
+	for _, level := range []float64{0, 1, -0.5, 1.5, math.NaN(), math.Inf(1)} {
+		for _, n := range []int{0, 1, 100, exactSearchLimit + 1} {
+			check(t, n, level)
+			check(t, n, level)
+		}
 	}
 }
 
