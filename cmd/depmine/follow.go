@@ -12,19 +12,9 @@ package main
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"logscape/internal/follow"
 )
-
-// runFollow tails one wire-format log stream ("-" = stdin, ".gz"
-// transparently decompressed) and, on every closed bucket, writes the
-// window's model document to stdout and a delta summary against the
-// previous window to stderr. With -listen, the run's metrics, the latest
-// per-bucket trace and net/http/pprof are served over HTTP while it tails.
-func runFollow(o options) error {
-	return followStream(o, os.Stdout, os.Stderr)
-}
 
 // followConfig adapts the parsed flags to the engine's configuration.
 func followConfig(o options) (follow.Config, error) {
@@ -49,8 +39,12 @@ func followConfig(o options) (follow.Config, error) {
 	}, nil
 }
 
-// followStream is runFollow with pluggable output streams (testability:
-// the golden-file tests drive it directly).
+// followStream tails one wire-format log stream ("-" = stdin, ".gz"
+// transparently decompressed) and, on every closed bucket, writes the
+// window's model document to stdout and a delta summary against the
+// previous window to stderr (the golden-file tests pass their own). With
+// -listen, the run's metrics and net/http/pprof are served over HTTP while
+// it tails.
 func followStream(o options, stdout, stderr io.Writer) error {
 	cfg, err := followConfig(o)
 	if err != nil {

@@ -24,8 +24,8 @@
 // Observability:
 //
 //	-stats          print the run's metrics document (JSON) to stderr
-//	-listen ADDR    follow mode: serve /metrics, /trace and /debug/pprof/
-//	                on ADDR (e.g. :8080, or :0 for an ephemeral port)
+//	-listen ADDR    follow mode: serve /metrics and /debug/pprof/ on ADDR
+//	                (e.g. :8080, or :0 for an ephemeral port)
 //
 // Follow mode (streaming):
 //
@@ -129,7 +129,7 @@ func main() {
 	flag.BoolVar(&o.direction, "direction", false, "L2: print direction hints for mined pairs")
 	flag.IntVar(&o.workers, "workers", 0, "mining parallelism: 0 = all cores, 1 = sequential (results are identical for any value)")
 	flag.BoolVar(&o.stats, "stats", false, "print the run's metrics document (JSON) to stderr")
-	flag.StringVar(&o.listen, "listen", "", "follow mode: serve /metrics, /trace and /debug/pprof/ on this address")
+	flag.StringVar(&o.listen, "listen", "", "follow mode: serve /metrics and /debug/pprof/ on this address")
 	follow := flag.Bool("follow", false, "streaming mode: tail one log stream and emit the sliding-window model per bucket")
 	flag.Float64Var(&o.bucketSec, "bucket", 3600, "follow mode: bucket width in seconds")
 	flag.IntVar(&o.windowN, "window", 24, "follow mode: window size in buckets")
@@ -151,7 +151,7 @@ func main() {
 	}
 	var err error
 	if *follow {
-		err = runFollow(o)
+		err = followStream(o, os.Stdout, os.Stderr)
 	} else {
 		err = run(o)
 	}
@@ -172,12 +172,9 @@ func printStats(o options) {
 }
 
 func run(o options) error {
-	trace := o.metrics.StartTrace("depmine")
-	defer trace.End()
-
-	load := trace.Child("load")
+	stop := o.metrics.Timer("depmine.load_ns")
 	store, err := loadLogs(o.files)
-	load.End()
+	stop()
 	if err != nil {
 		return err
 	}
@@ -185,7 +182,6 @@ func run(o options) error {
 		store.Len(), len(o.files), len(store.Sources()))
 	span := store.Span()
 
-	mine := trace.Child("mine " + o.method)
 	var pairs core.PairSet
 	var deps core.AppServiceSet
 	switch o.method {
@@ -221,12 +217,7 @@ func run(o options) error {
 		if o.dirPath == "" {
 			return fmt.Errorf("l3 requires -dir")
 		}
-		df, err := os.Open(o.dirPath)
-		if err != nil {
-			return err
-		}
-		dir, err := directory.Read(df)
-		df.Close()
+		dir, err := directory.ReadFile(o.dirPath)
 		if err != nil {
 			return err
 		}
@@ -246,9 +237,8 @@ func run(o options) error {
 	default:
 		return fmt.Errorf("unknown method %q", o.method)
 	}
-	mine.End()
 
-	emit := trace.Child("emit")
+	stop = o.metrics.Timer("depmine.emit_ns")
 	// Print the model.
 	if deps != nil {
 		for _, d := range deps.SortedPairs() {
@@ -288,8 +278,7 @@ func run(o options) error {
 	if o.impact != "" {
 		printImpact(o.impact, pairs, deps)
 	}
-	emit.End()
-	trace.End()
+	stop()
 	printStats(o)
 	if o.truthPath != "" {
 		return score(o.truthPath, pairs, deps, store)

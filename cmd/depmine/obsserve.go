@@ -1,58 +1,37 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"time"
 
 	"logscape/internal/obs"
 )
 
-// writeJSON writes v as indented JSON with a trailing newline.
-func writeJSON(w io.Writer, v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
+// The endpoint's connection limits, the ones depmined's control API carries:
+// a client that never finishes its request headers, or parks an idle
+// keep-alive connection, is cut off. There is no ReadTimeout or WriteTimeout
+// on purpose — /debug/pprof/profile streams its response for 30 s.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
-// serveObs starts the follow-mode observability endpoint on addr and
-// returns a function that shuts it down:
+// newObsServer returns the follow-mode observability server:
 //
 //	/metrics       the full metrics document (sorted JSON)
-//	/trace         the latest completed per-bucket trace tree (JSON)
 //	/debug/pprof/  the standard net/http/pprof profiles
 //
-// The bound address is printed to stderr (addr may be ":0" for an
-// ephemeral port). The handlers only read the registry — serving can never
-// perturb the mined models.
-func serveObs(addr string, reg *obs.Registry) (func(), error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("-listen %s: %w", addr, err)
-	}
+// The handlers only read the registry — serving can never perturb the mined
+// models.
+func newObsServer(reg *obs.Registry) *http.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if err := reg.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		snap := reg.Snapshot()
-		if snap.Trace == nil {
-			fmt.Fprintln(w, "null")
-			return
-		}
-		if err := writeJSON(w, snap.Trace); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -61,12 +40,22 @@ func serveObs(addr string, reg *obs.Registry) (func(), error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
 
-	srv := &http.Server{Handler: mux}
+// serveObs starts the observability endpoint on addr and returns a function
+// that shuts it down. The bound address is printed to stderr (addr may be
+// ":0" for an ephemeral port).
+func serveObs(addr string, reg *obs.Registry) (func(), error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("-listen %s: %w", addr, err)
+	}
+	srv := newObsServer(reg)
 	// The listener goroutine lives outside internal/parallel by necessity:
 	// it is I/O concurrency at the process edge, not mining work, and it
-	// never touches miner state — the handlers above only read the registry.
+	// never touches miner state — the handlers only read the registry.
 	go srv.Serve(ln) //lint:allow bareconc HTTP serving is process-edge I/O concurrency, not mining work; handlers only read the metrics registry
-	fmt.Fprintf(os.Stderr, "observability endpoint on http://%s (/metrics, /trace, /debug/pprof/)\n", ln.Addr())
+	fmt.Fprintf(os.Stderr, "observability endpoint on http://%s (/metrics, /debug/pprof/)\n", ln.Addr())
 	return func() { srv.Close() }, nil
 }

@@ -252,11 +252,9 @@ func (d *Daemon) launch(t *tenant) (Status, error) {
 	}
 	if t.cfg.Live {
 		poll := time.Duration(d.cfg.PollMillis) * time.Millisecond
+		// The engine consults Stop before every poll, so the hook only idles.
 		fcfg.Wait = func() bool {
 			t.idlePolls.Add(1)
-			if t.stop.Load() {
-				return false
-			}
 			time.Sleep(poll)
 			return true
 		}

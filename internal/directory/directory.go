@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/url"
+	"os"
 	"sort"
 	"strings"
 
@@ -88,6 +89,16 @@ func Read(r io.Reader) (*Directory, error) {
 		return nil, err
 	}
 	return &d, nil
+}
+
+// ReadFile is Read over the XML file at path.
+func ReadFile(path string) (*Directory, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Read(f)
 }
 
 // StopPattern suppresses logs that would otherwise be read as client-side

@@ -1,7 +1,10 @@
 // Package follow is the reusable streaming-follow engine: it composes the
 // hardened ingest stack (internal/stream), the incremental miners, the
 // drift detector and the model store into one run loop that tails a log
-// stream and emits the sliding-window model document per closed bucket.
+// stream and, per closed bucket, runs a fixed list of stages (mine,
+// snapshot, render, store, delta, drift, checkpoint, progress). The loop,
+// not the stages, takes the advance lock, times each stage into its
+// follow.<stage>_ns histogram, and ends the run on the first error.
 //
 // cmd/depmine's -follow mode is a thin adapter over Run; cmd/depmined
 // hosts many concurrent engines — one per tenant stream — which is why

@@ -59,24 +59,23 @@ type Config struct {
 	// Drift runs the drift detector over delivered buckets and prints one
 	// DRIFT line per confirmed change point to stderr.
 	Drift bool
-	// Metrics, when non-nil, collects the run's counters, gauges and
-	// traces. Collection never perturbs emitted models.
+	// Metrics, when non-nil, collects the run's counters, gauges and histograms
+	// (one follow.<stage>_ns per advance stage) without perturbing the models.
 	Metrics *obs.Registry
 	// Wait is the tailer's quiescent-EOF hook for plain-file sources:
 	// return true to keep tailing (live mode), false to end the stream.
 	// nil ends at first quiescent EOF — the one-shot replay the CLI uses.
 	Wait func() bool
-	// Stop, when non-nil, is polled before every transport read; once it
-	// returns true the engine returns without flushing the open bucket —
-	// the SIGKILL-equivalent a daemon needs for exact resume (a flush
-	// would emit a partial-bucket document an uninterrupted run never
-	// emits). Stop does not interrupt a read blocked inside Wait; a live
-	// stream's Wait hook must consult the same signal.
+	// Stop, when non-nil, is polled before every transport read and every
+	// Wait; once it returns true the engine returns without flushing the
+	// open bucket — the SIGKILL-equivalent a daemon needs for exact resume
+	// (a flush would emit a partial-bucket document an uninterrupted run
+	// never emits).
 	Stop func() bool
-	// AdvanceLock, when non-nil, is held around every bucket emission
-	// (document write, store append, delta line, drift alerts, checkpoint,
-	// Progress). A daemon points it at the tenant's mutex so queries never
-	// observe a half-written advance.
+	// AdvanceLock, when non-nil, is held around every bucket advance (all
+	// stages: mining, document write, store append, delta line, drift
+	// alerts, checkpoint, Progress). A daemon points it at the tenant's
+	// mutex so queries never observe a half-written advance.
 	AdvanceLock sync.Locker
 	// Progress, when non-nil, is called after every delivered bucket
 	// (inside AdvanceLock) with the run's cumulative position.
@@ -132,12 +131,7 @@ func buildMiner(cfg Config, wcfg stream.Config) (stream.Miner, error) {
 		if cfg.DirPath == "" {
 			return nil, fmt.Errorf("l3 requires a service directory")
 		}
-		df, err := os.Open(cfg.DirPath)
-		if err != nil {
-			return nil, err
-		}
-		dir, err := directory.Read(df)
-		df.Close()
+		dir, err := directory.ReadFile(cfg.DirPath)
 		if err != nil {
 			return nil, err
 		}
@@ -153,131 +147,77 @@ func buildMiner(cfg Config, wcfg stream.Config) (stream.Miner, error) {
 	}
 }
 
-// deltaPrinter renders the per-bucket stderr delta line: the window
-// extent, the model size, and the pairs (or app→service deps) that
-// appeared and disappeared since the previous window.
-type deltaPrinter struct {
-	w         io.Writer
-	deps      bool
-	prevPairs core.PairSet
+// engine is one opened run: what Config names, built and restored, plus
+// what the stages of one advance hand to the stages after them.
+type engine struct {
+	cfg            Config
+	stdout, stderr io.Writer
+
+	miner  stream.Miner
+	fsrc   stream.FeatureSource // non-nil when the store or the detector reads features
+	store  *modelstore.Store    // nil without StorePath
+	det    *drift.Detector      // nil without Drift
+	in     *stream.Ingester
+	feeder *stream.Feeder
+
+	// The composed hardened input stack.
+	r       io.Reader              // retry (+ gzip) composition; read this
+	tailer  *stream.Tailer         // nil unless a plain file: rotation-aware
+	gz      *stream.TornGzipReader // non-nil for .gz input
+	closers []io.Closer            // the source and quarantine files
+	base    int64                  // stream offset the transport was repositioned to
+
+	snap      core.ModelDocument   // snapshot → render, delta
+	feats     stream.DriftFeatures // snapshot → store, drift
+	doc       []byte               // render → store
+	prevPairs core.PairSet         // the model the last delta line was printed against
 	prevDeps  core.AppServiceSet
-}
 
-func (d *deltaPrinter) print(r logmodel.TimeRange, snap core.ModelDocument) {
-	stamp := func(m logmodel.Millis) string {
-		return m.Time().Format("2006-01-02T15:04:05")
-	}
-	if d.deps {
-		cur := snap.DepSet()
-		gone, born := core.DiffDeps(d.prevDeps, cur)
-		fmt.Fprintf(d.w, "window [%s .. %s): %d deps", stamp(r.Start), stamp(r.End), len(cur))
-		for _, dep := range born {
-			fmt.Fprintf(d.w, " +%s->%s", dep.App, dep.Group)
-		}
-		for _, dep := range gone {
-			fmt.Fprintf(d.w, " -%s->%s", dep.App, dep.Group)
-		}
-		fmt.Fprintln(d.w)
-		d.prevDeps = cur
-		return
-	}
-	cur := snap.PairSet()
-	gone, born := core.DiffModels(d.prevPairs, cur)
-	fmt.Fprintf(d.w, "window [%s .. %s): %d pairs", stamp(r.Start), stamp(r.End), len(cur))
-	for _, p := range born {
-		fmt.Fprintf(d.w, " +%s--%s", p.A, p.B)
-	}
-	for _, p := range gone {
-		fmt.Fprintf(d.w, " -%s--%s", p.A, p.B)
-	}
-	fmt.Fprintln(d.w)
-	d.prevPairs = cur
-}
-
-// source is the composed hardened input stack.
-type source struct {
-	r      io.Reader              // retry (+ gzip) composition; read this
-	tailer *stream.Tailer         // non-nil for a plain file: rotation-aware
-	gz     *stream.TornGzipReader // non-nil for .gz input
-	close  func()
-}
-
-// rotations reports transport rotations seen so far (0 for stdin/.gz).
-func (s *source) rotations() int64 {
-	if s.tailer == nil {
-		return 0
-	}
-	return s.tailer.Rotations()
+	err error // the first stage error; set once, by advance
 }
 
 // openSource builds the hardened read stack for the configured input:
 // retries below the decompressor (gzip errors are sticky), torn-tail
 // tolerance for .gz, rotation-aware tailing for plain files.
-func openSource(cfg Config) (*source, error) {
-	policy := stream.RetryPolicy{MaxRetries: 8}
-	name := cfg.Source
-	if name == "-" {
-		return &source{
-			r:     stream.NewRetryReader(os.Stdin, policy, cfg.Metrics),
-			close: func() {},
-		}, nil
-	}
-	if strings.HasSuffix(name, ".gz") {
+func (e *engine) openSource() (err error) {
+	policy, m := stream.RetryPolicy{MaxRetries: 8}, e.cfg.Metrics
+	switch name := e.cfg.Source; {
+	case name == "-":
+		e.r = stream.NewRetryReader(os.Stdin, policy, m)
+	case strings.HasSuffix(name, ".gz"):
 		f, err := os.Open(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		gz := stream.NewTornGzipReader(stream.NewRetryReader(f, policy, cfg.Metrics), cfg.Metrics)
-		return &source{r: gz, gz: gz, close: func() { f.Close() }}, nil
+		e.closers = append(e.closers, f)
+		e.gz = stream.NewTornGzipReader(stream.NewRetryReader(f, policy, m), m)
+		e.r = e.gz
+	default:
+		e.tailer, err = stream.NewTailer(name, stream.TailerConfig{Wait: e.cfg.Wait, Metrics: m})
+		if err != nil {
+			return err
+		}
+		e.closers = append(e.closers, e.tailer)
+		e.r = stream.NewRetryReader(e.tailer, policy, m)
 	}
-	tl, err := stream.NewTailer(name, stream.TailerConfig{Wait: cfg.Wait, Metrics: cfg.Metrics})
-	if err != nil {
-		return nil, err
-	}
-	return &source{
-		r:      stream.NewRetryReader(tl, policy, cfg.Metrics),
-		tailer: tl,
-		close:  func() { tl.Close() },
-	}, nil
+	return nil
 }
 
-// stopReader polls stop before every read, turning a raised stop signal
-// into a clean end of stream at the next read boundary. The engine then
-// distinguishes a stop-EOF from a real one via the same signal and skips
-// the end-of-stream flush.
-type stopReader struct {
-	r    io.Reader
-	stop func() bool
-}
-
-func (s *stopReader) Read(p []byte) (int, error) {
-	if s.stop() {
-		return 0, io.EOF
-	}
-	return s.r.Read(p)
-}
-
-// lockAdvance acquires the advance lock, if one is configured.
-func lockAdvance(cfg Config) func() {
-	if cfg.AdvanceLock == nil {
-		return func() {}
-	}
-	cfg.AdvanceLock.Lock()
-	return cfg.AdvanceLock.Unlock
-}
-
-// Run executes one follow engine to completion: model documents go to
-// stdout, delta lines and DRIFT alerts to stderr. It returns when the
-// stream ends (one-shot EOF, or a live stream's Wait hook returning
-// false), when Config.Stop is raised, or on the first error.
-func Run(cfg Config, stdout, stderr io.Writer) (Result, error) {
-	var res Result
+// open builds the engine. The engine comes back on error too, so that Run
+// closes whatever was opened on every path.
+func open(cfg Config, stdout, stderr io.Writer) (e *engine, err error) {
+	e = &engine{stdout: stdout, stderr: stderr}
 	if cfg.Source == "" {
-		return res, fmt.Errorf("follow mode tails exactly one log stream (a file or - for stdin)")
+		return e, fmt.Errorf("follow mode tails exactly one log stream (a file or - for stdin)")
 	}
 	if cfg.BucketSec <= 0 || cfg.WindowBuckets <= 0 {
-		return res, fmt.Errorf("follow mode requires -bucket > 0 and -window > 0")
+		return e, fmt.Errorf("follow mode requires -bucket > 0 and -window > 0")
 	}
+	if wait := cfg.Wait; wait != nil {
+		// A halted run must not sit in the tailer's poll loop.
+		cfg.Wait = func() bool { return !e.halt() && wait() }
+	}
+	e.cfg = cfg
 	wcfg := stream.Config{
 		BucketWidth:   logmodel.SecondsToMillis(cfg.BucketSec),
 		WindowBuckets: cfg.WindowBuckets,
@@ -288,47 +228,100 @@ func Run(cfg Config, stdout, stderr io.Writer) (Result, error) {
 		// ingester may reuse retired bucket slices.
 		RecycleBuckets: true,
 	}
-	miner, err := buildMiner(cfg, wcfg)
-	if err != nil {
-		return res, err
+	if e.miner, err = buildMiner(cfg, wcfg); err != nil {
+		return e, err
 	}
 	// Feature tracking feeds two consumers: the drift detector (Drift) and
 	// the store's per-key score column (StorePath). Either one turns it on.
-	var fsrc stream.FeatureSource
-	if fs, ok := miner.(stream.FeatureSource); ok && (cfg.Drift || cfg.StorePath != "") {
-		fs.TrackDrift(true)
-		fsrc = fs
+	if cfg.Drift || cfg.StorePath != "" {
+		e.fsrc = e.miner.(stream.FeatureSource) // every follow miner is one
+		e.fsrc.TrackDrift(true)
 	}
-	if cfg.Drift && fsrc == nil {
-		return res, fmt.Errorf("drift detection is not supported for method %q", cfg.Method)
-	}
-
 	// Open the model store before the checkpoint is restored: a light
 	// (window-in-store) checkpoint needs the store to hydrate its window.
-	var store *modelstore.Store
 	if cfg.StorePath != "" {
-		store, err = modelstore.Open(cfg.StorePath, modelstore.Config{
+		e.store, err = modelstore.Open(cfg.StorePath, modelstore.Config{
 			BucketWidth:   wcfg.BucketWidth,
 			WindowBuckets: wcfg.WindowBuckets,
 			Metrics:       cfg.Metrics,
 		})
 		if err != nil {
-			return res, err
+			return e, err
 		}
 	}
+	cp, err := loadCheckpoint(cfg, e.store)
+	if err != nil {
+		return e, err
+	}
+	// The ingester carries no miner — mining is the first stage of advance —
+	// so a restored window is replayed into the miner here. The previous
+	// run's last delta line was printed against exactly that window's model:
+	// seeding the baseline with it makes the resumed run's first delta show
+	// only what changed, the concatenated delta stream byte-identical to an
+	// uninterrupted run's.
+	if cp != nil {
+		if e.in, err = cp.Restore(wcfg); err != nil {
+			return e, fmt.Errorf("resume: %w", err)
+		}
+		e.in.Replay(e.miner)
+		snap := e.miner.Snapshot()
+		e.prevPairs, e.prevDeps = snap.PairSet(), snap.DepSet()
+	} else {
+		e.in = stream.NewIngester(wcfg)
+	}
+	e.in.OnAdvance = e.advance
+	// The drift detector resumes from the checkpoint's state blob: the
+	// restored window buckets are replayed into the miner only, never
+	// re-observed, so a kill+resume neither repeats nor drops an alert.
+	if cfg.Drift {
+		dcfg := drift.Config{Metrics: cfg.Metrics}
+		if cp != nil && len(cp.Drift) > 0 {
+			if e.det, err = drift.Restore(dcfg, cp.Drift); err != nil {
+				return e, fmt.Errorf("resume: %w", err)
+			}
+		} else {
+			e.det = drift.NewDetector(dcfg)
+		}
+	}
+	var quarantine io.Writer
+	if cfg.QuarantinePath != "" {
+		qf, err := os.OpenFile(cfg.QuarantinePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return e, err
+		}
+		e.closers = append(e.closers, qf)
+		quarantine = qf
+	}
+	e.feeder = stream.NewFeeder(e.in, stream.FeederConfig{Quarantine: quarantine, Metrics: cfg.Metrics})
+	if err = e.openSource(); err != nil || cp == nil {
+		return e, err
+	}
+	// Reposition the transport at the checkpoint offset: a seek for a plain
+	// file, a decompressed-byte skip for .gz (the stream is re-read from the
+	// start, but nothing is re-ingested).
+	e.base = cp.Offset
+	if e.tailer != nil {
+		if err := e.tailer.SeekTo(cp.Offset); err != nil {
+			return e, fmt.Errorf("resume: %w", err)
+		}
+	} else if _, err := io.CopyN(io.Discard, e.r, cp.Offset); err != nil {
+		return e, fmt.Errorf("resume: skipping %d bytes: %w", cp.Offset, err)
+	}
+	return e, nil
+}
 
-	// Load the resume checkpoint, if any. A missing file is a fresh start.
-	var cp *stream.Checkpoint
+// loadCheckpoint reads the resume checkpoint, if any — a missing file is a
+// fresh start — and hydrates a window-in-store checkpoint from the store.
+func loadCheckpoint(cfg Config, store *modelstore.Store) (cp *stream.Checkpoint, err error) {
 	if cfg.ResumePath != "" {
 		if cfg.Source == "-" {
-			return res, fmt.Errorf("resume requires a file input: stdin cannot be repositioned across restarts")
+			return nil, fmt.Errorf("resume requires a file input: stdin cannot be repositioned across restarts")
 		}
-		cp, err = stream.ReadCheckpointFile(cfg.ResumePath)
-		if err != nil {
-			return res, err
+		if cp, err = stream.ReadCheckpointFile(cfg.ResumePath); err != nil {
+			return nil, err
 		}
 		if cp != nil && cp.Rotations > 0 {
-			return res, fmt.Errorf("checkpoint %s predates %d rotation(s); its offset no longer maps to one file — remove it to start fresh",
+			return nil, fmt.Errorf("checkpoint %s predates %d rotation(s); its offset no longer maps to one file — remove it to start fresh",
 				cfg.ResumePath, cp.Rotations)
 		}
 	}
@@ -336,223 +329,247 @@ func Run(cfg Config, stdout, stderr io.Writer) (Result, error) {
 		// The window's entries live in the store's raw segments: read them
 		// back locally instead of re-tailing the source stream.
 		if store == nil {
-			return res, fmt.Errorf("checkpoint %s stores its window in a model store; rerun with the original -store DIR", cfg.ResumePath)
+			return nil, fmt.Errorf("checkpoint %s stores its window in a model store; rerun with the original -store DIR", cfg.ResumePath)
 		}
 		if err := store.Hydrate(cp); err != nil {
-			return res, fmt.Errorf("resume: %w", err)
+			return nil, fmt.Errorf("resume: %w", err)
 		}
 	}
 	if cp == nil && store != nil && !store.Empty() {
 		// Bucket indexes in the store are anchored to the original run's
 		// origin; appending from a fresh origin would corrupt the history.
-		return res, fmt.Errorf("store %s already holds segments but no checkpoint was found; resume with a checkpoint, or point the store at a fresh directory", cfg.StorePath)
+		return nil, fmt.Errorf("store %s already holds segments but no checkpoint was found; resume with a checkpoint, or point the store at a fresh directory", cfg.StorePath)
 	}
+	return cp, nil
+}
 
-	var in *stream.Ingester
-	if cp != nil {
-		in, err = cp.Restore(wcfg, miner)
-		if err != nil {
-			return res, fmt.Errorf("resume: %w", err)
+func (e *engine) close() {
+	for _, c := range e.closers {
+		c.Close()
+	}
+}
+
+// halt reports whether the run is over: a stage failed, or Stop was raised.
+func (e *engine) halt() bool {
+	return e.err != nil || (e.cfg.Stop != nil && e.cfg.Stop())
+}
+
+// Read is the transport read the feeder sees: a halted engine reports end
+// of stream at the next read boundary, and Run — asking halt again — skips
+// the end-of-stream flush.
+func (e *engine) Read(p []byte) (int, error) {
+	if e.halt() {
+		return 0, io.EOF
+	}
+	return e.r.Read(p)
+}
+
+// stages is one closed bucket's advance, in order: the histogram a stage's
+// time goes to and the method that does its work. A stage whose feature is
+// not configured returns nil at once.
+var stages = [...]struct {
+	timer string
+	run   func(*engine, stream.Bucket) error
+}{
+	{"follow.mine_ns", (*engine).mine},
+	{"follow.snapshot_ns", (*engine).snapshot},
+	{"follow.render_ns", (*engine).render},
+	{"follow.store_ns", (*engine).appendStore},
+	{"follow.delta_ns", (*engine).printDelta},
+	{"follow.drift_ns", (*engine).observeDrift},
+	{"follow.checkpoint_ns", (*engine).checkpoint},
+	{"follow.progress_ns", (*engine).progress},
+}
+
+// advance runs one closed bucket through the stages. It alone takes the
+// advance lock, times a stage and latches a stage error; from then on it
+// does nothing and halt ends the run — what a kill at that stage leaves.
+func (e *engine) advance(b stream.Bucket) {
+	if e.err != nil {
+		return
+	}
+	if l := e.cfg.AdvanceLock; l != nil {
+		l.Lock()
+		defer l.Unlock()
+	}
+	for _, st := range stages {
+		stop := e.cfg.Metrics.Timer(st.timer)
+		e.err = st.run(e, b)
+		stop()
+		if e.err != nil {
+			return
 		}
-	} else {
-		in = stream.NewIngester(wcfg, miner)
 	}
+}
 
-	// The drift detector resumes from the checkpoint's state blob: the
-	// restored window buckets are replayed into the miner only, never
-	// re-observed, so a kill+resume neither repeats nor drops an alert.
-	var det *drift.Detector
-	if cfg.Drift {
-		dcfg := drift.Config{Metrics: cfg.Metrics}
-		if cp != nil && len(cp.Drift) > 0 {
-			det, err = drift.Restore(dcfg, cp.Drift)
+func (e *engine) mine(b stream.Bucket) error {
+	e.miner.Advance(b)
+	return nil
+}
+
+func (e *engine) snapshot(stream.Bucket) error {
+	e.snap = e.miner.Snapshot()
+	if e.fsrc != nil {
+		e.feats = e.fsrc.DriftFeatures()
+	}
+	return nil
+}
+
+// render writes the document. It is rendered once: the same bytes go to
+// stdout and — verbatim — into the store, which is what makes the store's
+// round-trip byte-identical to the live stream by construction.
+func (e *engine) render(stream.Bucket) error {
+	var doc bytes.Buffer
+	if err := core.WriteModel(&doc, e.snap); err != nil {
+		return err
+	}
+	e.doc = doc.Bytes()
+	_, err := e.stdout.Write(e.doc)
+	return err
+}
+
+// appendStore serializes the evidence while the bucket's entries are still
+// live — with RecycleBuckets the slices may be reused once advance returns,
+// and AppendEntry copies every byte out — and appends the bucket's record.
+func (e *engine) appendStore(b stream.Bucket) error {
+	if e.store == nil {
+		return nil
+	}
+	rec := modelstore.Record{Bucket: b.Index, Range: b.Range, Model: e.doc}
+	for _, en := range b.Entries {
+		rec.Evidence = append(rec.Evidence, logmodel.AppendEntry(nil, en))
+	}
+	keys := make([]string, 0, len(e.feats.Scores))
+	for k := range e.feats.Scores {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		rec.Scores = append(rec.Scores, modelstore.Score{Key: k, Value: e.feats.Scores[k]})
+	}
+	return e.store.Append(rec)
+}
+
+// printDelta writes the stderr delta line: the window extent, the model
+// size, and the pairs (or app→service deps — a document holds one kind, the
+// other set is empty) that appeared and disappeared since the last window.
+func (e *engine) printDelta(stream.Bucket) error {
+	r, unit := e.in.WindowRange(), "pairs"
+	if e.cfg.Method == "l3" {
+		unit = "deps"
+	}
+	pairs, deps := e.snap.PairSet(), e.snap.DepSet()
+	gonePairs, bornPairs := core.DiffModels(e.prevPairs, pairs)
+	goneDeps, bornDeps := core.DiffDeps(e.prevDeps, deps)
+	fmt.Fprintf(e.stderr, "window [%s .. %s): %d %s",
+		modelstore.Stamp(r.Start), modelstore.Stamp(r.End), len(pairs)+len(deps), unit)
+	list := func(sign string, pairs []core.Pair, deps []core.AppServicePair) {
+		for _, p := range pairs {
+			fmt.Fprintf(e.stderr, " %s%s--%s", sign, p.A, p.B)
+		}
+		for _, d := range deps {
+			fmt.Fprintf(e.stderr, " %s%s->%s", sign, d.App, d.Group)
+		}
+	}
+	list("+", bornPairs, bornDeps)
+	list("-", gonePairs, goneDeps)
+	fmt.Fprintln(e.stderr)
+	e.prevPairs, e.prevDeps = pairs, deps
+	return nil
+}
+
+// observeDrift prints a DRIFT line per change point the bucket confirms.
+// Its record was just appended, so the locator names the live raw segment.
+func (e *engine) observeDrift(b stream.Bucket) error {
+	if e.det == nil {
+		return nil
+	}
+	for _, c := range e.det.Observe(drift.Observation{
+		Bucket: b.Index, At: b.Range.Start,
+		Active: e.feats.Active, Scores: e.feats.Scores, Delays: e.feats.Delays,
+	}) {
+		if e.store != nil {
+			ref, ok, err := e.store.Locate(c.At)
 			if err != nil {
-				return res, fmt.Errorf("resume: %w", err)
+				return err
 			}
-		} else {
-			det = drift.NewDetector(dcfg)
+			if ok {
+				c.Segment = ref.String()
+			}
 		}
+		fmt.Fprintln(e.stderr, c)
 	}
+	return nil
+}
 
-	var quarantine io.Writer
-	if cfg.QuarantinePath != "" {
-		qf, err := os.OpenFile(cfg.QuarantinePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// checkpoint persists the resume point. Consumed() already covers the line
+// that closed this bucket (it sits in the checkpoint's pending set), so
+// base+Consumed is exact: no replay, no gap. With a store the window is not
+// serialized — the store's raw segments already hold it (CheckpointLight).
+func (e *engine) checkpoint(stream.Bucket) error {
+	if e.cfg.ResumePath == "" {
+		return nil
+	}
+	take := e.in.Checkpoint
+	if e.store != nil {
+		take = e.in.CheckpointLight
+	}
+	next := take(e.base+e.feeder.Consumed(), e.tailer.Rotations())
+	if e.det != nil {
+		blob, err := e.det.State()
 		if err != nil {
-			return res, err
+			return fmt.Errorf("serializing drift state: %w", err)
 		}
-		defer qf.Close()
-		quarantine = qf
+		next.Drift = blob
 	}
-	feeder := stream.NewFeeder(in, stream.FeederConfig{Quarantine: quarantine, Metrics: cfg.Metrics})
+	if err := stream.WriteCheckpointFile(e.cfg.ResumePath, next); err != nil {
+		return fmt.Errorf("writing checkpoint: %w", err)
+	}
+	return nil
+}
 
-	src, err := openSource(cfg)
+func (e *engine) progress(b stream.Bucket) error {
+	if e.cfg.Progress != nil {
+		e.cfg.Progress(Progress{
+			Buckets:   e.in.Stats().Buckets,
+			Consumed:  e.base + e.feeder.Consumed(),
+			LastIndex: b.Index,
+			WindowEnd: b.Range.End,
+		})
+	}
+	return nil
+}
+
+// Run executes one follow engine to completion: model documents go to
+// stdout, delta lines and DRIFT alerts to stderr. It returns when the
+// stream ends (one-shot EOF, or a live stream's Wait hook returning
+// false), when Config.Stop is raised, or on the first error. A failed
+// stage ends the run as a kill at that point would: nothing further is
+// emitted and the last good checkpoint stands. Once the engine is open
+// the Result is filled on every path.
+func Run(cfg Config, stdout, stderr io.Writer) (Result, error) {
+	defer cfg.Metrics.Timer("follow.run_ns")()
+	e, err := open(cfg, stdout, stderr)
+	defer e.close()
 	if err != nil {
-		return res, err
+		return Result{}, err
 	}
-	defer src.close()
-
-	// Reposition the transport at the checkpoint offset: a seek for a plain
-	// file, a decompressed-byte skip for .gz (the stream is re-read from the
-	// start, but nothing is re-ingested).
-	var base int64
-	if cp != nil {
-		base = cp.Offset
-		if src.tailer != nil {
-			if err := src.tailer.SeekTo(cp.Offset); err != nil {
-				return res, fmt.Errorf("resume: %w", err)
-			}
-		} else if _, err := io.CopyN(io.Discard, src.r, cp.Offset); err != nil {
-			return res, fmt.Errorf("resume: skipping %d bytes: %w", cp.Offset, err)
-		}
+	err = e.feeder.Run(e)
+	// A halt is the SIGKILL-equivalent: no flush, so no partial-bucket
+	// document an uninterrupted run would not emit — the next run resumes
+	// from the last checkpoint and re-reads the open bucket's lines instead.
+	halted := err != nil || e.halt()
+	if !halted {
+		e.in.Flush()
 	}
-
-	delta := &deltaPrinter{w: stderr, deps: cfg.Method == "l3"}
-	if cp != nil {
-		// Seed the delta baseline from the restored window: the previous
-		// run's last delta was printed against exactly this model, so the
-		// resumed run's first delta line shows only what actually changed —
-		// the concatenated delta stream is byte-identical to an
-		// uninterrupted run's.
-		snap := miner.Snapshot()
-		if delta.deps {
-			delta.prevDeps = snap.DepSet()
-		} else {
-			delta.prevPairs = snap.PairSet()
-		}
+	if err == nil {
+		err = e.err
 	}
-	var emitErr error
-	in.OnAdvance = func(b stream.Bucket) {
-		if emitErr != nil {
-			return
-		}
-		defer lockAdvance(cfg)()
-		// One trace tree per delivered bucket; the latest completed one is
-		// what /trace serves.
-		trace := cfg.Metrics.StartTrace(fmt.Sprintf("bucket %d", b.Index))
-		span := trace.Child("snapshot")
-		snap := miner.Snapshot()
-		span.End()
-		// The document is rendered once: the same bytes go to stdout and —
-		// verbatim — into the store, which is what makes the store's
-		// round-trip byte-identical to the live stream by construction.
-		span = trace.Child("emit")
-		var doc bytes.Buffer
-		err := core.WriteModel(&doc, snap)
-		if err == nil {
-			_, err = stdout.Write(doc.Bytes())
-		}
-		span.End()
-		trace.End()
-		if err != nil {
-			emitErr = err
-			return
-		}
-		var feats stream.DriftFeatures
-		if fsrc != nil {
-			feats = fsrc.DriftFeatures()
-		}
-		if store != nil {
-			// Evidence is serialized here, while the bucket's entries are
-			// still live: with RecycleBuckets the slices may be reused once
-			// OnAdvance returns, and AppendEntry copies every byte out.
-			rec := modelstore.Record{Bucket: b.Index, Range: b.Range, Model: doc.Bytes()}
-			for _, e := range b.Entries {
-				rec.Evidence = append(rec.Evidence, logmodel.AppendEntry(nil, e))
-			}
-			if len(feats.Scores) > 0 {
-				keys := make([]string, 0, len(feats.Scores))
-				for k := range feats.Scores {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				for _, k := range keys {
-					rec.Scores = append(rec.Scores, modelstore.Score{Key: k, Value: feats.Scores[k]})
-				}
-			}
-			if err := store.Append(rec); err != nil {
-				emitErr = err
-				return
-			}
-		}
-		delta.print(in.WindowRange(), snap)
-		if det != nil {
-			for _, c := range det.Observe(drift.Observation{
-				Bucket: b.Index, At: b.Range.Start,
-				Active: feats.Active, Scores: feats.Scores, Delays: feats.Delays,
-			}) {
-				if store != nil {
-					// The confirming bucket's record was just appended, so the
-					// locator names the store's live raw segment.
-					ref, ok, err := store.Locate(c.At)
-					if err != nil {
-						emitErr = err
-						return
-					}
-					if ok {
-						c.Segment = ref.String()
-					}
-				}
-				fmt.Fprintln(stderr, c)
-			}
-		}
-		if cfg.ResumePath != "" {
-			// Consumed() already covers the line that closed this bucket (it
-			// sits in the checkpoint's pending set), so base+Consumed is an
-			// exact resume point: no replay, no gap. With a store, the window
-			// is not serialized into the checkpoint — the store's raw
-			// segments already hold it (CheckpointLight).
-			var next *stream.Checkpoint
-			if store != nil {
-				next = in.CheckpointLight(base+feeder.Consumed(), src.rotations())
-			} else {
-				next = in.Checkpoint(base+feeder.Consumed(), src.rotations())
-			}
-			if det != nil {
-				blob, err := det.State()
-				if err != nil {
-					emitErr = fmt.Errorf("serializing drift state: %w", err)
-					return
-				}
-				next.Drift = blob
-			}
-			if err := stream.WriteCheckpointFile(cfg.ResumePath, next); err != nil {
-				emitErr = fmt.Errorf("writing checkpoint: %w", err)
-			}
-		}
-		if cfg.Progress != nil {
-			s := in.Stats()
-			cfg.Progress(Progress{
-				Buckets:   s.Buckets,
-				Consumed:  base + feeder.Consumed(),
-				LastIndex: b.Index,
-				WindowEnd: b.Range.End,
-			})
-		}
-	}
-
-	r := src.r
-	if cfg.Stop != nil {
-		r = &stopReader{r: src.r, stop: cfg.Stop}
-	}
-	if err := feeder.Run(r); err != nil {
-		return res, err
-	}
-	fill := func() {
-		res.Ingest = in.Stats()
-		res.Feed = feeder.Stats()
-		res.Rotations = src.rotations()
-		res.TornGzip = src.gz != nil && src.gz.Torn()
-	}
-	if cfg.Stop != nil && cfg.Stop() {
-		// A raised stop is the SIGKILL-equivalent: no flush, so no
-		// partial-bucket document an uninterrupted run would not emit —
-		// the next run resumes from the last checkpoint and re-reads the
-		// open bucket's lines instead.
-		res.Stopped = true
-		fill()
-		return res, emitErr
-	}
-	in.Flush()
-	fill()
-	return res, emitErr
+	return Result{
+		Stopped:   halted && err == nil,
+		Ingest:    e.in.Stats(),
+		Feed:      e.feeder.Stats(),
+		Rotations: e.tailer.Rotations(),
+		TornGzip:  e.gz != nil && e.gz.Torn(),
+	}, err
 }

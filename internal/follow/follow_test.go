@@ -3,12 +3,15 @@ package follow_test
 // The engine's own suite covers what the suites above it (cmd/depmine,
 // internal/daemon, the root equivalence tests) never execute: the .gz
 // branch of the source stack and the decompressed-byte skip a resume over a
-// .gz source repositions with. Everything is pinned at the byte level
-// against the plain-file run of the same corpus.
+// .gz source repositions with, a stage that fails mid-run, and the stage
+// histograms. Everything is pinned at the byte level against the plain-file
+// run of the same corpus.
 
 import (
 	"bytes"
+	"compress/flate"
 	"compress/gzip"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -17,8 +20,15 @@ import (
 	"logscape/internal/follow"
 	"logscape/internal/hospital"
 	"logscape/internal/logmodel"
+	"logscape/internal/modelstore"
+	"logscape/internal/obs"
 	"logscape/internal/stream"
 )
+
+// topology is the simulated hospital every test here mines.
+func topology() *hospital.Topology {
+	return hospital.GenerateTopology(hospital.DefaultTopologyConfig(), 1)
+}
 
 // corpus is one simulated hospital day at 1/10 of the default volume
 // (about 9k entries, 24 hourly buckets), in wire format.
@@ -27,7 +37,7 @@ func corpus(t *testing.T) []byte {
 	cfg := hospital.DefaultConfig(1)
 	cfg.Scale = 0.1
 	cfg.Days = 1
-	sim := hospital.NewSimulator(cfg, hospital.GenerateTopology(hospital.DefaultTopologyConfig(), 1))
+	sim := hospital.NewSimulator(cfg, topology())
 	day, _ := sim.GenerateDay(0)
 	var buf bytes.Buffer
 	if err := logmodel.WriteAll(&buf, day); err != nil {
@@ -99,12 +109,85 @@ func TestGzipSourceMatchesPlain(t *testing.T) {
 	}
 }
 
+// failAt is a stdout whose k-th Write fails, and every one after it.
+type failAt struct {
+	bytes.Buffer
+	k, writes int
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failAt) Write(p []byte) (int, error) {
+	if w.writes++; w.writes >= w.k {
+		return 0, errDiskFull
+	}
+	return w.Buffer.Write(p)
+}
+
+// failAtBucket is the fail-at-k arm of TestGzipStopResumeEveryBucket: stdout
+// fails on document k under a Wait hook that would keep tailing. The run
+// must end there like a kill — the error returned without tailing on, no
+// later stage run for bucket k or any bucket after it — and a rerun from the
+// checkpoint it left, with a healthy stdout, must continue with document k
+// exactly as an uninterrupted run prints it.
+func failAtBucket(t *testing.T, plain string, k int, wantOut, wantErr []byte) {
+	t.Helper()
+	state := t.TempDir()
+	cfg := config(plain)
+	cfg.ResumePath = filepath.Join(state, "follow.ckpt")
+	cfg.StorePath = filepath.Join(state, "store")
+
+	first := cfg
+	polls, fired := 0, 0
+	first.Wait = func() bool { polls++; return polls < 50 }
+	first.Progress = func(follow.Progress) { fired++ }
+	out1, err1 := &failAt{k: k}, &bytes.Buffer{}
+	res, err := follow.Run(first, out1, err1)
+	if !errors.Is(err, errDiskFull) || res.Stopped {
+		t.Fatalf("k=%d: Run = %+v, %v; want the writer's error and no clean stop", k, res, err)
+	}
+	if polls > 1 || fired != k-1 {
+		t.Errorf("k=%d: %d Wait polls and %d Progress calls after the failure; want at most 1 and exactly %d", k, polls, fired, k-1)
+	}
+	if res.Ingest.Accepted == 0 || res.Ingest.Buckets < k {
+		t.Errorf("k=%d: failed run reports %+v; want its accounting up to the failure", k, res.Ingest)
+	}
+	st, err := modelstore.OpenRead(cfg.StorePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := st.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := stream.ReadCheckpointFile(cfg.ResumePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp == nil && k > 1 || cp != nil && cp.Stats.Buckets != k-1 {
+		t.Errorf("k=%d: checkpoint %+v is not bucket %d's", k, cp, k-1)
+	}
+	if len(recs) != k-1 {
+		t.Errorf("k=%d: store holds %d records; the failed bucket's append must not have run", k, len(recs))
+	}
+
+	_, out2, err2 := run(t, cfg)
+	if got := append(out1.Bytes(), out2...); !bytes.Equal(got, wantOut) {
+		t.Errorf("k=%d: failed+rerun documents differ from the uninterrupted run's (%d vs %d bytes)", k, len(got), len(wantOut))
+	}
+	if got := append(err1.Bytes(), err2...); !bytes.Equal(got, wantErr) {
+		t.Errorf("k=%d: failed+rerun delta lines differ:\n%s\nvs\n%s", k, got, wantErr)
+	}
+}
+
 // TestGzipStopResumeEveryBucket: a .gz run hard-stopped once k buckets are
 // out, then resumed from its checkpoint (which skips the consumed prefix of
 // the decompressed stream), prints exactly what the uninterrupted run
-// prints — for every k, not a sample of stop points.
+// prints — for every k, not a sample of stop points. So does a run ended at
+// bucket k by a failing stage (failAtBucket).
 func TestGzipStopResumeEveryBucket(t *testing.T) {
-	src := writeFile(t, "day.log.gz", gzipped(t, corpus(t)))
+	data := corpus(t)
+	src, plain := writeFile(t, "day.log.gz", gzipped(t, data)), writeFile(t, "day.log", data)
 	ref, wantOut, wantErr := run(t, config(src))
 
 	stops := make(map[int]bool) // distinct bucket counts the stops landed on
@@ -132,6 +215,7 @@ func TestGzipStopResumeEveryBucket(t *testing.T) {
 		if got := append(err1, err2...); !bytes.Equal(got, wantErr) {
 			t.Errorf("k=%d: stopped+resumed delta lines differ:\n%s\nvs\n%s", k, got, wantErr)
 		}
+		failAtBucket(t, plain, k, wantOut, wantErr)
 	}
 	// Several k share a read boundary in the quiet night hours; the busy
 	// hours must still spread the stops out, or the loop tested one point.
@@ -174,5 +258,123 @@ func TestTornGzipTail(t *testing.T) {
 	if !bytes.Equal(tornOut, plainOut) || !bytes.Equal(tornErr, plainErr) {
 		t.Errorf("torn .gz output differs from the decompressed prefix's (%d/%d vs %d/%d bytes)",
 			len(tornOut), len(tornErr), len(plainOut), len(plainErr))
+	}
+}
+
+// TestCorruptGzipKeepsAccounting: a deflate body corrupted mid-stream is not
+// a tear, so the read error surfaces — with the run's accounting up to it,
+// not a zero Result.
+func TestCorruptGzipKeepsAccounting(t *testing.T) {
+	// A run of one-bits in the middle of the body decodes to a code deflate
+	// does not define.
+	bad := gzipped(t, corpus(t))
+	for i := len(bad) / 2; i < len(bad)/2+8; i++ {
+		bad[i] = 0xff
+	}
+	var corrupt flate.CorruptInputError
+	zr, err := gzip.NewReader(bytes.NewReader(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, zr); !errors.As(err, &corrupt) {
+		t.Fatalf("the damaged stream decompresses with %v; the test wants a flate.CorruptInputError", err)
+	}
+
+	var stdout, stderr bytes.Buffer
+	res, err := follow.Run(config(writeFile(t, "day.log.gz", bad)), &stdout, &stderr)
+	if !errors.As(err, &corrupt) {
+		t.Fatalf("Run = %v; want the flate.CorruptInputError", err)
+	}
+	if res.Ingest.Accepted == 0 || res.Ingest.Buckets == 0 || res.TornGzip || res.Stopped {
+		t.Errorf("failed run reports %+v; want the entries and buckets ingested before the corruption", res)
+	}
+	if stdout.Len() == 0 {
+		t.Error("no document was written before the corruption")
+	}
+}
+
+// storeFiles reads every file of a store directory.
+func storeFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
+}
+
+// TestInstrumentsNeverPerturb: a durable run of every method leaves the same
+// documents, delta and DRIFT lines, checkpoint and store directory whether
+// it collects no metrics, clockless metrics or wall-clock timings; and the
+// loop times every stage of every bucket — stage counts equal the buckets
+// delivered, and the stage sums fit inside the one follow.run_ns observation.
+func TestInstrumentsNeverPerturb(t *testing.T) {
+	src := writeFile(t, "day.log", corpus(t))
+	var dirXML bytes.Buffer
+	if err := topology().Directory().Write(&dirXML); err != nil {
+		t.Fatal(err)
+	}
+	dir := writeFile(t, "directory.xml", dirXML.Bytes())
+	stages := []string{"mine", "snapshot", "render", "store", "delta", "drift", "checkpoint", "progress"}
+
+	type artifacts struct {
+		out, err, ckpt string
+		store          map[string]string
+	}
+	for _, method := range []string{"l1", "l2", "l3"} {
+		var want artifacts
+		for i, reg := range []*obs.Registry{nil, obs.New(), obs.NewWithClock(obs.SystemClock)} {
+			state := t.TempDir()
+			cfg := config(src)
+			cfg.Method, cfg.MinLogs, cfg.DirPath, cfg.Drift = method, 4, dir, true
+			cfg.ResumePath, cfg.StorePath = filepath.Join(state, "follow.ckpt"), filepath.Join(state, "store")
+			cfg.Metrics = reg
+			res, out, errb := run(t, cfg)
+			ckpt, err := os.ReadFile(cfg.ResumePath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := artifacts{string(out), string(errb), string(ckpt), storeFiles(t, cfg.StorePath)}
+			if i == 0 {
+				want = got
+				if len(out) == 0 || len(errb) == 0 || len(got.store) < 2 {
+					t.Fatalf("%s: the reference run left %d/%d bytes and %d store files", method, len(out), len(errb), len(got.store))
+				}
+				continue
+			}
+			if got.out != want.out || got.err != want.err || got.ckpt != want.ckpt {
+				t.Errorf("%s, registry %d: stdout, stderr or checkpoint differ from the unmetered run's", method, i)
+			}
+			if len(got.store) != len(want.store) {
+				t.Errorf("%s, registry %d: %d store files, want %d", method, i, len(got.store), len(want.store))
+			}
+			for name, b := range want.store {
+				if got.store[name] != b {
+					t.Errorf("%s, registry %d: store file %s differs from the unmetered run's", method, i, name)
+				}
+			}
+
+			hists := reg.Snapshot().Histograms
+			var stageSum int64
+			for _, st := range stages {
+				h := hists["follow."+st+"_ns"]
+				if h.Count != int64(res.Ingest.Buckets) {
+					t.Errorf("%s, registry %d: follow.%s_ns counts %d advances of %d buckets", method, i, st, h.Count, res.Ingest.Buckets)
+				}
+				stageSum += h.Sum
+			}
+			whole := hists["follow.run_ns"]
+			if whole.Count != 1 || stageSum > whole.Sum || (i == 1) != (whole.Sum == 0) {
+				t.Errorf("%s, registry %d: stages sum to %d ns inside follow.run_ns %+v", method, i, stageSum, whole)
+			}
+		}
 	}
 }

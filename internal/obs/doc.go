@@ -1,8 +1,8 @@
 // Package obs is the pipeline's deterministic observability layer: a
-// registry of named counters, gauges and duration histograms, a lightweight
-// span tracer, and a stable JSON snapshot of both — the numbers behind
-// `depmine -stats`, the `/metrics` and `/trace` endpoints of follow mode,
-// and the metrics section of evalrun's report.
+// registry of named counters, gauges and duration histograms — Timer, into
+// a histogram, is the one way to time a section — and a stable JSON snapshot
+// of them: the numbers behind `depmine -stats`, the `/metrics` endpoints of
+// follow mode and the daemon, and the metrics section of evalrun's report.
 //
 // Two properties make the layer safe to thread through the whole mining
 // pipeline:

@@ -21,7 +21,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	trace    *Span // last completed root span
 }
 
 // New returns a registry without a clock: counters and gauges collect

@@ -18,12 +18,11 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	r.Gauge("g").Add(-2)
 	r.Histogram("h").Observe(3)
 	r.Timer("t")()
-	r.StartTrace("root").Child("kid").End()
 	if got := r.Counter("c").Value(); got != 0 {
 		t.Fatalf("nil counter value = %d, want 0", got)
 	}
 	s := r.Snapshot()
-	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 || s.Trace != nil {
+	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", s)
 	}
 	var buf bytes.Buffer
@@ -117,49 +116,6 @@ func TestCounterDocumentExcludesHistograms(t *testing.T) {
 	}
 	if !strings.Contains(string(b), `"work": 3`) {
 		t.Fatalf("counter document missing counter:\n%s", b)
-	}
-}
-
-func TestTraceTree(t *testing.T) {
-	var tick int64
-	clock := func() int64 { tick += 10; return tick }
-	r := obs.NewWithClock(clock)
-	root := r.StartTrace("run")
-	a := root.Child("ingest")
-	a.End()
-	b := root.Child("mine")
-	b1 := b.Child("l2")
-	b1.End()
-	b.End()
-	root.End()
-
-	s := r.Snapshot()
-	if s.Trace == nil {
-		t.Fatal("no trace in snapshot")
-	}
-	tr := *s.Trace
-	if tr.Name != "run" || len(tr.Children) != 2 {
-		t.Fatalf("root = %+v", tr)
-	}
-	if tr.Children[0].Name != "ingest" || tr.Children[1].Name != "mine" {
-		t.Fatalf("children out of order: %+v", tr.Children)
-	}
-	if len(tr.Children[1].Children) != 1 || tr.Children[1].Children[0].Name != "l2" {
-		t.Fatalf("grandchildren wrong: %+v", tr.Children[1])
-	}
-	if tr.DurationNS <= 0 {
-		t.Fatalf("root duration = %d, want > 0", tr.DurationNS)
-	}
-	for _, c := range tr.Children {
-		if c.StartNS < tr.StartNS {
-			t.Fatalf("child starts before parent: %+v", tr)
-		}
-	}
-	// End is idempotent and a second root replaces the first.
-	root.End()
-	r.StartTrace("second").End()
-	if got := r.Snapshot().Trace.Name; got != "second" {
-		t.Fatalf("last completed root = %q, want second", got)
 	}
 }
 

@@ -19,15 +19,13 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot is the full metrics document of a registry at one instant: every
-// counter, gauge and histogram plus the last completed trace. Its JSON
-// encoding is stable — encoding/json emits map keys in sorted order, and
-// all other fields are scalars or ordered slices — so two snapshots with
-// equal contents serialize byte-identically.
+// counter, gauge and histogram. Its JSON encoding is stable — encoding/json
+// emits map keys in sorted order, and all other fields are scalars — so two
+// snapshots with equal contents serialize byte-identically.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
-	Trace      *SpanSnapshot                `json:"trace,omitempty"`
 }
 
 // Snapshot captures the registry's current state. On a nil registry it
@@ -55,7 +53,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.hists {
 		hists[k] = v
 	}
-	trace := r.trace
 	r.mu.Unlock()
 
 	for k, c := range counters {
@@ -66,10 +63,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for k, h := range hists {
 		out.Histograms[k] = h.snapshot()
-	}
-	if trace != nil {
-		t := trace.snapshot()
-		out.Trace = &t
 	}
 	return out
 }

@@ -185,13 +185,22 @@ func (c *Checkpoint) Restore(cfg Config, miners ...Miner) (*Ingester, error) {
 		}
 		in.win = append(in.win, b)
 		winEntries += int64(len(es))
-		for _, m := range in.miners {
-			m.Advance(b)
-		}
+	}
+	for _, m := range in.miners {
+		in.Replay(m)
 	}
 	in.mWinBuckets.Set(int64(len(in.win)))
 	in.mWinEntries.Set(winEntries)
 	return in, nil
+}
+
+// Replay advances the freshly constructed m over the window's delivered
+// buckets in index order — what Restore does for the miners it is given, and
+// how a caller that advances its miner from OnAdvance rebuilds it.
+func (in *Ingester) Replay(m Miner) {
+	for _, b := range in.win {
+		m.Advance(b)
+	}
 }
 
 // parseLines decodes wire-format lines back into entries, interning through

@@ -62,8 +62,14 @@ func NewTailer(path string, cfg TailerConfig) (*Tailer, error) {
 	}, nil
 }
 
-// Rotations returns the number of rotations (rename or truncate) seen.
-func (t *Tailer) Rotations() int64 { return t.rotations + t.truncations }
+// Rotations returns the number of rotations (rename or truncate) seen: none
+// for a nil Tailer, a source that is not a tailed file.
+func (t *Tailer) Rotations() int64 {
+	if t == nil {
+		return 0
+	}
+	return t.rotations + t.truncations
+}
 
 // SeekTo positions the read offset in the current file — the resume path:
 // a Checkpoint's offset is only valid against the same file content, so
