@@ -263,6 +263,11 @@ func (d *Daemon) launch(t *tenant) (Status, error) {
 	st := t.status()
 	go func() { //lint:allow bareconc one engine goroutine per tenant stream is process-edge concurrency; all mining fan-out inside the engine routes through the shared parallel pool
 		res, err := follow.Run(fcfg, out, events)
+		if err != nil {
+			// What depmine prints to stderr before exiting 1: the cause
+			// outlives the daemon, beside the run's last delta line.
+			fmt.Fprintln(events, "depmined:", err)
+		}
 		out.Close()
 		events.Close()
 		t.mu.Lock()

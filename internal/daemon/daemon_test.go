@@ -425,3 +425,54 @@ func TestDaemonKillResume(t *testing.T) {
 		})
 	}
 }
+
+// TestTenantRefusesOldCheckpoint: a tenant whose state directory holds a
+// version-1 checkpoint — the drift state a JSON object, as written before
+// it went binary — does not resume over it. The stream ends "failed", and
+// the refusal, naming the file and both versions, is in its status and is
+// the last line of its events.log; nothing is mined or emitted.
+func TestTenantRefusesOldCheckpoint(t *testing.T) {
+	cfg := daemon.StreamConfig{Method: "l3", Directory: writeDirXML(t), Drift: true, BucketSec: 1, WindowBuckets: 2}
+	cfg.Source = writeLog(t, driftCorpus())
+	state := t.TempDir()
+	d1, err := daemon.New(daemon.Config{StateDir: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d1.Upsert("drift", cfg); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := d1.Wait("drift"); err != nil || st.State != "done" {
+		t.Fatalf("first run: state %q, %v; want done", st.State, err)
+	}
+	before := tenantArtifacts(t, state, "drift")
+
+	ckpt := filepath.Join(state, "drift", "follow.ckpt")
+	v1 := `{"version":1,"offset":0,"rotations":0,"bucket_width":1000,"window_buckets":2,"origin":0,"cur":3,` +
+		`"open":true,"stats":{},"window_in_store":true,"drift":{"version":1,"seq":3}}`
+	if err := os.WriteFile(ckpt, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := daemon.New(daemon.Config{StateDir: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := d2.Wait("drift")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "stream: checkpoint " + ckpt + " has format version 1, want 2 — remove it to start fresh"
+	if st.State != "failed" || st.Error != want {
+		t.Fatalf("resumed over a version-1 checkpoint: state %q, error %q\nwant failed with %q", st.State, st.Error, want)
+	}
+	after := tenantArtifacts(t, state, "drift")
+	if got := string(after.events); got != string(before.events)+"depmined: "+want+"\n" {
+		t.Errorf("events.log after the refusal:\n%s\nwant the first run's lines followed by the refusal", got)
+	}
+	if !bytes.Equal(after.out, before.out) {
+		t.Errorf("the refused run emitted documents (%d → %d bytes)", len(before.out), len(after.out))
+	}
+}

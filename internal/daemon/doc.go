@@ -9,7 +9,7 @@
 //
 //	<state>/<name>/stream.json      the stream's persisted configuration
 //	<state>/<name>/out.log          every emitted model document, in order
-//	<state>/<name>/events.log       delta lines and DRIFT alerts
+//	<state>/<name>/events.log       delta lines and DRIFT alerts; a failed run's error, last
 //	<state>/<name>/follow.ckpt      the resume checkpoint (light form)
 //	<state>/<name>/quarantine.log   rejected lines, fault-class prefixed
 //	<state>/<name>/store/           the tenant's model store

@@ -200,18 +200,18 @@ type presenceState struct {
 	// Confirmed reports the key's current model-level status: present
 	// (true) after a confirmed birth or warm start, absent after a
 	// confirmed death.
-	Confirmed bool `json:"confirmed"`
+	Confirmed bool
 	// RunPresent and RunAbsent count the current run of consecutive
 	// delivered buckets with and without the key.
-	RunPresent int `json:"run_present"`
-	RunAbsent  int `json:"run_absent"`
+	RunPresent int
+	RunAbsent  int
 	// RunStart is the bucket index where the current run started.
-	RunStart int64 `json:"run_start"`
+	RunStart int64
 	// WarmStart marks a presence run that began during the learning
 	// period (LearnBuckets): its confirmation is silent — the key
 	// predates the detector, and announcing it as a birth would report
 	// the detector's own catch-up as drift.
-	WarmStart bool `json:"warm_start,omitempty"`
+	WarmStart bool
 	// Rate is the key's smoothed per-bucket presence rate: an exact
 	// running mean while SeenBuckets is below the 4·RefBuckets horizon
 	// (no initialization bias — a young key's rate is exactly its observed
@@ -220,9 +220,9 @@ type presenceState struct {
 	// judged against the rate the key held before it went silent (the
 	// live rate decays during the run and would inflate the death
 	// threshold mid-outage).
-	Rate        float64 `json:"rate"`
-	RunRate     float64 `json:"run_rate,omitempty"`
-	SeenBuckets int64   `json:"seen_buckets,omitempty"`
+	Rate        float64
+	RunRate     float64
+	SeenBuckets int64
 	// Flickered marks a key whose earlier presence runs ended without
 	// confirming; EverConfirmed marks a key that has confirmed before. A
 	// flickering key's first confirmation is silent — a sporadic key that
@@ -230,31 +230,31 @@ type presenceState struct {
 	// catching up with an old dependency, not the landscape moving. A
 	// birth is announced only for keys that are genuinely new (first run
 	// confirms) or that return after an announced death (EverConfirmed).
-	Flickered     bool `json:"flickered,omitempty"`
-	EverConfirmed bool `json:"ever_confirmed,omitempty"`
+	Flickered     bool
+	EverConfirmed bool
 }
 
 // scoreState is the per-key state of the CUSUM score channel.
 type scoreState struct {
 	// Ring holds the trailing reference scores, oldest first.
-	Ring []float64 `json:"ring,omitempty"`
+	Ring []float64
 	// Pos and Neg are the one-sided CUSUM accumulators; PosOnset and
 	// NegOnset record the bucket where each last rose from zero.
-	Pos      float64 `json:"pos,omitempty"`
-	Neg      float64 `json:"neg,omitempty"`
-	PosOnset int64   `json:"pos_onset,omitempty"`
-	NegOnset int64   `json:"neg_onset,omitempty"`
+	Pos      float64
+	Neg      float64
+	PosOnset int64
+	NegOnset int64
 	// Idle counts consecutive observations without a score for this key.
-	Idle int `json:"idle,omitempty"`
+	Idle int
 }
 
 // delayState is the per-key state of the KS delay channel.
 type delayState struct {
 	// Ref holds the trailing per-bucket delay samples (each sorted),
 	// oldest first.
-	Ref [][]float64 `json:"ref,omitempty"`
+	Ref [][]float64
 	// Idle counts consecutive observations without a sample for this key.
-	Idle int `json:"idle,omitempty"`
+	Idle int
 	// Pending counts the rejecting votes of the current candidate shift
 	// run; Held accumulates every bucket of the run, held out of the
 	// reference until the run resolves (confirmed: they seed the
@@ -262,10 +262,10 @@ type delayState struct {
 	// the individually-untestable buckets since the run's last vote: they
 	// combine into the next vote's candidate, then move to Held — a
 	// bucket never votes twice. PendingOnset is the run's first bucket.
-	Pending      int         `json:"pending,omitempty"`
-	PendingOnset int64       `json:"pending_onset,omitempty"`
-	Held         [][]float64 `json:"held,omitempty"`
-	Pool         [][]float64 `json:"pool,omitempty"`
+	Pending      int
+	PendingOnset int64
+	Held         [][]float64
+	Pool         [][]float64
 }
 
 // Detector is the sequential change-point detector. It is not safe for
@@ -277,6 +277,11 @@ type Detector struct {
 	scores   map[string]*scoreState
 	delays   map[string]*delayState
 	counters map[string]*obs.Counter
+
+	// State's scratch: the image it builds before copying it out, and the
+	// sorted keys of the table being written.
+	buf  []byte
+	keys []string
 }
 
 // NewDetector builds a detector with the given configuration.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"logscape/internal/logmodel"
@@ -353,16 +354,20 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(fs, rs) {
-		t.Fatalf("final state diverges after restore:\nfull:     %s\nrestored: %s", fs, rs)
+		t.Fatalf("final state diverges after restore:\nfull:     %x\nrestored: %x", fs, rs)
 	}
 }
 
 func TestRestoreRejectsBadState(t *testing.T) {
-	if _, err := Restore(Config{}, []byte("{")); err == nil {
-		t.Fatal("malformed state restored")
+	if _, err := Restore(Config{}, nil); err == nil {
+		t.Fatal("empty state restored")
 	}
-	if _, err := Restore(Config{}, []byte(`{"version":99}`)); err == nil {
-		t.Fatal("future version restored")
+	if _, err := Restore(Config{}, []byte(`{"version":1,"seq":3}`)); err == nil {
+		t.Fatal("version-1 JSON state restored")
+	}
+	if _, err := Restore(Config{}, []byte{stateVersion + 1, 0, 0, 0, 0}); err == nil ||
+		!strings.Contains(err.Error(), "version") {
+		t.Fatalf("future version restored, or refused without naming the version: %v", err)
 	}
 }
 

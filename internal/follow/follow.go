@@ -170,6 +170,8 @@ type engine struct {
 	snap      core.ModelDocument   // snapshot → render, delta
 	feats     stream.DriftFeatures // snapshot → store, drift
 	doc       []byte               // render → store
+	wire      []byte               // store's scratch: the bucket's evidence lines, end to end
+	ends      []int                // store's scratch: where each line ends in wire
 	prevPairs core.PairSet         // the model the last delta line was printed against
 	prevDeps  core.AppServiceSet
 
@@ -431,13 +433,25 @@ func (e *engine) render(stream.Bucket) error {
 // appendStore serializes the evidence while the bucket's entries are still
 // live — with RecycleBuckets the slices may be reused once advance returns,
 // and AppendEntry copies every byte out — and appends the bucket's record.
+// The lines are rendered into the engine's scratch and copied, at their
+// final size, into one arena the record's lines are cut from: two
+// allocations per bucket however many entries it holds. The arena is fresh
+// every time because the store keeps the active granule's records.
 func (e *engine) appendStore(b stream.Bucket) error {
 	if e.store == nil {
 		return nil
 	}
-	rec := modelstore.Record{Bucket: b.Index, Range: b.Range, Model: e.doc}
+	e.wire, e.ends = e.wire[:0], e.ends[:0]
 	for _, en := range b.Entries {
-		rec.Evidence = append(rec.Evidence, logmodel.AppendEntry(nil, en))
+		e.wire = logmodel.AppendEntry(e.wire, en)
+		e.ends = append(e.ends, len(e.wire))
+	}
+	arena := append([]byte(nil), e.wire...)
+	rec := modelstore.Record{Bucket: b.Index, Range: b.Range, Model: e.doc, Evidence: make([][]byte, len(e.ends))}
+	start := 0
+	for i, end := range e.ends {
+		rec.Evidence[i] = arena[start:end:end]
+		start = end
 	}
 	keys := make([]string, 0, len(e.feats.Scores))
 	for k := range e.feats.Scores {
@@ -479,24 +493,29 @@ func (e *engine) printDelta(stream.Bucket) error {
 }
 
 // observeDrift prints a DRIFT line per change point the bucket confirms.
-// Its record was just appended, so the locator names the live raw segment.
+// Its record was just appended, so the locator names the live raw segment —
+// one lookup per bucket: every change point of one Observe is At the
+// bucket's start.
 func (e *engine) observeDrift(b stream.Bucket) error {
 	if e.det == nil {
 		return nil
 	}
-	for _, c := range e.det.Observe(drift.Observation{
+	cps := e.det.Observe(drift.Observation{
 		Bucket: b.Index, At: b.Range.Start,
 		Active: e.feats.Active, Scores: e.feats.Scores, Delays: e.feats.Delays,
-	}) {
-		if e.store != nil {
-			ref, ok, err := e.store.Locate(c.At)
-			if err != nil {
-				return err
-			}
-			if ok {
-				c.Segment = ref.String()
-			}
+	})
+	segment := ""
+	if len(cps) > 0 && e.store != nil {
+		ref, ok, err := e.store.Locate(b.Range.Start)
+		if err != nil {
+			return err
 		}
+		if ok {
+			segment = ref.String()
+		}
+	}
+	for _, c := range cps {
+		c.Segment = segment
 		fmt.Fprintln(e.stderr, c)
 	}
 	return nil

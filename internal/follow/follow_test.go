@@ -378,3 +378,33 @@ func TestInstrumentsNeverPerturb(t *testing.T) {
 		}
 	}
 }
+
+// TestAdvanceReadsBackOnlyWhatCompactionNeeds: a durable run with drift on
+// reads a segment back exactly once per compaction — the sealed granule a
+// promotion folds — and not at all while no granule has left the window.
+// The locator on every DRIFT line comes from the granule in memory, so the
+// advance path never re-reads what it just wrote.
+func TestAdvanceReadsBackOnlyWhatCompactionNeeds(t *testing.T) {
+	src := writeFile(t, "day.log", corpus(t))
+	for _, tc := range []struct {
+		window  int
+		compact bool
+	}{{6, true}, {48, false}} {
+		state, reg := t.TempDir(), obs.New()
+		cfg := config(src)
+		cfg.WindowBuckets, cfg.Drift, cfg.Metrics = tc.window, true, reg
+		cfg.ResumePath, cfg.StorePath = filepath.Join(state, "follow.ckpt"), filepath.Join(state, "store")
+		res, _, errb := run(t, cfg)
+		if !bytes.Contains(errb, []byte(" segment=raw-")) {
+			t.Fatalf("window %d: no located DRIFT line over %d buckets; the test wants change points", tc.window, res.Ingest.Buckets)
+		}
+		read := reg.Counter("store.segments_read").Value()
+		compactions := reg.Counter("store.compactions").Value()
+		if (compactions > 0) != tc.compact {
+			t.Fatalf("window %d: %d compactions over %d buckets", tc.window, compactions, res.Ingest.Buckets)
+		}
+		if read != compactions {
+			t.Errorf("window %d: %d segments read back for %d compactions", tc.window, read, compactions)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"os"
 
 	"logscape/internal/logmodel"
@@ -70,9 +71,12 @@ type Record struct {
 	Evidence [][]byte
 }
 
-// appendRecord appends the framed encoding of r to dst.
+// appendRecord appends the framed encoding of r to dst. The payload is
+// written where it lands: the 8-byte frame is reserved first and its length
+// and CRC are filled in once the payload behind it is complete.
 func appendRecord(dst []byte, r Record) []byte {
-	var p []byte
+	frame := len(dst)
+	p := append(dst, make([]byte, 8)...)
 	p = binary.AppendUvarint(p, uint64(r.Bucket))
 	p = binary.AppendUvarint(p, uint64(r.Range.Start))
 	p = binary.AppendUvarint(p, uint64(r.Range.End-r.Range.Start))
@@ -89,10 +93,30 @@ func appendRecord(dst []byte, r Record) []byte {
 		p = binary.AppendUvarint(p, uint64(len(line)))
 		p = append(p, line...)
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(p))
-	return append(dst, p...)
+	payload := p[frame+8:]
+	binary.LittleEndian.PutUint32(p[frame:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(p[frame+4:], crc32.ChecksumIEEE(payload))
+	return p
 }
+
+// recordLen is the length of appendRecord's output for r, so that a segment
+// image is allocated once at its final size.
+func recordLen(r Record) int {
+	n := 8 + uvarintLen(uint64(r.Bucket)) + uvarintLen(uint64(r.Range.Start)) +
+		uvarintLen(uint64(r.Range.End-r.Range.Start)) +
+		uvarintLen(uint64(len(r.Model))) + len(r.Model) +
+		uvarintLen(uint64(len(r.Scores))) + uvarintLen(uint64(len(r.Evidence)))
+	for _, s := range r.Scores {
+		n += uvarintLen(uint64(len(s.Key))) + len(s.Key) + 8
+	}
+	for _, line := range r.Evidence {
+		n += uvarintLen(uint64(len(line))) + len(line)
+	}
+	return n
+}
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // validRecord reports whether r is storable: non-negative times (the file
 // name and varint encodings both assume them), a non-empty forward range,
@@ -214,7 +238,11 @@ func parseRecord(p []byte) (Record, error) {
 
 // encodeSegment builds the full byte image of a segment file.
 func encodeSegment(level int, recs []Record) []byte {
-	buf := make([]byte, 0, 64)
+	n := len(segMagic) + 2
+	for _, r := range recs {
+		n += recordLen(r)
+	}
+	buf := make([]byte, 0, n)
 	buf = append(buf, segMagic...)
 	buf = append(buf, formatVersion, byte(level))
 	for _, r := range recs {

@@ -2,9 +2,11 @@ package modelstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"logscape/internal/logmodel"
@@ -120,5 +122,34 @@ func TestReadSegmentWrapsPathInError(t *testing.T) {
 	}
 	if !bytes.Contains([]byte(err.Error()), []byte(path)) {
 		t.Fatalf("error %q does not name the file", err)
+	}
+}
+
+// TestEncodeSegmentAllocatesOnce: a segment image is sized from its records
+// before a byte is written — one allocation, filled exactly — however many
+// evidence lines the records carry, and each record is framed where it
+// lands rather than built aside and copied in.
+func TestEncodeSegmentAllocatesOnce(t *testing.T) {
+	r := testRecord(3, `{"technique":"l2"}`+"\n")
+	for i := 0; i < 3000; i++ {
+		r.Evidence = append(r.Evidence, logmodel.AppendEntry(nil, logmodel.Entry{
+			Time: r.Range.Start + logmodel.Millis(i%1000), Source: "app", Host: "h1", Message: strings.Repeat("x", i%300),
+		}))
+	}
+	recs := []Record{testRecord(1, "doc\n"), r}
+	var img []byte
+	if allocs := testing.AllocsPerRun(10, func() { img = encodeSegment(levelRaw, recs) }); allocs != 1 {
+		t.Errorf("encodeSegment of a 3,000-line record allocates %.0f times, want 1", allocs)
+	}
+	if len(img) != cap(img) {
+		t.Errorf("image is %d bytes in a %d-byte buffer; recordLen is not exact", len(img), cap(img))
+	}
+	if _, got, err := decodeSegment(img); err != nil || !reflect.DeepEqual(got, recs) {
+		t.Fatalf("the image does not decode to its records: %v", err)
+	}
+	for _, x := range []uint64{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1<<63 - 1, 1 << 63, 1<<64 - 1} {
+		if got, want := uvarintLen(x), len(binary.AppendUvarint(nil, x)); got != want {
+			t.Errorf("uvarintLen(%d) = %d, AppendUvarint writes %d bytes", x, got, want)
+		}
 	}
 }

@@ -102,7 +102,7 @@ type Store struct {
 	latest    logmodel.Millis // End of the newest record in the store
 	maxSealed int64           // highest bucket index outside the active granule
 
-	mRecords, mSegments, mCompactions, mBytes *obs.Counter
+	mRecords, mSegments, mSegmentsRead, mCompactions, mBytes *obs.Counter
 }
 
 // Open opens (or creates) a store directory for appending. An existing
@@ -137,6 +137,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 	s := &Store{dir: dir, cfg: cfg}
 	s.mRecords = cfg.Metrics.Counter("store.records")
 	s.mSegments = cfg.Metrics.Counter("store.segments_written")
+	s.mSegmentsRead = cfg.Metrics.Counter("store.segments_read")
 	s.mCompactions = cfg.Metrics.Counter("store.compactions")
 	s.mBytes = cfg.Metrics.Counter("store.bytes_written")
 	if err := s.load(); err != nil {
@@ -239,6 +240,11 @@ func (s *Store) granuleWidth(level int) logmodel.Millis {
 	}
 }
 
+// isActive reports whether si is the raw granule s.active mirrors.
+func (s *Store) isActive(si segInfo) bool {
+	return s.hasActive && si.level == levelRaw && si.start == s.activeStart
+}
+
 // floorAlign floors t to a multiple of width (t is never negative here —
 // validRecord refuses pre-epoch records).
 func floorAlign(t, width logmodel.Millis) logmodel.Millis { return t - t%width }
@@ -335,6 +341,7 @@ func (s *Store) load() error {
 // loadSeg reads one segment and verifies the file's level byte matches
 // its name.
 func (s *Store) loadSeg(si segInfo) ([]Record, error) {
+	s.mSegmentsRead.Inc()
 	lv, recs, err := readSegment(si.path)
 	if err != nil {
 		return nil, err
@@ -450,7 +457,7 @@ func (s *Store) compact() error {
 		for _, si := range append([]segInfo(nil), s.segs...) {
 			switch si.level {
 			case levelRaw:
-				if s.hasActive && si.start == s.activeStart {
+				if s.isActive(si) {
 					continue
 				}
 				if si.start+s.cfg.Hour > s.latest-span {
@@ -600,19 +607,26 @@ type SegmentRef struct {
 func (r SegmentRef) String() string { return fmt.Sprintf("%s#%d", r.File, r.Record) }
 
 // Locate returns the segment reference of the record covering time t
-// (Start ≤ t < End), or ok=false when no retained record covers it.
+// (Start ≤ t < End), or ok=false when no retained record covers it. The
+// active raw granule is answered from memory: its file is exactly
+// s.active, written whole by the last Append (or read whole by load), so
+// the ordinals are the ones a reader of the file would count.
 func (s *Store) Locate(t logmodel.Millis) (SegmentRef, bool, error) {
 	for i := len(s.segs) - 1; i >= 0; i-- {
-		if s.segs[i].start > t {
+		si := s.segs[i]
+		if si.start > t {
 			continue
 		}
-		recs, err := s.loadSeg(s.segs[i])
-		if err != nil {
-			return SegmentRef{}, false, err
+		recs := s.active
+		if !s.isActive(si) {
+			var err error
+			if recs, err = s.loadSeg(si); err != nil {
+				return SegmentRef{}, false, err
+			}
 		}
 		for j := len(recs) - 1; j >= 0; j-- {
 			if recs[j].Range.Contains(t) {
-				return SegmentRef{File: filepath.Base(s.segs[i].path), Record: j}, true, nil
+				return SegmentRef{File: filepath.Base(si.path), Record: j}, true, nil
 			}
 		}
 		// Records can outspan their granule when buckets are wider than

@@ -386,6 +386,73 @@ func TestLocate(t *testing.T) {
 	}
 }
 
+// TestLocateMemoryEqualsDisk: the writer answers Locate for its active
+// granule from memory; a reader opened on the directory decodes the files.
+// With several records per granule (ordinals above 0, as on a sub-hour
+// bucket width) the two agree at every instant after every Append — in the
+// active granule, a sealed raw one, a compacted segment, and where nothing
+// covers — and after a bucket index is re-appended, which is what a resume
+// does when the kill fell between the append and the checkpoint.
+func TestLocateMemoryEqualsDisk(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	check := func(label string, last int64) {
+		t.Helper()
+		disk, err := OpenRead(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for at := logmodel.Millis(0); at < logmodel.Millis(last+2)*1000; at += 500 {
+			got, gotOK, err := s.Locate(at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantOK, err := disk.Locate(at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want || gotOK != wantOK {
+				t.Fatalf("%s: Locate(%d) = %v, %v from the writer; %v, %v from the files", label, at, got, gotOK, want, wantOK)
+			}
+			switch {
+			case !gotOK:
+				seen["uncovered"] = true
+			case got.File == segName(levelRaw, s.activeStart):
+				seen["active"] = true
+				seen["ordinal above 0"] = seen["ordinal above 0"] || got.Record > 0
+			default:
+				seen[got.File[:strings.IndexByte(got.File, '-')]] = true
+			}
+		}
+	}
+	const n = 27 // buckets 24..26 share the last granule
+	for i := int64(0); i < n; i++ {
+		if err := s.Append(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("after bucket %d", i), i)
+	}
+	for _, kind := range []string{"uncovered", "active", "ordinal above 0", "raw", "hour"} {
+		if !seen[kind] {
+			t.Errorf("the sequence never located an instant of kind %q", kind)
+		}
+	}
+	for _, i := range []int64{n - 1, n - 2} { // the second drops bucket n-1 with it
+		if err := s.Append(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("after re-appending bucket %d", i), n)
+	}
+	if s, err = Open(dir, testCfg()); err != nil { // a restarted writer holds the granule as read
+		t.Fatal(err)
+	}
+	check("after reopening", n)
+}
+
 // TestHydrateFillsWindowFromSegments pins the segment-backed resume path:
 // a light checkpoint gets its window back from raw-segment evidence, and
 // the hydrated checkpoint restores through the ordinary stream path.

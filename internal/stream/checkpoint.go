@@ -8,8 +8,10 @@ import (
 	"logscape/internal/logmodel"
 )
 
-// checkpointVersion guards the on-disk format.
-const checkpointVersion = 1
+// checkpointVersion guards the on-disk format. Version 2 carries the drift
+// detector's state as its binary image (drift.State); version 1 embedded it
+// as a JSON object.
+const checkpointVersion = 2
 
 // Checkpoint is a serializable snapshot of an Ingester's window state plus
 // the transport position it corresponds to: everything a killed follow
@@ -60,7 +62,7 @@ type Checkpoint struct {
 	// through the miners must NOT re-feed the detector (those buckets were
 	// observed before the checkpoint), so the caller restores the detector
 	// from this blob instead.
-	Drift json.RawMessage `json:"drift,omitempty"`
+	Drift []byte `json:"drift,omitempty"`
 }
 
 // CheckpointBucket is one delivered window bucket in checkpoint form. Its
@@ -260,6 +262,19 @@ func ReadCheckpointFile(path string) (*Checkpoint, error) {
 	}
 	if err != nil {
 		return nil, err
+	}
+	// The version is checked before anything else is decoded: a field whose
+	// type changed between versions must read as "wrong version", not as
+	// whatever encoding/json makes of the mismatch.
+	var head struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		return nil, fmt.Errorf("stream: checkpoint %s: %w", path, err)
+	}
+	if head.Version != checkpointVersion {
+		return nil, fmt.Errorf("stream: checkpoint %s has format version %d, want %d — remove it to start fresh",
+			path, head.Version, checkpointVersion)
 	}
 	var c Checkpoint
 	if err := json.Unmarshal(data, &c); err != nil {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -256,5 +257,34 @@ func TestCheckpointBeforeFirstEntry(t *testing.T) {
 	restored.Add(logmodel.Entry{Time: 1500, Source: "A", Host: "h"})
 	if !restored.started {
 		t.Error("restored ingester did not start on the first accepted entry")
+	}
+}
+
+// TestReadCheckpointFileRefusesOldVersion: a version-1 file — drift state
+// as a JSON object where version 2 holds base64 bytes — is refused by its
+// version, before the field whose type changed is decoded.
+func TestReadCheckpointFileRefusesOldVersion(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "follow.ckpt")
+	v1 := `{"version":1,"offset":42,"rotations":0,"bucket_width":1000,"window_buckets":4,` +
+		`"origin":0,"cur":3,"open":true,"stats":{},"drift":{"version":1,"seq":7}}`
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := ReadCheckpointFile(path)
+	want := "stream: checkpoint " + path + " has format version 1, want 2 — remove it to start fresh"
+	if cp != nil || err == nil || err.Error() != want {
+		t.Fatalf("version-1 checkpoint read = %v, %v\nwant the refusal %q", cp, err, want)
+	}
+
+	// What is written today reads back, drift bytes included.
+	in := NewIngester(Config{BucketWidth: 1000, WindowBuckets: 4})
+	in.Add(logmodel.Entry{Time: 1500, Source: "A", Host: "h"})
+	out := in.Checkpoint(42, 0)
+	out.Drift = []byte{2, 0, 0xff, 0x00}
+	if err := WriteCheckpointFile(path, out); err != nil {
+		t.Fatal(err)
+	}
+	if cp, err = ReadCheckpointFile(path); err != nil || !bytes.Equal(cp.Drift, out.Drift) {
+		t.Fatalf("version-2 round trip = %+v, %v; want drift bytes %x", cp, err, out.Drift)
 	}
 }
