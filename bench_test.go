@@ -624,15 +624,20 @@ func BenchmarkFollowDurable(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		state := b.TempDir()
-		res, err := follow.Run(follow.Config{
-			Method: "l2", Source: src, TimeoutSec: 1, Workers: 1, BucketSec: 3600, WindowBuckets: 24,
-			StorePath: filepath.Join(state, "store"), ResumePath: filepath.Join(state, "follow.ckpt"), Drift: true,
-		}, io.Discard, io.Discard)
+		cfg := follow.Config{
+			Spec:       follow.Spec{Method: "l2", Source: src, TimeoutSec: 1, Workers: 1, BucketSec: 3600, WindowBuckets: 24, Drift: true},
+			ResumePath: filepath.Join(state, "follow.ckpt"),
+		}
+		var err error
+		if cfg.Store, err = cfg.OpenStore(filepath.Join(state, "store"), nil); err != nil {
+			b.Fatal(err)
+		}
+		res, err := follow.Run(cfg, io.Discard, io.Discard)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Ingest.Accepted != day.Len() {
-			b.Fatalf("followed %d entries, want %d", res.Ingest.Accepted, day.Len())
+		if res.Entries != day.Len() {
+			b.Fatalf("followed %d entries, want %d", res.Entries, day.Len())
 		}
 	}
 	b.ReportMetric(float64(day.Len()*b.N)/b.Elapsed().Seconds(), "entries/s")

@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -12,6 +15,7 @@ import (
 	"time"
 
 	"logscape/internal/directory"
+	"logscape/internal/follow"
 	"logscape/internal/logmodel"
 	"logscape/internal/stream"
 )
@@ -21,13 +25,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // followOpts is the baseline follow-mode option set the tests tweak.
 func followOpts(file string) options {
 	return options{
-		method:    "l1",
-		minlogs:   2,
-		timeout:   1,
-		workers:   1,
-		bucketSec: 1,
-		windowN:   2,
-		files:     []string{file},
+		spec:  follow.Spec{Method: "l1", MinLogs: 2, TimeoutSec: 1, Workers: 1, BucketSec: 1, WindowBuckets: 2},
+		files: []string{file},
 	}
 }
 
@@ -189,8 +188,8 @@ func TestFollowGoldenPairDeltas(t *testing.T) {
 
 func TestFollowGoldenDepDeltas(t *testing.T) {
 	o := followOpts(writeLog(t, depCorpus()))
-	o.method = "l3"
-	o.dirPath = writeDirXML(t)
+	o.spec.Method = "l3"
+	o.spec.Directory = writeDirXML(t)
 	var stdout, stderr bytes.Buffer
 	if err := followStream(o, &stdout, &stderr); err != nil {
 		t.Fatal(err)
@@ -205,9 +204,9 @@ func TestFollowGoldenDepDeltas(t *testing.T) {
 
 func TestFollowGoldenDriftAlerts(t *testing.T) {
 	o := followOpts(writeLog(t, driftCorpus()))
-	o.method = "l3"
-	o.dirPath = writeDirXML(t)
-	o.drift = true
+	o.spec.Method = "l3"
+	o.spec.Directory = writeDirXML(t)
+	o.spec.Drift = true
 	var stdout, stderr bytes.Buffer
 	if err := followStream(o, &stdout, &stderr); err != nil {
 		t.Fatal(err)
@@ -229,9 +228,9 @@ func TestFollowDriftResumeKeepsAlertStream(t *testing.T) {
 	dir := writeDirXML(t)
 	mkOpts := func(file string) options {
 		o := followOpts(file)
-		o.method = "l3"
-		o.dirPath = dir
-		o.drift = true
+		o.spec.Method = "l3"
+		o.spec.Directory = dir
+		o.spec.Drift = true
 		return o
 	}
 
@@ -382,5 +381,51 @@ func TestFollowQuarantineFile(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "1 malformed, 0 oversized, 1 quarantined") {
 		t.Errorf("summary does not account the quarantined line:\n%s", stderr.String())
+	}
+}
+
+// TestFollowRefusesBadSpecs drives the list internal/daemon's
+// TestBadSpecsAreRefused drives through a PUT
+// (internal/follow/testdata/bad_specs.json) through the built binary's flags:
+// each exits 1 with a message on stderr, nothing on stdout and no store
+// directory — the refusal comes before anything is opened.
+func TestFollowRefusesBadSpecs(t *testing.T) {
+	data, err := os.ReadFile("../../internal/follow/testdata/bad_specs.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []struct {
+		Name string
+		Set  json.RawMessage
+	}
+	if err := json.Unmarshal(data, &cases); err != nil || len(cases) < 11 {
+		t.Fatalf("the shared list holds %d cases (%v); want the issue's eleven", len(cases), err)
+	}
+	bin := filepath.Join(t.TempDir(), "depmine")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	log := writeLog(t, pairCorpus())
+	for _, c := range cases {
+		spec := follow.Spec{Method: "l2", TimeoutSec: 1, BucketSec: 1, WindowBuckets: 2}
+		if err := json.Unmarshal(c.Set, &spec); err != nil {
+			t.Fatal(err)
+		}
+		store := filepath.Join(t.TempDir(), "store")
+		cmd := exec.Command(bin, "-follow", "-store", store,
+			"-method", spec.Method, "-dir", spec.Directory,
+			"-bucket", fmt.Sprint(spec.BucketSec), "-window", fmt.Sprint(spec.WindowBuckets),
+			"-timeout", fmt.Sprint(spec.TimeoutSec), "-workers", fmt.Sprint(spec.Workers),
+			"-minlogs", fmt.Sprint(spec.MinLogs), log)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || stdout.Len() != 0 || !strings.HasPrefix(stderr.String(), "depmine: ") {
+			t.Errorf("%s: %v, stdout %q, stderr %q; want exit 1, an empty stdout and the refusal on stderr", c.Name, err, stdout.String(), stderr.String())
+		}
+		if _, err := os.Stat(store); !os.IsNotExist(err) {
+			t.Errorf("%s: the refused run created its store directory (%v)", c.Name, err)
+		}
 	}
 }

@@ -76,33 +76,27 @@ import (
 	"logscape/internal/core/l3"
 	"logscape/internal/depgraph"
 	"logscape/internal/directory"
-	"logscape/internal/hospital"
+	"logscape/internal/follow"
 	"logscape/internal/logmodel"
 	"logscape/internal/obs"
 	"logscape/internal/sessions"
 )
 
 // options carries every parsed flag plus the run's metrics registry (nil
-// when observability is off).
+// when observability is off). The mining flags (-method, -dir, -timeout,
+// -minlogs, -nostops, -workers, -bucket, -window, -drift) bind straight into
+// the follow.Spec follow mode runs; batch mode reads the same fields.
 type options struct {
-	method         string
-	dirPath        string
+	spec           follow.Spec
 	truthPath      string
 	dotPath        string
 	jsonPath       string
 	impact         string
-	timeout        float64
-	minlogs        int
-	workers        int
-	nostops        bool
 	direction      bool
 	stats          bool
 	listen         string
-	bucketSec      float64
-	windowN        int
 	resumePath     string
 	quarantinePath string
-	drift          bool
 	storePath      string
 	files          []string
 	metrics        *obs.Registry
@@ -117,24 +111,24 @@ func main() {
 		return
 	}
 	var o options
-	flag.StringVar(&o.method, "method", "l3", "mining technique: l1, l2, l3 or baseline")
-	flag.StringVar(&o.dirPath, "dir", "", "service-directory XML (required for l3)")
+	flag.StringVar(&o.spec.Method, "method", "l3", "mining technique: l1, l2, l3 or baseline")
+	flag.StringVar(&o.spec.Directory, "dir", "", "service-directory XML (required for l3)")
 	flag.StringVar(&o.truthPath, "truth", "", "reference model file to score against")
 	flag.StringVar(&o.dotPath, "dot", "", "write the mined model as a Graphviz dot file")
 	flag.StringVar(&o.jsonPath, "json", "", "write the mined model as a JSON model document")
 	flag.StringVar(&o.impact, "impact", "", "print impact and root-cause analysis for a component")
-	flag.Float64Var(&o.timeout, "timeout", 1, "L2 bigram timeout in seconds (0 = infinity)")
-	flag.IntVar(&o.minlogs, "minlogs", 10, "L1 per-slot minimum log count")
-	flag.BoolVar(&o.nostops, "nostops", false, "L3: disable the canonical stop patterns")
+	flag.Float64Var(&o.spec.TimeoutSec, "timeout", 1, "L2 bigram timeout in seconds (0 = infinity)")
+	flag.IntVar(&o.spec.MinLogs, "minlogs", 10, "L1 per-slot minimum log count")
+	flag.BoolVar(&o.spec.NoStops, "nostops", false, "L3: disable the canonical stop patterns")
 	flag.BoolVar(&o.direction, "direction", false, "L2: print direction hints for mined pairs")
-	flag.IntVar(&o.workers, "workers", 0, "mining parallelism: 0 = all cores, 1 = sequential (results are identical for any value)")
+	flag.IntVar(&o.spec.Workers, "workers", 0, "mining parallelism: 0 = all cores, 1 = sequential (results are identical for any value)")
 	flag.BoolVar(&o.stats, "stats", false, "print the run's metrics document (JSON) to stderr")
 	flag.StringVar(&o.listen, "listen", "", "follow mode: serve /metrics and /debug/pprof/ on this address")
-	follow := flag.Bool("follow", false, "streaming mode: tail one log stream and emit the sliding-window model per bucket")
-	flag.Float64Var(&o.bucketSec, "bucket", 3600, "follow mode: bucket width in seconds")
-	flag.IntVar(&o.windowN, "window", 24, "follow mode: window size in buckets")
+	followMode := flag.Bool("follow", false, "streaming mode: tail one log stream and emit the sliding-window model per bucket")
+	flag.Float64Var(&o.spec.BucketSec, "bucket", 3600, "follow mode: bucket width in seconds")
+	flag.IntVar(&o.spec.WindowBuckets, "window", 24, "follow mode: window size in buckets")
 	flag.StringVar(&o.resumePath, "resume", "", "follow mode: checkpoint file — written per closed bucket, loaded on start to resume after a kill")
-	flag.BoolVar(&o.drift, "drift", false, "follow mode: detect model drift (births, deaths, score and delay shifts) and print DRIFT lines to stderr")
+	flag.BoolVar(&o.spec.Drift, "drift", false, "follow mode: detect model drift (births, deaths, score and delay shifts) and print DRIFT lines to stderr")
 	flag.StringVar(&o.quarantinePath, "quarantine", "", "follow mode: append rejected lines (malformed/oversized/late/corrupt) to this file")
 	flag.StringVar(&o.storePath, "store", "", "follow mode: persist per-bucket models and evidence to this segment-store directory")
 	flag.Parse()
@@ -150,7 +144,7 @@ func main() {
 		o.metrics = obs.NewWithClock(obs.SystemClock)
 	}
 	var err error
-	if *follow {
+	if *followMode {
 		err = followStream(o, os.Stdout, os.Stderr)
 	} else {
 		err = run(o)
@@ -173,7 +167,7 @@ func printStats(o options) {
 
 func run(o options) error {
 	stop := o.metrics.Timer("depmine.load_ns")
-	store, err := loadLogs(o.files)
+	store, err := logmodel.ReadFiles(o.files) // plain or .gz, merged into one sorted store
 	stop()
 	if err != nil {
 		return err
@@ -184,19 +178,19 @@ func run(o options) error {
 
 	var pairs core.PairSet
 	var deps core.AppServiceSet
-	switch o.method {
+	switch o.spec.Method {
 	case "l1":
-		res := l1.Mine(store, span, nil, l1.Config{MinLogs: o.minlogs, Workers: o.workers, Metrics: o.metrics})
+		res := l1.Mine(store, span, nil, l1.Config{MinLogs: o.spec.MinLogs, Workers: o.spec.Workers, Metrics: o.metrics})
 		pairs = res.DependentPairs()
 	case "l2":
 		ss, stats := sessions.Build(store, sessions.Config{Metrics: o.metrics})
 		fmt.Fprintf(os.Stderr, "built %d sessions (%.1f%% of logs assigned)\n",
 			stats.Sessions, 100*stats.AssignedShare())
-		to := logmodel.SecondsToMillis(o.timeout)
-		if o.timeout == 0 {
+		to := logmodel.SecondsToMillis(o.spec.TimeoutSec)
+		if o.spec.TimeoutSec == 0 {
 			to = l2.NoTimeout
 		}
-		res := l2.Mine(ss, l2.Config{Timeout: to, Workers: o.workers, Metrics: o.metrics})
+		res := l2.Mine(ss, l2.Config{Timeout: to, Workers: o.spec.Workers, Metrics: o.metrics})
 		pairs = res.DependentPairs()
 		if o.direction {
 			hints := l2.DirectionHints(ss, pairs, to)
@@ -214,28 +208,28 @@ func run(o options) error {
 			}
 		}
 	case "l3":
-		if o.dirPath == "" {
+		if o.spec.Directory == "" {
 			return fmt.Errorf("l3 requires -dir")
 		}
-		dir, err := directory.ReadFile(o.dirPath)
+		dir, err := directory.ReadFile(o.spec.Directory)
 		if err != nil {
 			return err
 		}
 		cfg := l3.DefaultConfig()
-		cfg.Workers = o.workers
+		cfg.Workers = o.spec.Workers
 		cfg.Metrics = o.metrics
-		if !o.nostops {
-			cfg.Stops = hospital.CanonicalStopPatterns()
+		if !o.spec.NoStops {
+			cfg.Stops = directory.CanonicalStopPatterns()
 		}
 		deps = l3.NewMiner(dir, cfg).Mine(store, logmodel.TimeRange{}).Dependencies()
 	case "baseline":
 		bcfg := baseline.DefaultConfig()
-		bcfg.Workers = o.workers
+		bcfg.Workers = o.spec.Workers
 		bcfg.Metrics = o.metrics
 		res := baseline.Mine(store, span, nil, bcfg)
 		pairs = res.DependentPairs()
 	default:
-		return fmt.Errorf("unknown method %q", o.method)
+		return fmt.Errorf("unknown method %q", o.spec.Method)
 	}
 
 	stop = o.metrics.Timer("depmine.emit_ns")
@@ -263,9 +257,9 @@ func run(o options) error {
 		var doc core.ModelDocument
 		params := map[string]string{"files": strings.Join(o.files, ",")}
 		if deps != nil {
-			doc = core.NewDepDocument(o.method, deps, params)
+			doc = core.NewDepDocument(o.spec.Method, deps, params)
 		} else {
-			doc = core.NewPairDocument(o.method, pairs, params)
+			doc = core.NewPairDocument(o.spec.Method, pairs, params)
 		}
 		if err := core.WriteModel(f, doc); err != nil {
 			f.Close()
@@ -318,12 +312,6 @@ func printImpact(node string, pairs core.PairSet, deps core.AppServiceSet) {
 		fmt.Fprintf(os.Stderr, "%s(%d)", c.Node, c.ImpactSize)
 	}
 	fmt.Fprintln(os.Stderr)
-}
-
-// loadLogs merges the given wire-format files (plain or .gz) into one
-// sorted store.
-func loadLogs(files []string) (*logmodel.Store, error) {
-	return logmodel.ReadFiles(files)
 }
 
 // score reads a tab-separated reference model and prints the confusion.

@@ -6,28 +6,19 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"time"
 
+	"logscape/internal/daemon"
 	"logscape/internal/obs"
 )
 
-// The endpoint's connection limits, the ones depmined's control API carries:
-// a client that never finishes its request headers, or parks an idle
-// keep-alive connection, is cut off. There is no ReadTimeout or WriteTimeout
-// on purpose — /debug/pprof/profile streams its response for 30 s.
-const (
-	readHeaderTimeout = 10 * time.Second
-	idleTimeout       = 2 * time.Minute
-)
-
-// newObsServer returns the follow-mode observability server:
+// obsHandler returns the follow-mode observability endpoints:
 //
 //	/metrics       the full metrics document (sorted JSON)
 //	/debug/pprof/  the standard net/http/pprof profiles
 //
 // The handlers only read the registry — serving can never perturb the mined
 // models.
-func newObsServer(reg *obs.Registry) *http.Server {
+func obsHandler(reg *obs.Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -40,7 +31,7 @@ func newObsServer(reg *obs.Registry) *http.Server {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	return mux
 }
 
 // serveObs starts the observability endpoint on addr and returns a function
@@ -51,7 +42,7 @@ func serveObs(addr string, reg *obs.Registry) (func(), error) {
 	if err != nil {
 		return nil, fmt.Errorf("-listen %s: %w", addr, err)
 	}
-	srv := newObsServer(reg)
+	srv := daemon.NewServer(obsHandler(reg)) // depmined's server: the same connection limits
 	// The listener goroutine lives outside internal/parallel by necessity:
 	// it is I/O concurrency at the process edge, not mining work, and it
 	// never touches miner state — the handlers only read the registry.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"logscape/internal/daemon"
 	"logscape/internal/obs"
 )
 
@@ -19,9 +20,9 @@ import (
 // The header limit is shortened on the server under test so the test need
 // not wait the real ten seconds.
 func TestObsServerDisconnectsStalledHeaders(t *testing.T) {
-	srv := newObsServer(obs.New())
-	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != idleTimeout || readHeaderTimeout <= 0 || idleTimeout <= 0 {
-		t.Fatalf("server limits: header %v, idle %v; want the constants %v and %v", srv.ReadHeaderTimeout, srv.IdleTimeout, readHeaderTimeout, idleTimeout)
+	srv := daemon.NewServer(obsHandler(obs.New()))
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.IdleTimeout != 2*time.Minute {
+		t.Fatalf("server limits: header %v, idle %v; want 10s and 2m0s", srv.ReadHeaderTimeout, srv.IdleTimeout)
 	}
 	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
 		t.Fatalf("ReadTimeout %v / WriteTimeout %v set: they would cut /debug/pprof/profile", srv.ReadTimeout, srv.WriteTimeout)

@@ -51,8 +51,8 @@ func bucketCorpus(n int, width time.Duration) []string {
 func storeOpts(t *testing.T, file string) options {
 	t.Helper()
 	o := followOpts(file)
-	o.bucketSec = 900
-	o.windowN = 4
+	o.spec.BucketSec = 900
+	o.spec.WindowBuckets = 4
 	o.storePath = filepath.Join(t.TempDir(), "store")
 	return o
 }
@@ -97,7 +97,7 @@ func TestFollowStoreByteIdentity(t *testing.T) {
 	var stores [2]string
 	for i, workers := range []int{1, 8} {
 		o := storeOpts(t, lines)
-		o.workers = workers
+		o.spec.Workers = workers
 		var stdout, stderr bytes.Buffer
 		if err := followStream(o, &stdout, &stderr); err != nil {
 			t.Fatal(err)
@@ -251,7 +251,7 @@ func TestFollowStoreResumeDoesNotRereadSource(t *testing.T) {
 	full := writeLog(t, lines)
 
 	o := storeOpts(t, full)
-	o.bucketSec = 1
+	o.spec.BucketSec = 1
 	var refOut, refErr bytes.Buffer
 	if err := followStream(o, &refOut, &refErr); err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestFollowStoreResumeDoesNotRereadSource(t *testing.T) {
 	prefix := writeLog(t, lines[:cut])
 	ckpt := filepath.Join(t.TempDir(), "follow.ckpt")
 	o1 := storeOpts(t, prefix)
-	o1.bucketSec = 1
+	o1.spec.BucketSec = 1
 	o1.resumePath = ckpt
 	var out1, err1 bytes.Buffer
 	if err := followStream(o1, &out1, &err1); err != nil {
@@ -292,7 +292,7 @@ func TestFollowStoreResumeDoesNotRereadSource(t *testing.T) {
 	}
 
 	o2 := storeOpts(t, mangledPath)
-	o2.bucketSec = 1
+	o2.spec.BucketSec = 1
 	o2.storePath = o1.storePath
 	o2.resumePath = ckpt
 	var out2, err2 bytes.Buffer
@@ -314,13 +314,13 @@ func TestFollowStoreRefusals(t *testing.T) {
 	// A second fresh run over a populated store must refuse: its origin
 	// would not match the stored bucket indexes.
 	o := storeOpts(t, lines)
-	o.bucketSec = 1
+	o.spec.BucketSec = 1
 	var stdout, stderr bytes.Buffer
 	if err := followStream(o, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	o2 := storeOpts(t, lines)
-	o2.bucketSec = 1
+	o2.spec.BucketSec = 1
 	o2.storePath = o.storePath
 	if err := followStream(o2, &stdout, &stderr); err == nil ||
 		!strings.Contains(err.Error(), "already holds segments") {
@@ -331,7 +331,7 @@ func TestFollowStoreRefusals(t *testing.T) {
 	lines2 := writeLog(t, bucketCorpus(6, time.Second))
 	ckpt := filepath.Join(t.TempDir(), "follow.ckpt")
 	o3 := storeOpts(t, lines2)
-	o3.bucketSec = 1
+	o3.spec.BucketSec = 1
 	o3.resumePath = ckpt
 	if err := followStream(o3, &stdout, &stderr); err != nil {
 		t.Fatal(err)
@@ -349,7 +349,7 @@ func TestFollowStoreRefusals(t *testing.T) {
 func TestStoreSubcommands(t *testing.T) {
 	lines := writeLog(t, bucketCorpus(20, time.Second))
 	o := storeOpts(t, lines)
-	o.bucketSec = 1
+	o.spec.BucketSec = 1
 	var stdout, stderr bytes.Buffer
 	if err := followStream(o, &stdout, &stderr); err != nil {
 		t.Fatal(err)
@@ -423,9 +423,9 @@ func TestStoreSubcommands(t *testing.T) {
 // follow_drift golden elsewhere).
 func TestFollowStoreDriftSegmentAnnotation(t *testing.T) {
 	o := followOpts(writeLog(t, driftCorpus()))
-	o.method = "l3"
-	o.dirPath = writeDirXML(t)
-	o.drift = true
+	o.spec.Method = "l3"
+	o.spec.Directory = writeDirXML(t)
+	o.spec.Drift = true
 	o.storePath = filepath.Join(t.TempDir(), "store")
 	var stdout, stderr bytes.Buffer
 	if err := followStream(o, &stdout, &stderr); err != nil {

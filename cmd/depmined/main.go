@@ -18,11 +18,9 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"logscape/internal/daemon"
 	"logscape/internal/obs"
@@ -38,20 +36,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "depmined:", err)
 		os.Exit(1)
 	}
-}
-
-// The control API's connection limits: a client that never finishes its
-// request headers, or parks an idle keep-alive connection, is cut off. There
-// is no ReadTimeout or WriteTimeout on purpose — either would also cut a slow
-// PUT body or a long response such as /debug/pprof/profile.
-const (
-	readHeaderTimeout = 10 * time.Second
-	idleTimeout       = 2 * time.Minute
-)
-
-// newServer returns the control API's server around h.
-func newServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 func run(listen, state string, pool int) error {
@@ -80,7 +64,7 @@ func run(listen, state string, pool int) error {
 	if err != nil {
 		return fmt.Errorf("-listen %s: %w", listen, err)
 	}
-	srv := newServer(d.Handler())
+	srv := daemon.NewServer(d.Handler())
 	go srv.Serve(ln) //lint:allow bareconc HTTP serving is process-edge I/O concurrency, not mining work; every handler goes through the daemon's per-tenant locks
 	fmt.Fprintf(os.Stderr, "depmined: control API on http://%s (state %s)\n", ln.Addr(), state)
 

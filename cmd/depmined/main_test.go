@@ -22,9 +22,9 @@ func TestServerDisconnectsStalledHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(d.Handler())
-	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != idleTimeout || readHeaderTimeout <= 0 || idleTimeout <= 0 {
-		t.Fatalf("server limits: header %v, idle %v; want the constants %v and %v", srv.ReadHeaderTimeout, srv.IdleTimeout, readHeaderTimeout, idleTimeout)
+	srv := daemon.NewServer(d.Handler())
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.IdleTimeout != 2*time.Minute {
+		t.Fatalf("server limits: header %v, idle %v; want 10s and 2m0s", srv.ReadHeaderTimeout, srv.IdleTimeout)
 	}
 	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
 		t.Fatalf("ReadTimeout %v / WriteTimeout %v set: they would cut slow PUT bodies and /debug/pprof/profile", srv.ReadTimeout, srv.WriteTimeout)

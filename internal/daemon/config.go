@@ -8,8 +8,8 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"path/filepath"
 
+	"logscape/internal/follow"
 	"logscape/internal/stream"
 )
 
@@ -17,7 +17,8 @@ import (
 // wraps exactly one of them (or none, which maps to 500).
 var (
 	// ErrBadConfig marks a rejected stream name or configuration (400).
-	// A rejected configuration never mutates daemon state.
+	// A rejected configuration never mutates daemon state — nor does one
+	// whose launch fails (500): see Daemon.Upsert.
 	ErrBadConfig = errors.New("invalid stream config")
 	// ErrBadRequest marks a malformed query parameter (400).
 	ErrBadRequest = errors.New("bad request")
@@ -30,81 +31,32 @@ var (
 )
 
 // StreamConfig is one tenant stream's configuration, the JSON document a
-// PUT /streams/{name} carries. Fields mirror depmine's follow-mode flags;
-// Live replaces the implicit "stdin never ends" behavior: a live stream
-// keeps tailing its file at EOF until it is stopped or reconfigured,
-// a non-live stream ends (and flushes) at the first quiescent EOF.
+// PUT /streams/{name} carries and stream.json persists: the follow.Spec
+// depmine's follow-mode flags also bind to, plus Live, which replaces the
+// implicit "stdin never ends" behavior: a live stream keeps tailing its file
+// at EOF until it is stopped or reconfigured, a non-live stream ends (and
+// flushes) at the first quiescent EOF. BucketSec and WindowBuckets are fixed
+// for the stream's lifetime (see ErrGeometry); with Drift, confirmed change
+// points appear in events.log and on GET /streams/{name}/alerts.
 type StreamConfig struct {
-	// Method selects the streaming miner: "l1", "l2" or "l3".
-	Method string `json:"method"`
-	// Source is the log file to tail (".gz" decompressed transparently).
-	// Stdin ("-") is not available to a daemon stream.
-	Source string `json:"source"`
-	// Directory is the service-directory XML path, required for l3.
-	Directory string `json:"directory,omitempty"`
-	// MinLogs is the L1 per-slot minimum log count.
-	MinLogs int `json:"min_logs,omitempty"`
-	// TimeoutSec is the L2 bigram timeout in seconds (0 = infinity).
-	TimeoutSec float64 `json:"timeout_sec,omitempty"`
-	// NoStops disables the canonical L3 stop patterns.
-	NoStops bool `json:"no_stops,omitempty"`
-	// Workers bounds per-bucket mining parallelism (0 = all cores); the
-	// emitted artifacts are identical at every setting.
-	Workers int `json:"workers,omitempty"`
-	// BucketSec and WindowBuckets are the stream's mining geometry. They
-	// are fixed for the stream's lifetime (see ErrGeometry).
-	BucketSec     float64 `json:"bucket_sec"`
-	WindowBuckets int     `json:"window_buckets"`
-	// Drift enables the drift detector; confirmed change points appear in
-	// events.log and on GET /streams/{name}/alerts.
-	Drift bool `json:"drift,omitempty"`
+	follow.Spec
 	// Live keeps tailing at EOF until the stream is stopped.
 	Live bool `json:"live,omitempty"`
 }
 
-// Capacity guardrails: wider buckets or windows than any plausible
-// deployment are rejected rather than risking arithmetic overflow deep in
-// the engine.
-const (
-	maxBucketSec     = 7 * 24 * 3600 // one week per bucket
-	maxWindowBuckets = 100_000
-	maxNameLen       = 64
-)
+// maxNameLen bounds a stream name, which doubles as a directory name.
+const maxNameLen = 64
 
-// Validate checks a decoded configuration. It is pure: a failed
-// validation has no side effects anywhere.
+// Validate checks a decoded configuration: follow.Spec's one check plus the
+// daemon's own rule — stdin ("-") is not available to a daemon stream. It is
+// pure: a failed validation has no side effects anywhere.
 func (c StreamConfig) Validate() error {
-	switch c.Method {
-	case "l1", "l2", "l3":
-	default:
-		return fmt.Errorf("%w: method must be l1, l2 or l3 (got %q)", ErrBadConfig, c.Method)
+	err := c.Spec.Validate()
+	if err == nil && c.Source == "-" {
+		err = errors.New("a daemon stream cannot tail stdin; give it a file path")
 	}
-	if c.Source == "" {
-		return fmt.Errorf("%w: source is required", ErrBadConfig)
-	}
-	if c.Source == "-" {
-		return fmt.Errorf("%w: a daemon stream cannot tail stdin; give it a file path", ErrBadConfig)
-	}
-	if c.Method == "l3" && c.Directory == "" {
-		return fmt.Errorf("%w: l3 requires a service directory", ErrBadConfig)
-	}
-	if c.Method != "l3" && c.Directory != "" {
-		return fmt.Errorf("%w: directory is only meaningful for l3", ErrBadConfig)
-	}
-	if !(c.BucketSec > 0) || c.BucketSec > maxBucketSec {
-		return fmt.Errorf("%w: bucket_sec must be in (0, %d] (got %g)", ErrBadConfig, maxBucketSec, c.BucketSec)
-	}
-	if c.WindowBuckets <= 0 || c.WindowBuckets > maxWindowBuckets {
-		return fmt.Errorf("%w: window_buckets must be in [1, %d] (got %d)", ErrBadConfig, maxWindowBuckets, c.WindowBuckets)
-	}
-	if c.MinLogs < 0 {
-		return fmt.Errorf("%w: min_logs must be ≥ 0 (got %d)", ErrBadConfig, c.MinLogs)
-	}
-	if c.TimeoutSec < 0 {
-		return fmt.Errorf("%w: timeout_sec must be ≥ 0 (got %g)", ErrBadConfig, c.TimeoutSec)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("%w: workers must be ≥ 0 (got %d)", ErrBadConfig, c.Workers)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
 	return nil
 }
@@ -172,6 +124,3 @@ func writeStreamConfig(path string, c StreamConfig) error {
 	}
 	return stream.WriteFileAtomic(path, append(b, '\n'))
 }
-
-// tenantDir returns the tenant's state directory under root.
-func tenantDir(root, name string) string { return filepath.Join(root, name) }

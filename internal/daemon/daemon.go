@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"logscape/internal/follow"
-	"logscape/internal/logmodel"
 	"logscape/internal/modelstore"
 	"logscape/internal/obs"
 )
@@ -42,8 +41,7 @@ type Config struct {
 // persisted streams with Start, and administer through the exported
 // methods (or the HTTP handler, which is a thin layer over them).
 type Daemon struct {
-	cfg     Config
-	metrics *obs.Tenants
+	cfg Config
 
 	mu      sync.Mutex // guards streams; held across stream lifecycle changes
 	streams map[string]*tenant
@@ -54,6 +52,14 @@ type Daemon struct {
 type tenant struct {
 	name string
 	dir  string
+	// metrics is the stream's own registry — one tenant's instruments never
+	// mix with a neighbor's. A re-PUT hands it on to the next tenant of the
+	// name; Remove forgets it with the tenant.
+	metrics *obs.Registry
+	// store is the handle launch opened and the engine appends through.
+	// Queries read it under mu, which the engine holds around every advance,
+	// so they see a whole number of appends — the files' own content.
+	store *modelstore.Store
 
 	// mu is the engine's AdvanceLock: held by the engine around every
 	// bucket emission and by the daemon around every status read and
@@ -72,8 +78,9 @@ type tenant struct {
 }
 
 // Status is the per-stream document GET /streams/{name} serves. For a
-// finished stream Totals carries the run's accounting; while running,
-// the progress fields advance per closed bucket.
+// finished stream Totals carries the run's accounting — the numbers depmine's
+// "follow done" line prints; while running, the progress fields advance per
+// closed bucket.
 type Status struct {
 	Name   string       `json:"name"`
 	State  string       `json:"state"`
@@ -90,22 +97,8 @@ type Status struct {
 	// under an unchanged source means the stream has drained it.
 	IdlePolls int64 `json:"idle_polls,omitempty"`
 
-	Totals *Totals `json:"totals,omitempty"`
-	Error  string  `json:"error,omitempty"`
-}
-
-// Totals is a finished run's accounting, mirroring the numbers depmine's
-// "follow done" summary line prints.
-type Totals struct {
-	Entries     int   `json:"entries"`
-	Buckets     int   `json:"buckets"`
-	Late        int   `json:"late"`
-	Corrupt     int   `json:"corrupt"`
-	Malformed   int   `json:"malformed"`
-	Oversized   int   `json:"oversized"`
-	Quarantined int   `json:"quarantined"`
-	Rotations   int64 `json:"rotations"`
-	TornGzip    bool  `json:"torn_gzip,omitempty"`
+	Totals *follow.Result `json:"totals,omitempty"`
+	Error  string         `json:"error,omitempty"`
 }
 
 // New returns a daemon rooted at cfg.StateDir (created if missing). No
@@ -120,11 +113,7 @@ func New(cfg Config) (*Daemon, error) {
 	if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Daemon{
-		cfg:     cfg,
-		metrics: obs.NewTenants(cfg.Clock),
-		streams: make(map[string]*tenant),
-	}, nil
+	return &Daemon{cfg: cfg, streams: make(map[string]*tenant)}, nil
 }
 
 // Start rehydrates every persisted stream (directories with a
@@ -144,7 +133,7 @@ func (d *Daemon) Start() error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		cfg, ok, err := readStreamConfig(filepath.Join(tenantDir(d.cfg.StateDir, name), configFile))
+		cfg, ok, err := readStreamConfig(filepath.Join(d.cfg.StateDir, name, configFile))
 		if err != nil {
 			return fmt.Errorf("rehydrating stream %q: %w", name, err)
 		}
@@ -162,7 +151,9 @@ func (d *Daemon) Start() error {
 // engine. A running engine is hard-stopped first — its checkpoint makes
 // the restart exact — and the stream resumes under the new configuration.
 // Geometry (method, bucket width, window size) is fixed once on-disk
-// state exists; changing it is refused with ErrGeometry.
+// state exists; changing it is refused with ErrGeometry. stream.json is
+// persisted last, once everything the engine needs has opened: a refused or
+// failed Upsert leaves no stream.json it wrote and no directory it created.
 func (d *Daemon) Upsert(name string, cfg StreamConfig) (Status, error) {
 	if err := ValidateName(name); err != nil {
 		return Status{}, err
@@ -172,7 +163,7 @@ func (d *Daemon) Upsert(name string, cfg StreamConfig) (Status, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	dir := tenantDir(d.cfg.StateDir, name)
+	dir := filepath.Join(d.cfg.StateDir, name) // the tenant's state directory
 	prev, ok, err := readStreamConfig(filepath.Join(dir, configFile))
 	if err != nil {
 		return Status{}, err
@@ -183,21 +174,18 @@ func (d *Daemon) Upsert(name string, cfg StreamConfig) (Status, error) {
 			ErrGeometry, name, prev.Method, prev.BucketSec, prev.WindowBuckets,
 			cfg.Method, cfg.BucketSec, cfg.WindowBuckets)
 	}
-	if old := d.streams[name]; old != nil {
-		old.stop.Store(true)
-		<-old.done
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return Status{}, err
-	}
-	if err := writeStreamConfig(filepath.Join(dir, configFile), cfg); err != nil {
-		return Status{}, err
-	}
 	t := &tenant{
 		name: name,
 		dir:  dir,
 		cfg:  cfg,
 		done: make(chan struct{}), //lint:allow bareconc lifecycle signal for one engine goroutine, not mining fan-out; the engine's parallelism stays inside the shared pool
+	}
+	if old := d.streams[name]; old != nil {
+		old.stop.Store(true)
+		<-old.done
+		t.metrics = old.metrics
+	} else {
+		t.metrics = obs.NewWithClock(d.cfg.Clock)
 	}
 	st, err := d.launch(t)
 	if err != nil {
@@ -207,43 +195,43 @@ func (d *Daemon) Upsert(name string, cfg StreamConfig) (Status, error) {
 	return st, nil
 }
 
-// launch initializes the tenant's store sidecar and starts its engine
-// goroutine. The store is opened synchronously so geometry conflicts
-// surface on the PUT, not asynchronously in the engine. The returned
-// status is snapshotted before the engine starts, so an Upsert response
-// is a pure function of the request — zero progress, state "running".
-func (d *Daemon) launch(t *tenant) (Status, error) {
-	width := logmodel.SecondsToMillis(t.cfg.BucketSec)
-	if _, err := modelstore.Open(filepath.Join(t.dir, storeName), modelstore.Config{
-		BucketWidth:   width,
-		WindowBuckets: t.cfg.WindowBuckets,
-	}); err != nil {
+// launch opens what the tenant's engine writes — the model store (the one
+// Open of a launch, synchronous so that a geometry conflict surfaces on the
+// PUT), out.log, events.log — persists stream.json and starts the engine
+// goroutine. On failure it removes the tenant directory if it created it.
+// The returned status is snapshotted before the engine starts, so an Upsert
+// response is a pure function of the request — zero progress, state
+// "running".
+func (d *Daemon) launch(t *tenant) (st Status, err error) {
+	_, statErr := os.Stat(t.dir)
+	var out, events *os.File
+	defer func() {
+		if err != nil {
+			out.Close()
+			events.Close()
+			if os.IsNotExist(statErr) {
+				os.RemoveAll(t.dir)
+			}
+		}
+	}()
+	if t.store, err = t.cfg.OpenStore(filepath.Join(t.dir, storeName), t.metrics); err != nil {
 		return Status{}, err
 	}
-	out, err := os.OpenFile(filepath.Join(t.dir, outFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if out, err = os.OpenFile(filepath.Join(t.dir, outFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 		return Status{}, err
 	}
-	events, err := os.OpenFile(filepath.Join(t.dir, eventsFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		out.Close()
+	if events, err = os.OpenFile(filepath.Join(t.dir, eventsFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+		return Status{}, err
+	}
+	if err = writeStreamConfig(filepath.Join(t.dir, configFile), t.cfg); err != nil {
 		return Status{}, err
 	}
 	fcfg := follow.Config{
-		Method:         t.cfg.Method,
-		Source:         t.cfg.Source,
-		DirPath:        t.cfg.Directory,
-		MinLogs:        t.cfg.MinLogs,
-		TimeoutSec:     t.cfg.TimeoutSec,
-		NoStops:        t.cfg.NoStops,
-		Workers:        t.cfg.Workers,
-		BucketSec:      t.cfg.BucketSec,
-		WindowBuckets:  t.cfg.WindowBuckets,
+		Spec:           t.cfg.Spec,
 		ResumePath:     filepath.Join(t.dir, ckptFile),
 		QuarantinePath: filepath.Join(t.dir, quarFile),
-		StorePath:      filepath.Join(t.dir, storeName),
-		Drift:          t.cfg.Drift,
-		Metrics:        d.metrics.Get(t.name),
+		Store:          t.store,
+		Metrics:        t.metrics,
 		Stop:           t.stop.Load,
 		AdvanceLock:    &t.mu,
 		// Progress runs inside AdvanceLock (t.mu held), so the plain
@@ -260,7 +248,7 @@ func (d *Daemon) launch(t *tenant) (Status, error) {
 		}
 	}
 	t.state = "running"
-	st := t.status()
+	st = t.status()
 	go func() { //lint:allow bareconc one engine goroutine per tenant stream is process-edge concurrency; all mining fan-out inside the engine routes through the shared parallel pool
 		res, err := follow.Run(fcfg, out, events)
 		if err != nil {
@@ -335,7 +323,6 @@ func (d *Daemon) Remove(name string) (Status, error) {
 	t.stop.Store(true)
 	<-t.done
 	delete(d.streams, name)
-	d.metrics.Drop(name)
 	st := t.status()
 	st.State = "removed"
 	return st, nil
@@ -407,38 +394,10 @@ func (t *tenant) status() Status {
 	}
 	if t.state != "running" {
 		r := t.result
-		s.Totals = &Totals{
-			Entries:     r.Ingest.Accepted,
-			Buckets:     r.Ingest.Buckets,
-			Late:        r.Ingest.Late,
-			Corrupt:     r.Ingest.Corrupt,
-			Malformed:   r.Feed.Malformed,
-			Oversized:   r.Feed.Oversized,
-			Quarantined: r.Feed.Quarantined,
-			Rotations:   r.Rotations,
-			TornGzip:    r.TornGzip,
-		}
+		s.Totals = &r
 	}
 	if t.runErr != nil {
 		s.Error = t.runErr.Error()
 	}
 	return s
-}
-
-// withStore opens a read-only view of the tenant's model store under its
-// advance lock and runs fn over it. The lock orders the query after any
-// in-flight bucket emission, so queries read a consistent store and the
-// round-trip contract (query == live bytes) holds at every instant.
-func (d *Daemon) withStore(name string, fn func(*modelstore.Store) error) error {
-	t, err := d.lookup(name)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st, err := modelstore.OpenRead(filepath.Join(t.dir, storeName))
-	if err != nil {
-		return err
-	}
-	return fn(st)
 }

@@ -187,21 +187,17 @@ func soloRef(t *testing.T, cfg daemon.StreamConfig) artifacts {
 	t.Helper()
 	dir := t.TempDir()
 	var out, events bytes.Buffer
+	store, err := cfg.OpenStore(filepath.Join(dir, "store"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fcfg := follow.Config{
-		Method:         cfg.Method,
-		Source:         cfg.Source,
-		DirPath:        cfg.Directory,
-		MinLogs:        cfg.MinLogs,
-		TimeoutSec:     cfg.TimeoutSec,
-		NoStops:        cfg.NoStops,
-		Workers:        1,
-		BucketSec:      cfg.BucketSec,
-		WindowBuckets:  cfg.WindowBuckets,
+		Spec:           cfg.Spec,
 		ResumePath:     filepath.Join(dir, "follow.ckpt"),
 		QuarantinePath: filepath.Join(dir, "quarantine.log"),
-		StorePath:      filepath.Join(dir, "store"),
-		Drift:          cfg.Drift,
+		Store:          store,
 	}
+	fcfg.Workers = 1
 	if _, err := follow.Run(fcfg, &out, &events); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +206,7 @@ func soloRef(t *testing.T, cfg daemon.StreamConfig) artifacts {
 		events:     events.Bytes(),
 		ckpt:       readFileOrEmpty(t, fcfg.ResumePath),
 		quarantine: readFileOrEmpty(t, fcfg.QuarantinePath),
-		store:      readTree(t, fcfg.StorePath),
+		store:      readTree(t, store.Dir()),
 	}
 }
 
@@ -267,11 +263,11 @@ type scenario struct {
 // geometries, with and without drift detection.
 func scenarios(dirXML string) []scenario {
 	return []scenario{
-		{"pairs", daemon.StreamConfig{Method: "l1", MinLogs: 2, BucketSec: 1, WindowBuckets: 2}, pairCorpus()},
-		{"pairs-wide", daemon.StreamConfig{Method: "l1", MinLogs: 2, BucketSec: 2, WindowBuckets: 3}, pairCorpus()},
-		{"sessions", daemon.StreamConfig{Method: "l2", TimeoutSec: 1, BucketSec: 1, WindowBuckets: 2}, pairCorpus()},
-		{"deps", daemon.StreamConfig{Method: "l3", Directory: dirXML, BucketSec: 1, WindowBuckets: 2}, depCorpus()},
-		{"drift", daemon.StreamConfig{Method: "l3", Directory: dirXML, Drift: true, BucketSec: 1, WindowBuckets: 2}, driftCorpus()},
+		{"pairs", daemon.StreamConfig{Spec: follow.Spec{Method: "l1", MinLogs: 2, BucketSec: 1, WindowBuckets: 2}}, pairCorpus()},
+		{"pairs-wide", daemon.StreamConfig{Spec: follow.Spec{Method: "l1", MinLogs: 2, BucketSec: 2, WindowBuckets: 3}}, pairCorpus()},
+		{"sessions", daemon.StreamConfig{Spec: follow.Spec{Method: "l2", TimeoutSec: 1, BucketSec: 1, WindowBuckets: 2}}, pairCorpus()},
+		{"deps", daemon.StreamConfig{Spec: follow.Spec{Method: "l3", Directory: dirXML, BucketSec: 1, WindowBuckets: 2}}, depCorpus()},
+		{"drift", daemon.StreamConfig{Spec: follow.Spec{Method: "l3", Directory: dirXML, Drift: true, BucketSec: 1, WindowBuckets: 2}}, driftCorpus()},
 	}
 }
 
@@ -338,8 +334,8 @@ func TestDaemonKillResume(t *testing.T) {
 			incidentLines := driftCorpus()
 
 			// References: solo, uninterrupted, over the complete corpora.
-			pairCfg := daemon.StreamConfig{Method: "l1", MinLogs: 2, BucketSec: 1, WindowBuckets: 2, Workers: w}
-			driftCfg := daemon.StreamConfig{Method: "l3", Directory: dirXML, Drift: true, BucketSec: 1, WindowBuckets: 2, Workers: w}
+			pairCfg := daemon.StreamConfig{Spec: follow.Spec{Method: "l1", MinLogs: 2, BucketSec: 1, WindowBuckets: 2, Workers: w}}
+			driftCfg := daemon.StreamConfig{Spec: follow.Spec{Method: "l3", Directory: dirXML, Drift: true, BucketSec: 1, WindowBuckets: 2, Workers: w}}
 			refPair, refDrift := pairCfg, driftCfg
 			refPair.Source = writeLog(t, pairLines)
 			refDrift.Source = writeLog(t, incidentLines)
@@ -432,7 +428,7 @@ func TestDaemonKillResume(t *testing.T) {
 // the refusal, naming the file and both versions, is in its status and is
 // the last line of its events.log; nothing is mined or emitted.
 func TestTenantRefusesOldCheckpoint(t *testing.T) {
-	cfg := daemon.StreamConfig{Method: "l3", Directory: writeDirXML(t), Drift: true, BucketSec: 1, WindowBuckets: 2}
+	cfg := daemon.StreamConfig{Spec: follow.Spec{Method: "l3", Directory: writeDirXML(t), Drift: true, BucketSec: 1, WindowBuckets: 2}}
 	cfg.Source = writeLog(t, driftCorpus())
 	state := t.TempDir()
 	d1, err := daemon.New(daemon.Config{StateDir: state})

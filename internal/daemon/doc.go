@@ -14,6 +14,12 @@
 //	<state>/<name>/quarantine.log   rejected lines, fault-class prefixed
 //	<state>/<name>/store/           the tenant's model store
 //
+// stream.json is the follow.Spec depmine's flags bind to, plus "live";
+// it is written last, once the store and the logs have opened, so a PUT
+// that is refused or fails to launch leaves none behind. The tenant
+// keeps the store handle its engine appends through and answers /model,
+// /diff and /trajectory from it under the engine's advance lock.
+//
 // The tenant determinism contract: every one of those artifacts is
 // byte-identical to what a solo `depmine -follow` run over the same
 // stream with the same geometry would produce — independent of worker

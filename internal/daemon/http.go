@@ -20,14 +20,17 @@ package daemon
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
+	"sort"
+	"time"
 
 	"logscape/internal/logmodel"
 	"logscape/internal/modelstore"
@@ -36,6 +39,16 @@ import (
 
 // maxConfigBytes bounds a PUT body; a stream config is a small document.
 const maxConfigBytes = 1 << 20
+
+// NewServer returns the server both hosts serve from — depmined its control
+// API, depmine -listen its metrics and pprof endpoint — with the connection
+// limits they share: a client that never finishes its request headers, or
+// parks an idle keep-alive connection, is cut off. There is no ReadTimeout
+// or WriteTimeout on purpose — either would also cut a slow PUT body or a
+// long response such as /debug/pprof/profile, which streams for 30 s.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
+}
 
 // Handler returns the control API handler.
 func (d *Daemon) Handler() http.Handler {
@@ -133,30 +146,49 @@ func when(r *http.Request, param string, def logmodel.Millis) (logmodel.Millis, 
 	return t, nil
 }
 
+// query answers one read of a tenant as text/plain. fn renders the body
+// under the tenant's advance lock, which orders it after any in-flight
+// bucket advance; the store it reads is the handle the engine appends
+// through, whose active granule is the records its last append wrote
+// (modelstore's records accessor: memory ≡ disk). So a query sees a whole
+// number of advances without reopening anything, and the round-trip contract
+// (query == live bytes) holds at every instant.
+func (d *Daemon) query(w http.ResponseWriter, r *http.Request, fn func(t *tenant, body *bytes.Buffer) error) {
+	var body bytes.Buffer
+	t, err := d.lookup(r.PathValue("name"))
+	if err == nil {
+		t.mu.Lock()
+		err = fn(t, &body)
+		t.mu.Unlock()
+	}
+	if err != nil {
+		fail(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Write(body.Bytes())
+}
+
+// modelAt resolves an instant to its retained record, or ErrNotFound.
+func modelAt(st *modelstore.Store, at logmodel.Millis) (modelstore.Record, error) {
+	rec, ok, err := st.ModelAt(at)
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: no model retained at or before %s", ErrNotFound, modelstore.Stamp(at))
+	}
+	return rec, err
+}
+
 func (d *Daemon) handleModel(w http.ResponseWriter, r *http.Request) {
 	at, err := when(r, "at", math.MaxInt64) // default: the latest retained model
 	if err != nil {
 		fail(w, err)
 		return
 	}
-	var body []byte
-	err = d.withStore(r.PathValue("name"), func(st *modelstore.Store) error {
-		rec, ok, err := st.ModelAt(at)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("%w: no model retained at or before %s", ErrNotFound, modelstore.Stamp(at))
-		}
-		body = rec.Model
-		return nil
+	d.query(w, r, func(t *tenant, body *bytes.Buffer) error {
+		rec, err := modelAt(t.store, at)
+		body.Write(rec.Model)
+		return err
 	})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(body)
 }
 
 func (d *Daemon) handleDiff(w http.ResponseWriter, r *http.Request) {
@@ -170,29 +202,20 @@ func (d *Daemon) handleDiff(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	var body strings.Builder
-	err = d.withStore(r.PathValue("name"), func(st *modelstore.Store) error {
+	d.query(w, r, func(t *tenant, body *bytes.Buffer) error {
 		// Resolve both instants first so an unretained one reports as 404
 		// rather than a bare internal error.
-		for _, t := range []logmodel.Millis{from, to} {
-			if _, ok, err := st.ModelAt(t); err != nil {
+		for _, at := range []logmodel.Millis{from, to} {
+			if _, err := modelAt(t.store, at); err != nil {
 				return err
-			} else if !ok {
-				return fmt.Errorf("%w: no model retained at or before %s", ErrNotFound, modelstore.Stamp(t))
 			}
 		}
-		diff, err := st.DiffAt(from, to)
+		diff, err := t.store.DiffAt(from, to)
 		if err != nil {
 			return err
 		}
-		return modelstore.WriteDiff(&body, diff)
+		return modelstore.WriteDiff(body, diff)
 	})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, body.String())
 }
 
 func (d *Daemon) handleTrajectory(w http.ResponseWriter, r *http.Request) {
@@ -201,69 +224,53 @@ func (d *Daemon) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 		fail(w, fmt.Errorf("%w: missing ?key=KEY (A--B pair or App->GROUP dependency)", ErrBadRequest))
 		return
 	}
-	var body strings.Builder
-	err := d.withStore(r.PathValue("name"), func(st *modelstore.Store) error {
-		points, err := st.Trajectory(key)
+	d.query(w, r, func(t *tenant, body *bytes.Buffer) error {
+		points, err := t.store.Trajectory(key)
 		if err != nil {
 			return err
 		}
-		return modelstore.WriteTrajectory(&body, points)
+		return modelstore.WriteTrajectory(body, points)
 	})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, body.String())
 }
 
 // handleAlerts serves the stream's DRIFT lines: events.log filtered to
 // the drift detector's output, read under the advance lock so a
-// half-written alert is never visible.
+// half-written alert is never visible. A delta line lists every born and
+// gone edge, so a line has no useful length bound: each is read whole,
+// whatever its length, and only the DRIFT ones are kept.
 func (d *Daemon) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	t, err := d.lookup(name)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	t.mu.Lock()
-	f, err := os.Open(filepath.Join(t.dir, eventsFile))
-	var lines []string
-	if err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(nil, 1<<20)
-		for sc.Scan() {
-			if strings.HasPrefix(sc.Text(), "DRIFT ") {
-				lines = append(lines, sc.Text())
+	d.query(w, r, func(t *tenant, body *bytes.Buffer) error {
+		f, err := os.Open(filepath.Join(t.dir, eventsFile))
+		if errors.Is(err, os.ErrNotExist) {
+			return nil // launch created it; an operator removed it: nothing to show
+		} else if err != nil {
+			return err
+		}
+		defer f.Close()
+		for br := bufio.NewReader(f); err == nil; {
+			var line []byte
+			if line, err = br.ReadBytes('\n'); bytes.HasPrefix(line, []byte("DRIFT ")) {
+				body.Write(bytes.TrimSuffix(line, []byte("\n")))
+				body.WriteByte('\n')
 			}
 		}
-		err = sc.Err()
-		f.Close()
-	} else if errors.Is(err, os.ErrNotExist) {
-		err = nil // engine not started yet: no alerts
-	}
-	t.mu.Unlock()
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	for _, l := range lines {
-		fmt.Fprintln(w, l)
-	}
+		if err == io.EOF {
+			err = nil
+		}
+		return err
+	})
 }
 
 // handleTenantMetrics serves one tenant's metrics document. The registry
 // is per tenant, so one stream's counters never include a neighbor's.
 func (d *Daemon) handleTenantMetrics(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	if _, err := d.lookup(name); err != nil {
+	t, err := d.lookup(r.PathValue("name"))
+	if err != nil {
 		fail(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := d.metrics.Get(name).WriteJSON(w); err != nil {
+	if err := t.metrics.WriteJSON(w); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
@@ -273,12 +280,19 @@ func (d *Daemon) handleTenantMetrics(w http.ResponseWriter, r *http.Request) {
 // /streams/{name}/metrics.
 func (d *Daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	pool := parallel.Stats()
+	d.mu.Lock()
+	names := make([]string, 0, len(d.streams))
+	for name := range d.streams {
+		names = append(names, name)
+	}
+	d.mu.Unlock()
+	sort.Strings(names)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"pool": map[string]int64{
 			"helpers":  int64(pool.Helpers),
 			"handoffs": pool.Handoffs,
 			"misses":   pool.Misses,
 		},
-		"streams": d.metrics.Names(),
+		"streams": names,
 	})
 }

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"logscape/internal/daemon"
+	"logscape/internal/follow"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -151,9 +152,9 @@ func TestHTTPMetricsEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Upsert("pairs", daemon.StreamConfig{
+	if _, err := d.Upsert("pairs", daemon.StreamConfig{Spec: follow.Spec{
 		Method: "l1", Source: writeLog(t, pairCorpus()), MinLogs: 2, BucketSec: 1, WindowBuckets: 2,
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Wait("pairs"); err != nil {

@@ -131,6 +131,25 @@ func (p StopPattern) String() string {
 	return fmt.Sprintf("stop{source=%q contains=%q}", p.Source, p.Contains)
 }
 
+// CanonicalStopPatterns returns the ten stop patterns used by the case
+// study (§4.8 reports results "with 10 stop patterns"). Each pattern
+// matches one of the server-side serving-log formats; two formats
+// deliberately remain uncovered.
+func CanonicalStopPatterns() []StopPattern {
+	return []StopPattern{
+		{Contains: "serving request "},
+		{Contains: "handled "},
+		{Contains: "request received ["},
+		{Contains: "on behalf of client"},
+		{Contains: "SOAP dispatch "},
+		{Contains: "inbound call "},
+		{Contains: "processed "},
+		{Contains: " begin "},
+		{Contains: "answering "},
+		{Contains: "::"},
+	}
+}
+
 // CitationScanner finds directory-entry citations in free text. It matches
 // group ids word-bounded and root-URL host/path fragments by substring,
 // using one Aho–Corasick pass per message.

@@ -19,7 +19,7 @@ func TestAppendStoreAllocsIndependentOfEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &engine{store: store, doc: []byte("{}\n")}
+	e := &engine{cfg: Config{Store: store}, doc: []byte("{}\n")}
 	bucket := func(n int) stream.Bucket {
 		b := stream.Bucket{Index: 7, Range: logmodel.TimeRange{Start: 7 * width, End: 8 * width}}
 		for i := 0; i < n; i++ {

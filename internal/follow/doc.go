@@ -8,11 +8,16 @@
 //
 // cmd/depmine's -follow mode is a thin adapter over Run; cmd/depmined
 // hosts many concurrent engines — one per tenant stream — which is why
-// the engine is a package and not CLI code: every hook a daemon needs
-// (cooperative stop, tail-wait, per-bucket progress, an advance lock for
-// read-your-writes queries) is a Config field, and everything the CLI
-// prints after a run (the summary line, the metrics document) derives
-// from the returned Result instead of being written by the engine.
+// the engine is a package and not CLI code. What a stream mines is
+// described once, by Spec: depmine's flags bind into one, a daemon
+// stream's JSON document embeds one, Config embeds one, and
+// Spec.Validate is the one check all of them pass through. Everything
+// else a host wires in is a Config field — the model store it opened
+// and keeps the handle of, a cooperative stop, tail-wait, per-bucket
+// progress, an advance lock for read-your-writes queries — and
+// everything a host reports after a run (depmine's summary line, a
+// status document's totals) is the returned Result, not something the
+// engine wrote.
 //
 // The determinism contract holds per engine: the model documents written
 // to stdout, the checkpoint files and the store directory are a pure

@@ -15,7 +15,6 @@ import (
 	"logscape/internal/core/l3"
 	"logscape/internal/directory"
 	"logscape/internal/drift"
-	"logscape/internal/hospital"
 	"logscape/internal/logmodel"
 	"logscape/internal/modelstore"
 	"logscape/internal/obs"
@@ -23,42 +22,22 @@ import (
 	"logscape/internal/stream"
 )
 
-// Config parameterizes one follow engine run. The zero value is not
-// runnable: Method, Source, BucketSec and WindowBuckets are required.
+// Config parameterizes one follow engine run: what to mine (Spec) and what
+// the host wires around it. The zero value is not runnable — the Spec must
+// pass Validate.
 type Config struct {
-	// Method selects the streaming miner: "l1", "l2" or "l3".
-	Method string
-	// Source names the log stream: a file path, "-" for stdin, or a .gz
-	// file (decompressed transparently, torn tails tolerated).
-	Source string
-	// DirPath is the service-directory XML, required for l3.
-	DirPath string
-	// MinLogs is the L1 per-slot minimum log count.
-	MinLogs int
-	// TimeoutSec is the L2 bigram timeout in seconds (0 = infinity).
-	TimeoutSec float64
-	// NoStops disables the canonical L3 stop patterns.
-	NoStops bool
-	// Workers bounds per-bucket mining parallelism; output is identical
-	// for any value (0 = all cores via the shared pool, 1 = sequential).
-	Workers int
-	// BucketSec is the bucket width in seconds; WindowBuckets the window
-	// size in buckets.
-	BucketSec     float64
-	WindowBuckets int
+	Spec
 	// ResumePath, when set, checkpoints the window per closed bucket and
 	// resumes from an existing checkpoint on start.
 	ResumePath string
 	// QuarantinePath, when set, appends every rejected line prefixed with
 	// its fault class.
 	QuarantinePath string
-	// StorePath, when set, persists per-bucket models and evidence to a
-	// segment-store directory and switches checkpoints to the light
-	// (window-in-store) form.
-	StorePath string
-	// Drift runs the drift detector over delivered buckets and prints one
-	// DRIFT line per confirmed change point to stderr.
-	Drift bool
+	// Store, when non-nil, receives every closed bucket's model and evidence
+	// and switches checkpoints to the light (window-in-store) form. The host
+	// opens it (Spec.OpenStore) and keeps the handle: a daemon answers its
+	// queries from it under AdvanceLock.
+	Store *modelstore.Store
 	// Metrics, when non-nil, collects the run's counters, gauges and histograms
 	// (one follow.<stage>_ns per advance stage) without perturbing the models.
 	Metrics *obs.Registry
@@ -94,22 +73,28 @@ type Progress struct {
 	WindowEnd logmodel.Millis
 }
 
-// Result summarizes a finished engine run — the numbers the CLI's
-// "follow done" line and the daemon's status document render.
+// Result is a finished run's accounting: the numbers depmine's "follow done"
+// line prints and, by these tags, the "totals" of a daemon status document.
 type Result struct {
 	// Stopped reports the run ended via Config.Stop (no flush, no final
 	// partial-bucket document) rather than at end of stream.
-	Stopped bool
-	// Ingest and Feed are the ingester's and feeder's accounting.
-	Ingest stream.IngestStats
-	Feed   stream.FeedStats
+	Stopped bool `json:"-"`
+	// Entries were accepted into Buckets closed buckets; the rest are the
+	// ingester's and the feeder's rejections by fault class.
+	Entries     int `json:"entries"`
+	Buckets     int `json:"buckets"`
+	Late        int `json:"late"`
+	Corrupt     int `json:"corrupt"`
+	Malformed   int `json:"malformed"`
+	Oversized   int `json:"oversized"`
+	Quarantined int `json:"quarantined"`
 	// Rotations counts transport rotations; TornGzip reports a .gz stream
 	// that ended in a torn tail.
-	Rotations int64
-	TornGzip  bool
+	Rotations int64 `json:"rotations"`
+	TornGzip  bool  `json:"torn_gzip,omitempty"`
 }
 
-// buildMiner constructs the streaming miner for the configured method.
+// buildMiner constructs the streaming miner for the validated method.
 func buildMiner(cfg Config, wcfg stream.Config) (stream.Miner, error) {
 	switch cfg.Method {
 	case "l1":
@@ -127,24 +112,18 @@ func buildMiner(cfg Config, wcfg stream.Config) (stream.Miner, error) {
 		c.Workers = cfg.Workers
 		c.Metrics = cfg.Metrics
 		return stream.NewL2(wcfg, sessions.Config{Metrics: cfg.Metrics}, c), nil
-	case "l3":
-		if cfg.DirPath == "" {
-			return nil, fmt.Errorf("l3 requires a service directory")
-		}
-		dir, err := directory.ReadFile(cfg.DirPath)
-		if err != nil {
-			return nil, err
-		}
-		c := l3.DefaultConfig()
-		c.Workers = cfg.Workers
-		c.Metrics = cfg.Metrics
-		if !cfg.NoStops {
-			c.Stops = hospital.CanonicalStopPatterns()
-		}
-		return stream.NewL3(wcfg, l3.NewMiner(dir, c)), nil
-	default:
-		return nil, fmt.Errorf("follow mode supports l1, l2 and l3, not %q", cfg.Method)
 	}
+	dir, err := directory.ReadFile(cfg.Directory) // l3: Validate admits nothing else
+	if err != nil {
+		return nil, err
+	}
+	c := l3.DefaultConfig()
+	c.Workers = cfg.Workers
+	c.Metrics = cfg.Metrics
+	if !cfg.NoStops {
+		c.Stops = directory.CanonicalStopPatterns()
+	}
+	return stream.NewL3(wcfg, l3.NewMiner(dir, c)), nil
 }
 
 // engine is one opened run: what Config names, built and restored, plus
@@ -155,7 +134,6 @@ type engine struct {
 
 	miner  stream.Miner
 	fsrc   stream.FeatureSource // non-nil when the store or the detector reads features
-	store  *modelstore.Store    // nil without StorePath
 	det    *drift.Detector      // nil without Drift
 	in     *stream.Ingester
 	feeder *stream.Feeder
@@ -172,6 +150,7 @@ type engine struct {
 	doc       []byte               // render → store
 	wire      []byte               // store's scratch: the bucket's evidence lines, end to end
 	ends      []int                // store's scratch: where each line ends in wire
+	line      []byte               // delta's and drift's scratch: the stderr bytes of one write
 	prevPairs core.PairSet         // the model the last delta line was printed against
 	prevDeps  core.AppServiceSet
 
@@ -209,11 +188,8 @@ func (e *engine) openSource() (err error) {
 // closes whatever was opened on every path.
 func open(cfg Config, stdout, stderr io.Writer) (e *engine, err error) {
 	e = &engine{stdout: stdout, stderr: stderr}
-	if cfg.Source == "" {
-		return e, fmt.Errorf("follow mode tails exactly one log stream (a file or - for stdin)")
-	}
-	if cfg.BucketSec <= 0 || cfg.WindowBuckets <= 0 {
-		return e, fmt.Errorf("follow mode requires -bucket > 0 and -window > 0")
+	if err := cfg.Validate(); err != nil {
+		return e, err
 	}
 	if wait := cfg.Wait; wait != nil {
 		// A halted run must not sit in the tailer's poll loop.
@@ -234,24 +210,12 @@ func open(cfg Config, stdout, stderr io.Writer) (e *engine, err error) {
 		return e, err
 	}
 	// Feature tracking feeds two consumers: the drift detector (Drift) and
-	// the store's per-key score column (StorePath). Either one turns it on.
-	if cfg.Drift || cfg.StorePath != "" {
+	// the store's per-key score column (Store). Either one turns it on.
+	if cfg.Drift || cfg.Store != nil {
 		e.fsrc = e.miner.(stream.FeatureSource) // every follow miner is one
 		e.fsrc.TrackDrift(true)
 	}
-	// Open the model store before the checkpoint is restored: a light
-	// (window-in-store) checkpoint needs the store to hydrate its window.
-	if cfg.StorePath != "" {
-		e.store, err = modelstore.Open(cfg.StorePath, modelstore.Config{
-			BucketWidth:   wcfg.BucketWidth,
-			WindowBuckets: wcfg.WindowBuckets,
-			Metrics:       cfg.Metrics,
-		})
-		if err != nil {
-			return e, err
-		}
-	}
-	cp, err := loadCheckpoint(cfg, e.store)
+	cp, err := loadCheckpoint(cfg)
 	if err != nil {
 		return e, err
 	}
@@ -314,7 +278,7 @@ func open(cfg Config, stdout, stderr io.Writer) (e *engine, err error) {
 
 // loadCheckpoint reads the resume checkpoint, if any — a missing file is a
 // fresh start — and hydrates a window-in-store checkpoint from the store.
-func loadCheckpoint(cfg Config, store *modelstore.Store) (cp *stream.Checkpoint, err error) {
+func loadCheckpoint(cfg Config) (cp *stream.Checkpoint, err error) {
 	if cfg.ResumePath != "" {
 		if cfg.Source == "-" {
 			return nil, fmt.Errorf("resume requires a file input: stdin cannot be repositioned across restarts")
@@ -330,17 +294,17 @@ func loadCheckpoint(cfg Config, store *modelstore.Store) (cp *stream.Checkpoint,
 	if cp != nil && cp.WindowInStore {
 		// The window's entries live in the store's raw segments: read them
 		// back locally instead of re-tailing the source stream.
-		if store == nil {
+		if cfg.Store == nil {
 			return nil, fmt.Errorf("checkpoint %s stores its window in a model store; rerun with the original -store DIR", cfg.ResumePath)
 		}
-		if err := store.Hydrate(cp); err != nil {
+		if err := cfg.Store.Hydrate(cp); err != nil {
 			return nil, fmt.Errorf("resume: %w", err)
 		}
 	}
-	if cp == nil && store != nil && !store.Empty() {
+	if cp == nil && cfg.Store != nil && !cfg.Store.Empty() {
 		// Bucket indexes in the store are anchored to the original run's
 		// origin; appending from a fresh origin would corrupt the history.
-		return nil, fmt.Errorf("store %s already holds segments but no checkpoint was found; resume with a checkpoint, or point the store at a fresh directory", cfg.StorePath)
+		return nil, fmt.Errorf("store %s already holds segments but no checkpoint was found; resume with a checkpoint, or point the store at a fresh directory", cfg.Store.Dir())
 	}
 	return cp, nil
 }
@@ -438,7 +402,7 @@ func (e *engine) render(stream.Bucket) error {
 // allocations per bucket however many entries it holds. The arena is fresh
 // every time because the store keeps the active granule's records.
 func (e *engine) appendStore(b stream.Bucket) error {
-	if e.store == nil {
+	if e.cfg.Store == nil {
 		return nil
 	}
 	e.wire, e.ends = e.wire[:0], e.ends[:0]
@@ -461,12 +425,14 @@ func (e *engine) appendStore(b stream.Bucket) error {
 	for _, k := range keys {
 		rec.Scores = append(rec.Scores, modelstore.Score{Key: k, Value: e.feats.Scores[k]})
 	}
-	return e.store.Append(rec)
+	return e.cfg.Store.Append(rec)
 }
 
 // printDelta writes the stderr delta line: the window extent, the model
 // size, and the pairs (or app→service deps — a document holds one kind, the
 // other set is empty) that appeared and disappeared since the last window.
+// The line is built whole and written once: a failed write is the stage's
+// error, so the checkpoint never moves past a line that was not written.
 func (e *engine) printDelta(stream.Bucket) error {
 	r, unit := e.in.WindowRange(), "pairs"
 	if e.cfg.Method == "l3" {
@@ -475,27 +441,28 @@ func (e *engine) printDelta(stream.Bucket) error {
 	pairs, deps := e.snap.PairSet(), e.snap.DepSet()
 	gonePairs, bornPairs := core.DiffModels(e.prevPairs, pairs)
 	goneDeps, bornDeps := core.DiffDeps(e.prevDeps, deps)
-	fmt.Fprintf(e.stderr, "window [%s .. %s): %d %s",
+	e.line = fmt.Appendf(e.line[:0], "window [%s .. %s): %d %s",
 		modelstore.Stamp(r.Start), modelstore.Stamp(r.End), len(pairs)+len(deps), unit)
 	list := func(sign string, pairs []core.Pair, deps []core.AppServicePair) {
 		for _, p := range pairs {
-			fmt.Fprintf(e.stderr, " %s%s--%s", sign, p.A, p.B)
+			e.line = fmt.Appendf(e.line, " %s%s--%s", sign, p.A, p.B)
 		}
 		for _, d := range deps {
-			fmt.Fprintf(e.stderr, " %s%s->%s", sign, d.App, d.Group)
+			e.line = fmt.Appendf(e.line, " %s%s->%s", sign, d.App, d.Group)
 		}
 	}
 	list("+", bornPairs, bornDeps)
 	list("-", gonePairs, goneDeps)
-	fmt.Fprintln(e.stderr)
 	e.prevPairs, e.prevDeps = pairs, deps
-	return nil
+	_, err := e.stderr.Write(append(e.line, '\n'))
+	return err
 }
 
-// observeDrift prints a DRIFT line per change point the bucket confirms.
-// Its record was just appended, so the locator names the live raw segment —
-// one lookup per bucket: every change point of one Observe is At the
-// bucket's start.
+// observeDrift prints a DRIFT line per change point the bucket confirms, all
+// of them in one write whose error is the stage's (see printDelta). The
+// bucket's record was just appended, so the locator names the live raw
+// segment — one lookup per bucket: every change point of one Observe is At
+// the bucket's start.
 func (e *engine) observeDrift(b stream.Bucket) error {
 	if e.det == nil {
 		return nil
@@ -504,9 +471,12 @@ func (e *engine) observeDrift(b stream.Bucket) error {
 		Bucket: b.Index, At: b.Range.Start,
 		Active: e.feats.Active, Scores: e.feats.Scores, Delays: e.feats.Delays,
 	})
+	if len(cps) == 0 {
+		return nil
+	}
 	segment := ""
-	if len(cps) > 0 && e.store != nil {
-		ref, ok, err := e.store.Locate(b.Range.Start)
+	if e.cfg.Store != nil {
+		ref, ok, err := e.cfg.Store.Locate(b.Range.Start)
 		if err != nil {
 			return err
 		}
@@ -514,11 +484,13 @@ func (e *engine) observeDrift(b stream.Bucket) error {
 			segment = ref.String()
 		}
 	}
+	e.line = e.line[:0]
 	for _, c := range cps {
 		c.Segment = segment
-		fmt.Fprintln(e.stderr, c)
+		e.line = fmt.Appendln(e.line, c)
 	}
-	return nil
+	_, err := e.stderr.Write(e.line)
+	return err
 }
 
 // checkpoint persists the resume point. Consumed() already covers the line
@@ -530,7 +502,7 @@ func (e *engine) checkpoint(stream.Bucket) error {
 		return nil
 	}
 	take := e.in.Checkpoint
-	if e.store != nil {
+	if e.cfg.Store != nil {
 		take = e.in.CheckpointLight
 	}
 	next := take(e.base+e.feeder.Consumed(), e.tailer.Rotations())
@@ -584,10 +556,11 @@ func Run(cfg Config, stdout, stderr io.Writer) (Result, error) {
 	if err == nil {
 		err = e.err
 	}
+	in, fed := e.in.Stats(), e.feeder.Stats()
 	return Result{
-		Stopped:   halted && err == nil,
-		Ingest:    e.in.Stats(),
-		Feed:      e.feeder.Stats(),
+		Stopped: halted && err == nil,
+		Entries: in.Accepted, Buckets: in.Buckets, Late: in.Late, Corrupt: in.Corrupt,
+		Malformed: fed.Malformed, Oversized: fed.Oversized, Quarantined: fed.Quarantined,
 		Rotations: e.tailer.Rotations(),
 		TornGzip:  e.gz != nil && e.gz.Torn(),
 	}, err

@@ -15,12 +15,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"logscape/internal/follow"
 	"logscape/internal/hospital"
 	"logscape/internal/logmodel"
-	"logscape/internal/modelstore"
 	"logscape/internal/obs"
 	"logscape/internal/stream"
 )
@@ -71,10 +72,23 @@ func gzipped(t *testing.T, data []byte) []byte {
 // config is the L2 geometry every test here runs: hourly buckets, a
 // six-hour window, the CLI's one-second bigram timeout.
 func config(source string) follow.Config {
-	return follow.Config{
+	return follow.Config{Spec: follow.Spec{
 		Method: "l2", Source: source, TimeoutSec: 1, Workers: 1,
 		BucketSec: 3600, WindowBuckets: 6,
+	}}
+}
+
+// durable is the host's part of a durable run: cfg checkpointing into state
+// and appending to the store there, opened — as depmine and the daemon open
+// it, once per run — with cfg's geometry and registry.
+func durable(t *testing.T, cfg follow.Config, state string) follow.Config {
+	t.Helper()
+	store, err := cfg.OpenStore(filepath.Join(state, "store"), cfg.Metrics)
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg.ResumePath, cfg.Store = filepath.Join(state, "follow.ckpt"), store
+	return cfg
 }
 
 // run executes one engine and returns its result, documents and delta lines.
@@ -95,8 +109,8 @@ func TestGzipSourceMatchesPlain(t *testing.T) {
 	plainRes, plainOut, plainErr := run(t, config(writeFile(t, "day.log", data)))
 	gzRes, gzOut, gzErr := run(t, config(writeFile(t, "day.log.gz", gzipped(t, data))))
 
-	if plainRes.Ingest.Buckets < 20 {
-		t.Fatalf("corpus closed %d buckets; the test wants a day's worth", plainRes.Ingest.Buckets)
+	if plainRes.Buckets < 20 {
+		t.Fatalf("corpus closed %d buckets; the test wants a day's worth", plainRes.Buckets)
 	}
 	if !bytes.Equal(gzOut, plainOut) {
 		t.Errorf(".gz documents differ from the plain file's (%d vs %d bytes)", len(gzOut), len(plainOut))
@@ -104,12 +118,13 @@ func TestGzipSourceMatchesPlain(t *testing.T) {
 	if !bytes.Equal(gzErr, plainErr) {
 		t.Errorf(".gz delta lines differ from the plain file's:\n%s\nvs\n%s", gzErr, plainErr)
 	}
-	if gzRes.TornGzip || gzRes.Ingest != plainRes.Ingest || gzRes.Feed != plainRes.Feed {
+	if gzRes != plainRes {
 		t.Errorf(".gz accounting %+v differs from plain %+v", gzRes, plainRes)
 	}
 }
 
-// failAt is a stdout whose k-th Write fails, and every one after it.
+// failAt is a stdout or stderr whose k-th Write fails, and every one after it
+// (k = 0: none does).
 type failAt struct {
 	bytes.Buffer
 	k, writes int
@@ -118,65 +133,79 @@ type failAt struct {
 var errDiskFull = errors.New("disk full")
 
 func (w *failAt) Write(p []byte) (int, error) {
-	if w.writes++; w.writes >= w.k {
+	if w.writes++; w.k > 0 && w.writes >= w.k {
 		return 0, errDiskFull
 	}
 	return w.Buffer.Write(p)
 }
 
-// failAtBucket is the fail-at-k arm of TestGzipStopResumeEveryBucket: stdout
-// fails on document k under a Wait hook that would keep tailing. The run
-// must end there like a kill — the error returned without tailing on, no
-// later stage run for bucket k or any bucket after it — and a rerun from the
-// checkpoint it left, with a healthy stdout, must continue with document k
-// exactly as an uninterrupted run prints it.
+// failAtBucket is the fail-at-k arm of TestGzipStopResumeEveryBucket, run
+// twice under a Wait hook that would keep tailing: stdout fails on document k
+// of a store-backed run, then stderr on delta line k of a checkpoint-only one.
+// The run must end there like a kill — the error returned without tailing on,
+// no later stage run for bucket k or any bucket after it — and a rerun from
+// the checkpoint it left, with healthy writers, must continue with bucket k
+// exactly as an uninterrupted run prints it: the stream that failed is then
+// whole, byte for byte. (After a failed delta line document k — rendered a
+// stage earlier — is on stdout twice, as after a kill between the two.)
+//
+// The stderr arm keeps its window in the checkpoint because a store-backed
+// run rolled back one bucket cannot always rebuild the delta baseline:
+// appending record k may already have compacted the evidence of the oldest
+// bucket of window k−1 away. That corner predates this test and is the
+// store's, not the failed stage's; see CHANGES.md.
 func failAtBucket(t *testing.T, plain string, k int, wantOut, wantErr []byte) {
 	t.Helper()
-	state := t.TempDir()
-	cfg := config(plain)
-	cfg.ResumePath = filepath.Join(state, "follow.ckpt")
-	cfg.StorePath = filepath.Join(state, "store")
+	for _, failStderr := range []bool{false, true} {
+		state, out1, err1 := t.TempDir(), &failAt{k: k}, &failAt{}
+		host := func() follow.Config { return durable(t, config(plain), state) }
+		if failStderr {
+			out1, err1 = err1, out1
+			host = func() follow.Config {
+				cfg := config(plain)
+				cfg.ResumePath = filepath.Join(state, "follow.ckpt")
+				return cfg
+			}
+		}
+		first := host()
+		polls, fired := 0, 0
+		first.Wait = func() bool { polls++; return polls < 50 }
+		first.Progress = func(follow.Progress) { fired++ }
+		res, err := follow.Run(first, out1, err1)
+		if !errors.Is(err, errDiskFull) || res.Stopped {
+			t.Fatalf("k=%d, stderr %v: Run = %+v, %v; want the writer's error and no clean stop", k, failStderr, res, err)
+		}
+		if polls > 1 || fired != k-1 {
+			t.Errorf("k=%d, stderr %v: %d Wait polls and %d Progress calls after the failure; want at most 1 and exactly %d", k, failStderr, polls, fired, k-1)
+		}
+		if res.Entries == 0 || res.Buckets < k {
+			t.Errorf("k=%d, stderr %v: failed run reports %+v; want its accounting up to the failure", k, failStderr, res)
+		}
+		cfg := host() // a restarted host: it opens the store again
+		cp, err := stream.ReadCheckpointFile(cfg.ResumePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp == nil && k > 1 || cp != nil && cp.Stats.Buckets != k-1 {
+			t.Errorf("k=%d, stderr %v: checkpoint %+v is not bucket %d's", k, failStderr, cp, k-1)
+		}
+		if cfg.Store != nil {
+			if recs, err := cfg.Store.Records(); err != nil || len(recs) != k-1 {
+				t.Errorf("k=%d: store holds %d records (%v); the failed bucket's append must not have run", k, len(recs), err)
+			}
+		}
 
-	first := cfg
-	polls, fired := 0, 0
-	first.Wait = func() bool { polls++; return polls < 50 }
-	first.Progress = func(follow.Progress) { fired++ }
-	out1, err1 := &failAt{k: k}, &bytes.Buffer{}
-	res, err := follow.Run(first, out1, err1)
-	if !errors.Is(err, errDiskFull) || res.Stopped {
-		t.Fatalf("k=%d: Run = %+v, %v; want the writer's error and no clean stop", k, res, err)
-	}
-	if polls > 1 || fired != k-1 {
-		t.Errorf("k=%d: %d Wait polls and %d Progress calls after the failure; want at most 1 and exactly %d", k, polls, fired, k-1)
-	}
-	if res.Ingest.Accepted == 0 || res.Ingest.Buckets < k {
-		t.Errorf("k=%d: failed run reports %+v; want its accounting up to the failure", k, res.Ingest)
-	}
-	st, err := modelstore.OpenRead(cfg.StorePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := st.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := stream.ReadCheckpointFile(cfg.ResumePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp == nil && k > 1 || cp != nil && cp.Stats.Buckets != k-1 {
-		t.Errorf("k=%d: checkpoint %+v is not bucket %d's", k, cp, k-1)
-	}
-	if len(recs) != k-1 {
-		t.Errorf("k=%d: store holds %d records; the failed bucket's append must not have run", k, len(recs))
-	}
-
-	_, out2, err2 := run(t, cfg)
-	if got := append(out1.Bytes(), out2...); !bytes.Equal(got, wantOut) {
-		t.Errorf("k=%d: failed+rerun documents differ from the uninterrupted run's (%d vs %d bytes)", k, len(got), len(wantOut))
-	}
-	if got := append(err1.Bytes(), err2...); !bytes.Equal(got, wantErr) {
-		t.Errorf("k=%d: failed+rerun delta lines differ:\n%s\nvs\n%s", k, got, wantErr)
+		_, out2, err2 := run(t, cfg)
+		gotOut := append(out1.Bytes(), out2...)
+		if twice := len(gotOut) - len(wantOut); failStderr && twice > 0 && twice <= len(out2) && bytes.HasSuffix(out1.Bytes(), out2[:twice]) {
+			gotOut = append(out1.Bytes()[:out1.Len()-twice], out2...)
+		}
+		if !bytes.Equal(gotOut, wantOut) {
+			t.Errorf("k=%d, stderr %v: failed+rerun documents differ from the uninterrupted run's (%d vs %d bytes)", k, failStderr, len(gotOut), len(wantOut))
+		}
+		if got := append(err1.Bytes(), err2...); !bytes.Equal(got, wantErr) {
+			t.Errorf("k=%d, stderr %v: failed+rerun delta lines differ:\n%s\nvs\n%s", k, failStderr, got, wantErr)
+		}
 	}
 }
 
@@ -191,7 +220,7 @@ func TestGzipStopResumeEveryBucket(t *testing.T) {
 	ref, wantOut, wantErr := run(t, config(src))
 
 	stops := make(map[int]bool) // distinct bucket counts the stops landed on
-	for k := 1; k < ref.Ingest.Buckets; k++ {
+	for k := 1; k < ref.Buckets; k++ {
 		cfg := config(src)
 		cfg.ResumePath = filepath.Join(t.TempDir(), "follow.ckpt")
 
@@ -202,10 +231,10 @@ func TestGzipStopResumeEveryBucket(t *testing.T) {
 		first.Progress = func(p follow.Progress) { stopped = stopped || p.Buckets >= k }
 		first.Stop = func() bool { return stopped }
 		res1, out1, err1 := run(t, first)
-		if !res1.Stopped || res1.Ingest.Buckets < k {
-			t.Fatalf("k=%d: stopped=%v after %d buckets", k, res1.Stopped, res1.Ingest.Buckets)
+		if !res1.Stopped || res1.Buckets < k {
+			t.Fatalf("k=%d: stopped=%v after %d buckets", k, res1.Stopped, res1.Buckets)
 		}
-		stops[res1.Ingest.Buckets] = true
+		stops[res1.Buckets] = true
 
 		_, out2, err2 := run(t, cfg)
 		if got := append(out1, out2...); !bytes.Equal(got, wantOut) {
@@ -219,8 +248,49 @@ func TestGzipStopResumeEveryBucket(t *testing.T) {
 	}
 	// Several k share a read boundary in the quiet night hours; the busy
 	// hours must still spread the stops out, or the loop tested one point.
-	if len(stops) < ref.Ingest.Buckets/2 {
-		t.Errorf("stops landed on only %d distinct bucket counts of %d", len(stops), ref.Ingest.Buckets)
+	if len(stops) < ref.Buckets/2 {
+		t.Errorf("stops landed on only %d distinct bucket counts of %d", len(stops), ref.Buckets)
+	}
+}
+
+// TestFailedAlertWriteIsReprinted: whichever stderr write of a drift run
+// fails — a delta line or a bucket's DRIFT lines — the run ends with the
+// writer's error before the checkpoint stage, so the detector state on disk
+// never moves past an alert that was not written: the rerun prints every
+// DRIFT line the failed run did not, none twice. (A delta line written just
+// before its bucket's alerts failed is printed again, as after a kill there.)
+func TestFailedAlertWriteIsReprinted(t *testing.T) {
+	cfg := config(writeFile(t, "day.log", corpus(t)))
+	cfg.Drift = true
+	alerts := func(stderr []byte) (lines []string) {
+		for _, l := range bytes.Split(stderr, []byte("\n")) {
+			if bytes.HasPrefix(l, []byte("DRIFT ")) {
+				lines = append(lines, string(l))
+			}
+		}
+		return lines
+	}
+	ref := &failAt{}
+	if _, err := follow.Run(cfg, io.Discard, ref); err != nil {
+		t.Fatal(err)
+	}
+	want := alerts(ref.Bytes())
+	if len(want) < 5 {
+		t.Fatalf("the corpus raised %d alerts; the test wants several", len(want))
+	}
+	for w := 1; w <= ref.writes; w++ {
+		cfg.ResumePath = filepath.Join(t.TempDir(), "follow.ckpt")
+		err1 := &failAt{k: w}
+		if _, err := follow.Run(cfg, io.Discard, err1); !errors.Is(err, errDiskFull) {
+			t.Fatalf("write %d: Run = %v; want the writer's error", w, err)
+		}
+		_, _, err2 := run(t, cfg)
+		if !bytes.HasPrefix(ref.Bytes(), err1.Bytes()) || !bytes.HasSuffix(ref.Bytes(), err2) {
+			t.Fatalf("write %d: failed and rerun stderr are not a prefix and a suffix of the uninterrupted run's", w)
+		}
+		if got := append(alerts(err1.Bytes()), alerts(err2)...); !slices.Equal(got, want) {
+			t.Errorf("write %d: failed+rerun alerts:\n%s\nwant each once:\n%s", w, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }
 
@@ -249,11 +319,11 @@ func TestTornGzipTail(t *testing.T) {
 	if plainRes.TornGzip {
 		t.Error("Result.TornGzip set for a plain file")
 	}
-	if tornRes.Ingest.Buckets < 2 {
-		t.Errorf("torn run delivered %d buckets; the prefix holds several", tornRes.Ingest.Buckets)
+	if tornRes.Buckets < 2 {
+		t.Errorf("torn run delivered %d buckets; the prefix holds several", tornRes.Buckets)
 	}
-	if tornRes.Ingest != plainRes.Ingest || tornRes.Feed != plainRes.Feed {
-		t.Errorf("torn accounting %+v differs from the prefix's %+v", tornRes, plainRes)
+	if plainRes.TornGzip = true; tornRes != plainRes {
+		t.Errorf("torn accounting %+v differs from the prefix's %+v but for the tear", tornRes, plainRes)
 	}
 	if !bytes.Equal(tornOut, plainOut) || !bytes.Equal(tornErr, plainErr) {
 		t.Errorf("torn .gz output differs from the decompressed prefix's (%d/%d vs %d/%d bytes)",
@@ -285,7 +355,7 @@ func TestCorruptGzipKeepsAccounting(t *testing.T) {
 	if !errors.As(err, &corrupt) {
 		t.Fatalf("Run = %v; want the flate.CorruptInputError", err)
 	}
-	if res.Ingest.Accepted == 0 || res.Ingest.Buckets == 0 || res.TornGzip || res.Stopped {
+	if res.Entries == 0 || res.Buckets == 0 || res.TornGzip || res.Stopped {
 		t.Errorf("failed run reports %+v; want the entries and buckets ingested before the corruption", res)
 	}
 	if stdout.Len() == 0 {
@@ -332,17 +402,18 @@ func TestInstrumentsNeverPerturb(t *testing.T) {
 	for _, method := range []string{"l1", "l2", "l3"} {
 		var want artifacts
 		for i, reg := range []*obs.Registry{nil, obs.New(), obs.NewWithClock(obs.SystemClock)} {
-			state := t.TempDir()
 			cfg := config(src)
-			cfg.Method, cfg.MinLogs, cfg.DirPath, cfg.Drift = method, 4, dir, true
-			cfg.ResumePath, cfg.StorePath = filepath.Join(state, "follow.ckpt"), filepath.Join(state, "store")
-			cfg.Metrics = reg
+			cfg.Method, cfg.MinLogs, cfg.Drift, cfg.Metrics = method, 4, true, reg
+			if method == "l3" {
+				cfg.Directory = dir
+			}
+			cfg = durable(t, cfg, t.TempDir())
 			res, out, errb := run(t, cfg)
 			ckpt, err := os.ReadFile(cfg.ResumePath)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := artifacts{string(out), string(errb), string(ckpt), storeFiles(t, cfg.StorePath)}
+			got := artifacts{string(out), string(errb), string(ckpt), storeFiles(t, cfg.Store.Dir())}
 			if i == 0 {
 				want = got
 				if len(out) == 0 || len(errb) == 0 || len(got.store) < 2 {
@@ -366,8 +437,8 @@ func TestInstrumentsNeverPerturb(t *testing.T) {
 			var stageSum int64
 			for _, st := range stages {
 				h := hists["follow."+st+"_ns"]
-				if h.Count != int64(res.Ingest.Buckets) {
-					t.Errorf("%s, registry %d: follow.%s_ns counts %d advances of %d buckets", method, i, st, h.Count, res.Ingest.Buckets)
+				if h.Count != int64(res.Buckets) {
+					t.Errorf("%s, registry %d: follow.%s_ns counts %d advances of %d buckets", method, i, st, h.Count, res.Buckets)
 				}
 				stageSum += h.Sum
 			}
@@ -390,18 +461,17 @@ func TestAdvanceReadsBackOnlyWhatCompactionNeeds(t *testing.T) {
 		window  int
 		compact bool
 	}{{6, true}, {48, false}} {
-		state, reg := t.TempDir(), obs.New()
+		reg := obs.New()
 		cfg := config(src)
 		cfg.WindowBuckets, cfg.Drift, cfg.Metrics = tc.window, true, reg
-		cfg.ResumePath, cfg.StorePath = filepath.Join(state, "follow.ckpt"), filepath.Join(state, "store")
-		res, _, errb := run(t, cfg)
+		res, _, errb := run(t, durable(t, cfg, t.TempDir()))
 		if !bytes.Contains(errb, []byte(" segment=raw-")) {
-			t.Fatalf("window %d: no located DRIFT line over %d buckets; the test wants change points", tc.window, res.Ingest.Buckets)
+			t.Fatalf("window %d: no located DRIFT line over %d buckets; the test wants change points", tc.window, res.Buckets)
 		}
 		read := reg.Counter("store.segments_read").Value()
 		compactions := reg.Counter("store.compactions").Value()
 		if (compactions > 0) != tc.compact {
-			t.Fatalf("window %d: %d compactions over %d buckets", tc.window, compactions, res.Ingest.Buckets)
+			t.Fatalf("window %d: %d compactions over %d buckets", tc.window, compactions, res.Buckets)
 		}
 		if read != compactions {
 			t.Errorf("window %d: %d segments read back for %d compactions", tc.window, read, compactions)

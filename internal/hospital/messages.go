@@ -134,21 +134,6 @@ func noiseMessage(rng *rand.Rand) string {
 	return m
 }
 
-// CanonicalStopPatterns returns the ten stop patterns used by the case
-// study (§4.8 reports results "with 10 stop patterns"). Each pattern
-// matches one of the server-side serving-log formats; two formats
-// deliberately remain uncovered.
-func CanonicalStopPatterns() []directory.StopPattern {
-	return []directory.StopPattern{
-		{Contains: "serving request "},
-		{Contains: "handled "},
-		{Contains: "request received ["},
-		{Contains: "on behalf of client"},
-		{Contains: "SOAP dispatch "},
-		{Contains: "inbound call "},
-		{Contains: "processed "},
-		{Contains: " begin "},
-		{Contains: "answering "},
-		{Contains: "::"},
-	}
-}
+// CanonicalStopPatterns forwards to directory.CanonicalStopPatterns: each of
+// the ten matches one of servingMessage's styles, two styles stay uncovered.
+func CanonicalStopPatterns() []directory.StopPattern { return directory.CanonicalStopPatterns() }

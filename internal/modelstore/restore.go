@@ -42,7 +42,7 @@ func (s *Store) Hydrate(cp *stream.Checkpoint) error {
 		if si.level != levelRaw {
 			continue
 		}
-		recs, err := s.loadSeg(si)
+		recs, err := s.records(si)
 		if err != nil {
 			return err
 		}

@@ -84,8 +84,9 @@ type segInfo struct {
 }
 
 // Store is an on-disk model history. It is not safe for concurrent use:
-// the follower is the single writer, and the query subcommands open the
-// directory read-only.
+// the follower is the single writer, a daemon tenant reads the writer's
+// handle only under the lock the follower holds around every append, and
+// the query subcommands open the directory read-only.
 type Store struct {
 	dir      string
 	cfg      Config
@@ -177,6 +178,9 @@ func OpenRead(dir string) (*Store, error) {
 // Empty reports whether the store holds no segments yet.
 func (s *Store) Empty() bool { return len(s.segs) == 0 }
 
+// Dir returns the directory the store was opened on.
+func (s *Store) Dir() string { return s.dir }
+
 func readMeta(dir string) (*storeMeta, error) {
 	data, err := os.ReadFile(filepath.Join(dir, metaFile))
 	if os.IsNotExist(err) {
@@ -243,6 +247,20 @@ func (s *Store) granuleWidth(level int) logmodel.Millis {
 // isActive reports whether si is the raw granule s.active mirrors.
 func (s *Store) isActive(si segInfo) bool {
 	return s.hasActive && si.level == levelRaw && si.start == s.activeStart
+}
+
+// records returns the records of one indexed segment — the one way every
+// reader (ModelAt, Records, Locate, Hydrate, compact) gets at them. The
+// active raw granule is answered from memory: its file is exactly s.active,
+// written whole by the last successful Append (or read whole by load), so
+// contents and ordinals are the ones a reader of the file would see. Every
+// other segment is read and verified from disk. Callers must not modify
+// what they are handed.
+func (s *Store) records(si segInfo) ([]Record, error) {
+	if s.isActive(si) {
+		return s.active, nil
+	}
+	return s.loadSeg(si)
 }
 
 // floorAlign floors t to a multiple of width (t is never negative here —
@@ -374,29 +392,33 @@ func (s *Store) Append(rec Record) error {
 	if rec.Bucket <= s.maxSealed {
 		return fmt.Errorf("modelstore: bucket %d rewinds past sealed segments (last sealed %d)", rec.Bucket, s.maxSealed)
 	}
-	g := floorAlign(rec.Range.Start, s.cfg.Hour)
+	// The granule is built aside and committed only once its file is
+	// written, so memory never runs ahead of the disk: a failed write leaves
+	// both as they were.
+	g, active, sealed := floorAlign(rec.Range.Start, s.cfg.Hour), s.active, s.maxSealed
 	switch {
 	case !s.hasActive || g > s.activeStart:
 		if s.hasActive {
-			s.maxSealed = s.active[len(s.active)-1].Bucket
+			sealed = s.active[len(s.active)-1].Bucket
 		} else if len(s.segs) > 0 && s.segs[len(s.segs)-1].start > g {
 			return fmt.Errorf("modelstore: record at %d predates existing segments", rec.Range.Start)
 		}
-		s.active, s.hasActive, s.activeStart = nil, true, g
+		active = nil
 	case g < s.activeStart:
 		return fmt.Errorf("modelstore: record at %d predates the active segment (start %d)", rec.Range.Start, s.activeStart)
 	default:
-		for len(s.active) > 0 && s.active[len(s.active)-1].Bucket >= rec.Bucket {
-			s.active = s.active[:len(s.active)-1]
+		for k := len(active); k > 0 && active[k-1].Bucket >= rec.Bucket; k-- {
+			active = active[: k-1 : k-1] // capped: the append below must not overwrite s.active
 		}
 	}
-	s.active = append(s.active, rec)
+	active = append(active, rec)
 
-	path := filepath.Join(s.dir, segName(levelRaw, s.activeStart))
-	n, err := writeSegment(path, levelRaw, s.active)
+	path := filepath.Join(s.dir, segName(levelRaw, g))
+	n, err := writeSegment(path, levelRaw, active)
 	if err != nil {
 		return err
 	}
+	s.active, s.hasActive, s.activeStart, s.maxSealed = active, true, g, sealed
 	s.noteWrite(n)
 	s.upsertSeg(segInfo{level: levelRaw, start: s.activeStart, path: path})
 	if rec.Range.End > s.latest {
@@ -463,7 +485,7 @@ func (s *Store) compact() error {
 				if si.start+s.cfg.Hour > s.latest-span {
 					continue
 				}
-				recs, err := s.loadSeg(si)
+				recs, err := s.records(si)
 				if err != nil {
 					return err
 				}
@@ -521,7 +543,7 @@ func (s *Store) merge(from int, start, width logmodel.Millis, to int) (bool, err
 	if len(sources) == 0 {
 		return false, nil
 	}
-	recs, err := s.loadSeg(sources[len(sources)-1])
+	recs, err := s.records(sources[len(sources)-1])
 	if err != nil {
 		return false, err
 	}
@@ -563,7 +585,7 @@ func (s *Store) promote(src segInfo, to int, start logmodel.Millis, rec Record) 
 func (s *Store) Records() ([]Record, error) {
 	var out []Record
 	for _, si := range s.segs {
-		recs, err := s.loadSeg(si)
+		recs, err := s.records(si)
 		if err != nil {
 			return nil, err
 		}
@@ -582,7 +604,7 @@ func (s *Store) Records() ([]Record, error) {
 // t. ok is false when t predates the first retained record.
 func (s *Store) ModelAt(t logmodel.Millis) (Record, bool, error) {
 	for i := len(s.segs) - 1; i >= 0; i-- {
-		recs, err := s.loadSeg(s.segs[i])
+		recs, err := s.records(s.segs[i])
 		if err != nil {
 			return Record{}, false, err
 		}
@@ -607,22 +629,16 @@ type SegmentRef struct {
 func (r SegmentRef) String() string { return fmt.Sprintf("%s#%d", r.File, r.Record) }
 
 // Locate returns the segment reference of the record covering time t
-// (Start ≤ t < End), or ok=false when no retained record covers it. The
-// active raw granule is answered from memory: its file is exactly
-// s.active, written whole by the last Append (or read whole by load), so
-// the ordinals are the ones a reader of the file would count.
+// (Start ≤ t < End), or ok=false when no retained record covers it.
 func (s *Store) Locate(t logmodel.Millis) (SegmentRef, bool, error) {
 	for i := len(s.segs) - 1; i >= 0; i-- {
 		si := s.segs[i]
 		if si.start > t {
 			continue
 		}
-		recs := s.active
-		if !s.isActive(si) {
-			var err error
-			if recs, err = s.loadSeg(si); err != nil {
-				return SegmentRef{}, false, err
-			}
+		recs, err := s.records(si)
+		if err != nil {
+			return SegmentRef{}, false, err
 		}
 		for j := len(recs) - 1; j >= 0; j-- {
 			if recs[j].Range.Contains(t) {

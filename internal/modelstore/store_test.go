@@ -386,13 +386,15 @@ func TestLocate(t *testing.T) {
 	}
 }
 
-// TestLocateMemoryEqualsDisk: the writer answers Locate for its active
-// granule from memory; a reader opened on the directory decodes the files.
-// With several records per granule (ordinals above 0, as on a sub-hour
-// bucket width) the two agree at every instant after every Append — in the
-// active granule, a sealed raw one, a compacted segment, and where nothing
-// covers — and after a bucket index is re-appended, which is what a resume
-// does when the kill fell between the append and the checkpoint.
+// TestLocateMemoryEqualsDisk: the writer answers every read of its active
+// granule from memory (records, the one accessor); a reader opened on the
+// directory decodes the files. With several records per granule (ordinals
+// above 0, as on a sub-hour bucket width) Locate and ModelAt agree at every
+// instant, and Records as a whole, after every Append — in the active
+// granule, a sealed raw one, a compacted segment, and where nothing covers —
+// after a bucket index is re-appended, which is what a resume does when the
+// kill fell between the append and the checkpoint, and after an Append whose
+// file write failed: memory never runs ahead of the disk.
 func TestLocateMemoryEqualsDisk(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, testCfg())
@@ -406,7 +408,23 @@ func TestLocateMemoryEqualsDisk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		mine, err := s.Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		theirs, err := disk.Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeSegment(levelRaw, mine), encodeSegment(levelRaw, theirs)) {
+			t.Fatalf("%s: the writer holds %d records, the files %d, or they differ", label, len(mine), len(theirs))
+		}
 		for at := logmodel.Millis(0); at < logmodel.Millis(last+2)*1000; at += 500 {
+			m1, ok1, err1 := s.ModelAt(at)
+			m2, ok2, err2 := disk.ModelAt(at)
+			if err1 != nil || err2 != nil || ok1 != ok2 || m1.Bucket != m2.Bucket || !bytes.Equal(m1.Model, m2.Model) {
+				t.Fatalf("%s: ModelAt(%d) = bucket %d, %v, %v from the writer; bucket %d, %v, %v from the files", label, at, m1.Bucket, ok1, err1, m2.Bucket, ok2, err2)
+			}
 			got, gotOK, err := s.Locate(at)
 			if err != nil {
 				t.Fatal(err)
@@ -447,6 +465,26 @@ func TestLocateMemoryEqualsDisk(t *testing.T) {
 		}
 		check(fmt.Sprintf("after re-appending bucket %d", i), n)
 	}
+	// A non-empty directory where the granule's temp file goes makes the
+	// write fail, for a record joining the granule and for one replacing its
+	// tail.
+	block := filepath.Join(dir, segName(levelRaw, s.activeStart)+".tmp")
+	if err := os.MkdirAll(filepath.Join(block, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int64{n - 1, n - 3} {
+		if err := s.Append(rec(i)); err == nil {
+			t.Fatalf("Append of bucket %d over a blocked temp file succeeded", i)
+		}
+		check(fmt.Sprintf("after the failed append of bucket %d", i), n)
+	}
+	if err := os.RemoveAll(block); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(rec(n - 1)); err != nil {
+		t.Fatalf("Append after the failed ones: %v", err)
+	}
+	check("after the append that followed the failed ones", n)
 	if s, err = Open(dir, testCfg()); err != nil { // a restarted writer holds the granule as read
 		t.Fatal(err)
 	}
