@@ -16,6 +16,7 @@ import (
 
 	"logscape/internal/directory"
 	"logscape/internal/follow"
+	"logscape/internal/hospital"
 	"logscape/internal/logmodel"
 	"logscape/internal/stream"
 )
@@ -216,6 +217,35 @@ func TestFollowGoldenDriftAlerts(t *testing.T) {
 		t.Errorf("stderr lacks the scripted birth and death alerts:\n%s", out)
 	}
 	checkGolden(t, "follow_drift", stderr.Bytes())
+}
+
+// TestFollowGoldenL1Draws pins L1's drawn numbers. The scripted corpora
+// above leave the slot test no doubt, so every L1 outcome can be redrawn
+// under them unnoticed; a simulated hospital day at a tenth of the volume is
+// full of marginal pairs, and its delta lines move with any change to the
+// seed bytes, the draw order or the decision.
+func TestFollowGoldenL1Draws(t *testing.T) {
+	cfg := hospital.DefaultConfig(2005)
+	cfg.Scale, cfg.Days = 0.1, 1
+	day, _ := hospital.NewSimulator(cfg, hospital.GenerateTopology(hospital.DefaultTopologyConfig(), 2005)).GenerateDay(0)
+	var log bytes.Buffer
+	if err := logmodel.WriteAll(&log, day); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "day.log")
+	if err := os.WriteFile(path, log.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := followOpts(path)
+	o.spec.MinLogs, o.spec.BucketSec, o.spec.WindowBuckets = 4, 3600, 24
+	var stdout, stderr bytes.Buffer
+	if err := followStream(o, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(stderr.String(), "--"); n < 40 {
+		t.Errorf("only %d pairs born or gone over the day: too few marginal decisions to notice a redraw", n)
+	}
+	checkGolden(t, "follow_l1", stderr.Bytes())
 }
 
 // TestFollowDriftResumeKeepsAlertStream kills the follow run mid-incident

@@ -70,8 +70,8 @@ func main() {
 	opts := eval.DefaultOptions(*seed)
 	opts.Scale = *scale
 	// Metrics are always collected for -report (the report embeds the
-	// snapshot); the registry reads the wall clock only through the
-	// sanctioned obs.SystemClock edge.
+	// counters; the timings are -stats's); the registry reads the wall
+	// clock only through the sanctioned obs.SystemClock edge.
 	opts.Metrics = obs.NewWithClock(obs.SystemClock)
 	start := time.Now() //lint:allow wallclock progress timing on stderr, not part of mined results
 	fmt.Fprintf(os.Stderr, "simulating week (seed %d, scale %.2f)...\n", *seed, *scale)

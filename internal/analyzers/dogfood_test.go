@@ -65,7 +65,6 @@ var keptExports = map[string]string{
 	"(*logscape/internal/sessions.Tracker).Sessions":            "reference: the tracker's answer to what sessions.Build returns over the surviving entries",
 	"logscape/internal/core/l2.CountBigramsParallel":            "determinism_test.go pins it against CountBigrams at five worker counts",
 	"(*logscape/internal/baseline.Result).DirectedDependencies": "determinism_test.go compares it at Workers 1 and 8",
-	"(*logscape/internal/obs.Registry).CounterDocument":         "determinism_test.go compares the counters at Workers 1 and 8 through it",
 
 	// Generators and probes other packages' tests are built on.
 	"logscape/internal/pointproc.Homogeneous":              "generator: Poisson arrivals for the L1 and stats calibration suites",

@@ -17,4 +17,10 @@
 // The test is one-sided and uses the distance to the nearest arrival; the
 // original two-sided, next-arrival variant of Li & Ma (ICDM'04) is
 // available through Config for the ablations in DESIGN.md.
+//
+// The random points' distances to A do not depend on B, so the miner draws
+// per (slot, source), never per pair (draw schedule v2, DESIGN.md §5): every
+// test against A in a slot shares A's reference interval and is decided by
+// counting B's distances against its two bounds. DirectionTest and SlotTest
+// draw the same pieces per call, from the caller's generator.
 package l1

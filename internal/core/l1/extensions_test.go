@@ -225,18 +225,16 @@ func TestMineParallelDeterminism(t *testing.T) {
 }
 
 func TestPairSeedDistinct(t *testing.T) {
-	p1 := core.MakePair("A", "B")
-	p2 := core.MakePair("A", "C")
-	if pairSeed(1, 0, p1) == pairSeed(1, 0, p2) {
-		t.Error("different pairs share a seed")
+	if sourceSeed(1, 0, "A") == sourceSeed(1, 0, "B") {
+		t.Error("different sources share a seed")
 	}
-	if pairSeed(1, 0, p1) == pairSeed(1, 1, p1) {
+	if sourceSeed(1, 0, "A") == sourceSeed(1, 1, "A") {
 		t.Error("different slots share a seed")
 	}
-	if pairSeed(1, 0, p1) == pairSeed(2, 0, p1) {
+	if sourceSeed(1, 0, "A") == sourceSeed(2, 0, "A") {
 		t.Error("different base seeds collide")
 	}
-	if pairSeed(1, 0, p1) != pairSeed(1, 0, p1) {
+	if sourceSeed(1, 0, "A") != sourceSeed(1, 0, "A") {
 		t.Error("seed not deterministic")
 	}
 }

@@ -10,15 +10,15 @@ import (
 	"logscape/internal/stats"
 )
 
-// scratch is the working memory of one pair test, reused so that the slot
-// test allocates nothing once its buffers have grown. One goroutine at a
-// time uses a scratch; scratchPool hands them out.
+// scratch is the working memory of one reference draw or one direction test,
+// reused so that the slot test allocates nothing once its buffers have
+// grown. One goroutine at a time uses a scratch; scratchPool hands them out.
 type scratch struct {
-	// rng is Seeded in place per pair test by SlotOutcomes, which leaves it
-	// in the state rand.New(rand.NewSource(seed)) starts in.
+	// rng is Seeded in place per (slot, source) by SlotOutcomes, which leaves
+	// it in the state rand.New(rand.NewSource(seed)) starts in.
 	rng    *rand.Rand
 	points []logmodel.Millis // the random reference points
-	sub    []logmodel.Millis // the subsample of b
+	sub    []logmodel.Millis // the subsample of b (single-pair tests only)
 	marks  []bool            // pointproc.Subsample's working memory
 	sr, sb []logmodel.Millis // the distance samples S_r and S_b
 	secs   []float64         // StatMean: one sorted sample in seconds
@@ -26,8 +26,57 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{rng: rand.New(rand.NewSource(0))} }}
 
-// slotTest is the slot test of §3.1 for one pair: positive when both
-// directions are. cfg has its defaults filled.
+// sourceRef is what draw schedule v2 keeps of one eligible source of a slot
+// for all the pair tests it takes part in: everything the slot test draws.
+type sourceRef struct {
+	logs []logmodel.Millis // the source's logs in the slot
+	sub  []logmodel.Millis // its subsample; logs itself when nothing was drawn
+	ci   stats.CI          // the interval of random points' distances to logs
+	ok   bool              // whether ci could be computed
+}
+
+// drawSource is phase 1 of a slot for one eligible source: from rng, freshly
+// seeded, the reference points first and the subsample second — the order
+// direction draws them in. cfg has its defaults filled.
+func (s *scratch) drawSource(rng *rand.Rand, logs, total []logmodel.Millis, slot logmodel.TimeRange, cfg Config) sourceRef {
+	ref := sourceRef{logs: logs, sub: logs}
+	ref.ci, ref.ok = s.reference(rng, logs, total, slot, cfg)
+	if len(logs) > cfg.SampleSize { // otherwise Subsample copies logs and draws nothing
+		ref.sub, s.marks = pointproc.Subsample(make([]logmodel.Millis, 0, cfg.SampleSize), s.marks, rng, logs, cfg.SampleSize)
+	}
+	return ref
+}
+
+// closer is phase 2, one direction: are the points sub closer to ref's
+// source than the random points ref.ci summarizes? It draws nothing. For the
+// median the candidate interval [x_(j), x_(k)] of S_b is never formed: it
+// lies below ref.ci iff at least k distances do, and above it iff fewer
+// than j distances are at or below ref.ci.High — two counts, no selection.
+func (s *scratch) closer(sub []logmodel.Millis, ref *sourceRef, cfg Config) bool {
+	if !ref.ok {
+		return false
+	}
+	s.sb = pointproc.DistanceSample(s.sb[:0], sub, ref.logs, cfg.distance())
+	if cfg.Statistic == StatMean {
+		ci, ok := s.interval(s.sb, cfg)
+		return ok && (ci.Below(ref.ci) || cfg.TwoSided && ref.ci.Below(ci))
+	}
+	j, k, ok := stats.MedianCIIndices(len(s.sb), cfg.Level)
+	below, within := 0, 0
+	for _, d := range s.sb {
+		sec := d.Seconds()
+		if sec < ref.ci.Low {
+			below++
+		}
+		if sec <= ref.ci.High {
+			within++
+		}
+	}
+	return ok && (below >= k || cfg.TwoSided && within < j)
+}
+
+// slotTest is the slot test of §3.1 for one pair, drawn per pair from rng:
+// positive when both directions are. cfg has its defaults filled.
 func (s *scratch) slotTest(rng *rand.Rand, a, b, total []logmodel.Millis, slot logmodel.TimeRange, cfg Config) bool {
 	accepted := func(d DirectionResult) bool {
 		return d.Valid && (d.Positive || cfg.TwoSided && d.Farther)
@@ -36,23 +85,13 @@ func (s *scratch) slotTest(rng *rand.Rand, a, b, total []logmodel.Millis, slot l
 		accepted(s.direction(rng, a, b, total, slot, cfg)) // distances of B's logs to A
 }
 
-// direction is one direction of the slot test under every Config variant.
-// It leaves the distance samples in s.sr and s.sb, in no order, and the
-// result's sample fields empty. cfg has its defaults filled.
+// direction is one direction of the single-pair slot test under every Config
+// variant. It leaves the distance samples in s.sr and s.sb, in no order, and
+// the result's sample fields empty. cfg has its defaults filled.
 func (s *scratch) direction(rng *rand.Rand, a, b, total []logmodel.Millis, slot logmodel.TimeRange, cfg Config) DirectionResult {
-	dist := pointproc.DistNearest
-	if cfg.Distance == DistNext {
-		dist = pointproc.DistNext
-	}
-	if cfg.Reference == RefTotalActivity && len(total) > 0 {
-		s.points = resampleJittered(s.points[:0], rng, total, slot, cfg.SampleSize, cfg.ReferenceJitter)
-	} else {
-		s.points = pointproc.UniformPoints(s.points[:0], rng, slot, cfg.SampleSize)
-	}
+	ciR, okR := s.reference(rng, a, total, slot, cfg)
 	s.sub, s.marks = pointproc.Subsample(s.sub[:0], s.marks, rng, b, cfg.SampleSize)
-	s.sr = pointproc.DistanceSample(s.sr[:0], s.points, a, dist)
-	s.sb = pointproc.DistanceSample(s.sb[:0], s.sub, a, dist)
-	ciR, okR := s.interval(s.sr, cfg)
+	s.sb = pointproc.DistanceSample(s.sb[:0], s.sub, a, cfg.distance())
 	ciB, okB := s.interval(s.sb, cfg)
 	if !okR || !okB {
 		return DirectionResult{}
@@ -61,6 +100,26 @@ func (s *scratch) direction(rng *rand.Rand, a, b, total []logmodel.Millis, slot 
 		RandomCI: ciR, CandidateCI: ciB,
 		Valid: true, Positive: ciB.Below(ciR), Farther: ciR.Below(ciB),
 	}
+}
+
+// reference draws the SampleSize reference points of the slot from rng and
+// returns the interval of their distances to a, which it leaves in s.sr.
+func (s *scratch) reference(rng *rand.Rand, a, total []logmodel.Millis, slot logmodel.TimeRange, cfg Config) (stats.CI, bool) {
+	if cfg.Reference == RefTotalActivity && len(total) > 0 {
+		s.points = resampleJittered(s.points[:0], rng, total, slot, cfg.SampleSize, cfg.ReferenceJitter)
+	} else {
+		s.points = pointproc.UniformPoints(s.points[:0], rng, slot, cfg.SampleSize)
+	}
+	s.sr = pointproc.DistanceSample(s.sr[:0], s.points, a, cfg.distance())
+	return s.interval(s.sr, cfg)
+}
+
+// distance returns the distance function cfg.Distance selects.
+func (c Config) distance() func(logmodel.Millis, []logmodel.Millis) logmodel.Millis {
+	if c.Distance == DistNext {
+		return pointproc.DistNext
+	}
+	return pointproc.DistNearest
 }
 
 // interval returns the cfg.Statistic confidence interval of the distance

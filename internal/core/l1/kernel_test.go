@@ -323,7 +323,8 @@ func TestSelectNthMatchesSort(t *testing.T) {
 }
 
 // TestPairSeedMatchesFNV pins the inlined hash bit for bit against hash/fnv
-// over the same bytes: a changed seed would silently redraw every test.
+// over the bytes schedule v2 names — base, slot start, the source, one zero
+// byte: a changed seed would silently redraw every test.
 func TestPairSeedMatchesFNV(t *testing.T) {
 	rng := rand.New(rand.NewSource(2103))
 	names := []string{"", "A", "B", "DPIFormidoc", "DPIPublication", "a\x00b", "héma-€", "x y\tz"}
@@ -332,10 +333,227 @@ func TestPairSeedMatchesFNV(t *testing.T) {
 		if i < 4 {
 			base, start = int64(i%2)-1, logmodel.Millis(i/2)*math.MaxInt64
 		}
-		p := core.Pair{A: names[rng.Intn(len(names))], B: names[rng.Intn(len(names))]}
-		if got, want := pairSeed(base, start, p), refPairSeed(base, start, p); got != want {
-			t.Fatalf("pairSeed(%d, %d, %q) = %d, hash/fnv gives %d", base, start, p, got, want)
+		x := names[rng.Intn(len(names))]
+		if got, want := sourceSeed(base, start, x), refPairSeed(base, start, core.Pair{A: x}); got != want {
+			t.Fatalf("sourceSeed(%d, %d, %q) = %d, hash/fnv gives %d", base, start, x, got, want)
 		}
+	}
+}
+
+// --- draw schedule v2 ≡ its naive reference ----------------------------------
+
+// refInterval is the cfg.Statistic interval of a sorted sample in seconds.
+func refInterval(sorted []float64, cfg Config) (stats.CI, bool) {
+	ci, err := stats.MedianCI(sorted, cfg.Level)
+	if cfg.Statistic == StatMean {
+		ci, err = stats.MeanCI(sorted, cfg.Level)
+	}
+	return ci, err == nil
+}
+
+// refSlotOutcomes is draw schedule v2 written down naively from the v1
+// reference's pieces: per eligible source one fresh generator on the hash/fnv
+// seed, the reference points, then the subsample, the sorted S_r and its
+// interval; per pair and direction the sorted S_b, its interval, and Below.
+func refSlotOutcomes(entries []logmodel.Entry, slot logmodel.TimeRange, cfg Config) []SlotOutcome {
+	cfg = cfg.withDefaults()
+	dist := pointproc.DistNearest
+	if cfg.Distance == DistNext {
+		dist = pointproc.DistNext
+	}
+	idx := map[string][]logmodel.Millis{}
+	var total []logmodel.Millis
+	for _, e := range entries {
+		idx[e.Source] = append(idx[e.Source], e.Time)
+		total = append(total, e.Time)
+	}
+	var eligible []string
+	for x, logs := range idx {
+		if len(logs) >= cfg.MinLogs {
+			eligible = append(eligible, x)
+		}
+	}
+	sort.Strings(eligible)
+	type ref struct {
+		sub []logmodel.Millis
+		ci  stats.CI
+		ok  bool
+	}
+	refs := map[string]ref{}
+	for _, x := range eligible {
+		rng := rand.New(rand.NewSource(refPairSeed(cfg.Seed, slot.Start, core.Pair{A: x})))
+		var points []logmodel.Millis
+		if cfg.Reference == RefTotalActivity && len(total) > 0 {
+			points = refResampleJittered(rng, total, slot, cfg.SampleSize, cfg.ReferenceJitter)
+		} else {
+			points = refUniformPoints(rng, slot, cfg.SampleSize)
+		}
+		r := ref{sub: refSubsample(rng, idx[x], cfg.SampleSize)}
+		sr := refDistanceSample(points, idx[x], dist)
+		sort.Float64s(sr)
+		r.ci, r.ok = refInterval(sr, cfg)
+		refs[x] = r
+	}
+	closer := func(b, a string) bool { // are b's points closer to a than random ones?
+		sb := refDistanceSample(refs[b].sub, idx[a], dist)
+		sort.Float64s(sb)
+		ci, ok := refInterval(sb, cfg)
+		return ok && refs[a].ok && (ci.Below(refs[a].ci) || cfg.TwoSided && refs[a].ci.Below(ci))
+	}
+	var out []SlotOutcome
+	for i, x := range eligible {
+		for _, y := range eligible[i+1:] {
+			out = append(out, SlotOutcome{Pair: core.MakePair(x, y), Positive: closer(x, y) && closer(y, x)})
+		}
+	}
+	return out
+}
+
+// TestSlotOutcomesMatchesScheduleReference: over every variant and every
+// kernel case — a third source echoing b, so that a slot has three pairs
+// and every source is both a reference and a candidate — the miner's two
+// phases decide what the naive schedule decides.
+func TestSlotOutcomesMatchesScheduleReference(t *testing.T) {
+	positives, tests := 0, 0
+	for vi, variant := range kernelVariants() {
+		for ci, c := range kernelCases() {
+			echo := make([]logmodel.Millis, len(c.b))
+			for i, ts := range c.b {
+				echo[i] = ts + 25
+			}
+			entries := buildStore(map[string][]logmodel.Millis{"A": c.a, "B": c.b, "C": echo}).Entries()
+			cfg := variant
+			cfg.Level, cfg.MinLogs, cfg.Seed, cfg.Workers = c.level, 1, int64(100*vi+ci), 1+ci%2*7
+			got, want := SlotOutcomes(entries, c.slot, nil, cfg), refSlotOutcomes(entries, c.slot, cfg)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s/stat=%d,dist=%d,ref=%d,two=%v: outcomes %v, schedule reference %v",
+					c.name, cfg.Statistic, cfg.Distance, cfg.Reference, cfg.TwoSided, got, want)
+			}
+			for _, o := range want {
+				tests++
+				if o.Positive {
+					positives++
+				}
+			}
+		}
+	}
+	if positives < tests/20 || positives > tests/2 {
+		t.Errorf("%d of %d reference outcomes positive: the comparison would not see a wrong decision", positives, tests)
+	}
+}
+
+// TestCountingMatchesIntervalComparison: the pair phase's two counts decide
+// what forming S_b's median interval and comparing it decides — on ties at
+// either bound, all-equal distances, samples too short for an interval and
+// an invalid reference. Distances are dictated through a single log at 0,
+// from which a point's distance is its own value.
+func TestCountingMatchesIntervalComparison(t *testing.T) {
+	rng := rand.New(rand.NewSource(2106))
+	s := scratchPool.New().(*scratch)
+	origin := []logmodel.Millis{0}
+	decided := map[bool]int{}
+	for _, n := range []int{0, 1, 5, 6, 7, 8, 20, 71, 400} {
+		for _, values := range []int64{1, 2, 3, 12, 1 << 20} { // distinct distances: all-equal, heavy ties, none
+			sub := make([]logmodel.Millis, n)
+			for i := range sub {
+				sub[i] = logmodel.Millis(1 + rng.Int63n(values))
+			}
+			slices.Sort(sub)
+			sorted := make([]float64, n)
+			for i, d := range sub {
+				sorted[i] = d.Seconds()
+			}
+			bounds := []float64{0, 0.0005, math.Inf(1)}
+			for _, d := range sub { // every sample value and its two neighbours
+				bounds = append(bounds, d.Seconds(), (d - 1).Seconds(), (d + 1).Seconds())
+			}
+			for trial := 0; trial < 60; trial++ {
+				low, high := bounds[rng.Intn(len(bounds))], bounds[rng.Intn(len(bounds))]
+				if high < low {
+					low, high = high, low
+				}
+				for _, cfg := range []Config{{}, {TwoSided: true}, {Level: 0.99, TwoSided: true}} {
+					cfg = cfg.withDefaults()
+					ref := sourceRef{logs: origin, ci: stats.CI{Low: low, High: high, Level: cfg.Level}, ok: trial%10 != 9}
+					ci, err := stats.MedianCI(sorted, cfg.Level)
+					want := err == nil && ref.ok && (ci.Below(ref.ci) || cfg.TwoSided && ref.ci.Below(ci))
+					if got := s.closer(sub, &ref, cfg); got != want {
+						t.Fatalf("n=%d values=%d ref=[%v, %v] ok=%v two=%v level=%v: counting decides %v, interval %+v decides %v",
+							n, values, low, high, ref.ok, cfg.TwoSided, cfg.Level, got, ci, want)
+					}
+					decided[want]++
+				}
+			}
+		}
+	}
+	if decided[true] < 200 || decided[false] < 200 {
+		t.Errorf("decisions %v: one side is barely exercised", decided)
+	}
+}
+
+// TestSharedReferenceKeepsLevel measures what sharing a reference does to
+// the test's level, on 60 seeded hours of 16 mutually independent Poisson
+// sources, where every positive is a false one. Per pair the slot test
+// stays under 0.5 % and within 0.5 % of SlotTest's rate on the same data
+// (both are 0 of 7,200: two directions must err at once). A single
+// direction is where an error shows, so it is measured too — under 1 % and
+// within 0.5 % of each other: 26 of 14,400 (0.18 %) against shared
+// references, 16 of 7,200 (0.22 %) drawn per pair. What sharing changes is
+// where the errors fall, not how many: one unlucky reference fails 3 of its
+// 15 candidates in one hour, which independent draws at that rate would do
+// in 960 references with probability ≈ 0.003.
+func TestSharedReferenceKeepsLevel(t *testing.T) {
+	const hours, sources = 60, 16
+	cfg := Config{MinLogs: 10, Seed: 9, Workers: 1}.withDefaults()
+	s := scratchPool.New().(*scratch)
+	var slotShared, slotPerPair, slotTests, dirShared, dirPerPair, dirTests, worstRef int
+	for h := 0; h < hours; h++ {
+		rng := rand.New(rand.NewSource(int64(3000 + h)))
+		slot := logmodel.TimeRange{Start: logmodel.Millis(h) * logmodel.MillisPerHour, End: logmodel.Millis(h+1) * logmodel.MillisPerHour}
+		seqs := manySources(rng, slot, sources)
+		refs := map[string]*sourceRef{}
+		for i := 0; i < sources; i++ {
+			x := fmt.Sprintf("S%02d", i)
+			s.rng.Seed(sourceSeed(cfg.Seed, slot.Start, x))
+			ref := s.drawSource(s.rng, seqs[x], nil, slot, cfg)
+			refs[x] = &ref
+		}
+		errs := map[string]int{}
+		for _, o := range SlotOutcomes(buildStore(seqs).Range(slot), slot, nil, cfg) {
+			slotTests++
+			if o.Positive {
+				slotShared++
+			}
+			if SlotTest(rng, seqs[o.Pair.A], seqs[o.Pair.B], slot, cfg) {
+				slotPerPair++
+			}
+			dirTests++
+			if d := DirectionTest(rng, seqs[o.Pair.A], seqs[o.Pair.B], slot, cfg); d.Valid && d.Positive {
+				dirPerPair++
+			}
+			for _, dir := range [][2]string{{o.Pair.A, o.Pair.B}, {o.Pair.B, o.Pair.A}} {
+				if s.closer(refs[dir[1]].sub, refs[dir[0]], cfg) {
+					dirShared++
+					errs[dir[0]]++
+					worstRef = max(worstRef, errs[dir[0]])
+				}
+			}
+		}
+	}
+	rate := func(n, of int) float64 { return float64(n) / float64(of) }
+	t.Logf("slot tests: shared %d, per pair %d of %d; directions: shared %d of %d, per pair %d of %d; most errors against one reference: %d",
+		slotShared, slotPerPair, slotTests, dirShared, 2*dirTests, dirPerPair, dirTests, worstRef)
+	if slotTests != hours*sources*(sources-1)/2 {
+		t.Fatalf("%d slot tests, want every pair of every hour", slotTests)
+	}
+	if a, b := rate(slotShared, slotTests), rate(slotPerPair, slotTests); a > 0.005 || math.Abs(a-b) > 0.005 {
+		t.Errorf("independent pairs positive at %.4f with shared references, %.4f drawn per pair: want ≤ 0.005 and within 0.005", a, b)
+	}
+	if a, b := rate(dirShared, 2*dirTests), rate(dirPerPair, dirTests); a > 0.01 || b > 0.01 || math.Abs(a-b) > 0.005 {
+		t.Errorf("independent directions positive at %.4f with shared references, %.4f drawn per pair: want ≤ 0.01 and within 0.005", a, b)
+	}
+	if dirShared == 0 || dirPerPair == 0 {
+		t.Error("no direction erred under one of the schedules: the comparison measures nothing")
 	}
 }
 
@@ -351,27 +569,70 @@ func slotTestInputs() (a, b []logmodel.Millis, slot logmodel.TimeRange) {
 }
 
 // TestSlotTestAllocFree pins the kernel's allocation budget: on a warm
-// scratch a pair test — seed, both directions — allocates nothing, under
-// every variant.
+// scratch neither the single-pair slot test — seed, both directions — nor a
+// direction of the miner's pair phase allocates, under every variant.
 func TestSlotTestAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	a, b, slot := slotTestInputs()
 	total := pointproc.MergeSorted(a, b)
-	p := core.MakePair("A", "B")
 	s := scratchPool.New().(*scratch)
 	for _, variant := range kernelVariants() {
 		cfg := variant.withDefaults()
 		cfg.TwoSided = true // never stop after the first direction
+		var refA, refB sourceRef
 		run := func() {
-			s.rng.Seed(pairSeed(cfg.Seed, slot.Start, p))
+			s.rng.Seed(sourceSeed(cfg.Seed, slot.Start, "A"))
 			s.slotTest(s.rng, a, b, total, slot, cfg)
 		}
-		run() // grow the buffers, fill the index table
-		if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
-			t.Errorf("stat=%d dist=%d ref=%d: %v allocations per pair test, want 0", cfg.Statistic, cfg.Distance, cfg.Reference, allocs)
+		pairPhase := func() {
+			benchSink = s.closer(refA.sub, &refB, cfg) && s.closer(refB.sub, &refA, cfg)
 		}
+		run() // grow the buffers, fill the index table
+		refA, refB = s.drawSource(s.rng, a, total, slot, cfg), s.drawSource(s.rng, b, total, slot, cfg)
+		pairPhase()
+		if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+			t.Errorf("stat=%d dist=%d ref=%d: %v allocations per single-pair test, want 0", cfg.Statistic, cfg.Distance, cfg.Reference, allocs)
+		}
+		if allocs := testing.AllocsPerRun(200, pairPhase); allocs != 0 {
+			t.Errorf("stat=%d dist=%d ref=%d: %v allocations per pair-phase test, want 0", cfg.Statistic, cfg.Distance, cfg.Reference, allocs)
+		}
+	}
+}
+
+// manySources is one hour of n mutually independent Poisson sources whose
+// rates climb from 0.02/s by 0.03/s a source — S00 … — as slot entries.
+func manySources(rng *rand.Rand, slot logmodel.TimeRange, n int) map[string][]logmodel.Millis {
+	seqs := map[string][]logmodel.Millis{}
+	for i := 0; i < n; i++ {
+		seqs[fmt.Sprintf("S%02d", i)] = pointproc.Homogeneous(rng, slot, 0.02+0.03*float64(i))
+	}
+	return seqs
+}
+
+// TestSlotOutcomesAllocBudget pins the miner's per-slot budget: what a slot
+// allocates is a function of its entries and eligible sources — the index,
+// one reference each, a subsample for a source above SampleSize — and not of
+// its pair count. The same entries mined with 8 and with 24 eligible sources
+// (28 and 276 pairs) differ by less than two allocations per added source.
+func TestSlotOutcomesAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	slot := hourSlot()
+	seqs := manySources(rand.New(rand.NewSource(2107)), slot, 24)
+	entries := buildStore(seqs).Range(slot)
+	allocs := func(minLogs, wantPairs int) float64 {
+		cfg := Config{MinLogs: minLogs, Workers: 1}
+		if got := len(SlotOutcomes(entries, slot, nil, cfg)); got != wantPairs {
+			t.Fatalf("MinLogs %d: %d pairs, want %d", minLogs, got, wantPairs)
+		}
+		return testing.AllocsPerRun(20, func() { SlotOutcomes(entries, slot, nil, cfg) })
+	}
+	few, many := allocs(len(seqs["S16"])-20, 8*7/2), allocs(1, 24*23/2)
+	if many-few >= 2*16 {
+		t.Errorf("%v allocations for 276 pairs, %v for 28 over the same entries: the budget grows with the pair count", many, few)
 	}
 }
 
@@ -381,10 +642,7 @@ func TestSlotTestAllocFree(t *testing.T) {
 func TestSlotOutcomesWorkersEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(2105))
 	slot := hourSlot()
-	seqs := map[string][]logmodel.Millis{}
-	for i := 0; i < 12; i++ {
-		seqs[fmt.Sprintf("S%02d", i)] = pointproc.Homogeneous(rng, slot, 0.02+0.03*float64(i))
-	}
+	seqs := manySources(rng, slot, 12)
 	seqs["S00-echo"] = nil
 	for _, ts := range seqs["S00"] {
 		seqs["S00-echo"] = append(seqs["S00-echo"], ts+logmodel.Millis(10+rng.Intn(40)))
@@ -417,18 +675,32 @@ func TestSlotOutcomesWorkersEquivalent(t *testing.T) {
 
 var benchSink bool
 
-// BenchmarkSlotTest measures one pair test as SlotOutcomes runs it: seed the
-// pooled generator, test both directions.
+// BenchmarkSlotTest measures the single-pair slot test (SlotTest, the load
+// study's unit) on a pooled scratch: seed the generator, test both directions.
 func BenchmarkSlotTest(b *testing.B) {
 	x, y, slot := slotTestInputs()
 	cfg := DefaultConfig()
-	p := core.MakePair("A", "B")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := scratchPool.Get().(*scratch)
-		s.rng.Seed(pairSeed(cfg.Seed, slot.Start+logmodel.Millis(i), p))
+		s.rng.Seed(sourceSeed(cfg.Seed, slot.Start+logmodel.Millis(i), "A"))
 		benchSink = s.slotTest(s.rng, x, y, nil, slot, cfg)
 		scratchPool.Put(s)
+	}
+}
+
+// BenchmarkSlotOutcomes measures the miner's unit: one slot of 24 sources —
+// 24 references drawn, 276 pairs tested — at Workers 1.
+func BenchmarkSlotOutcomes(b *testing.B) {
+	slot := hourSlot()
+	entries := buildStore(manySources(rand.New(rand.NewSource(2107)), slot, 24)).Range(slot)
+	cfg := DefaultConfig()
+	cfg.MinLogs, cfg.Workers = 1, 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slot.Start = logmodel.Millis(-i) // a new seed per iteration
+		benchSink = len(SlotOutcomes(entries, slot, nil, cfg)) > 0
 	}
 }

@@ -226,16 +226,17 @@ func (r *Result) DependentPairs() core.PairSet {
 	return out
 }
 
-// pairSeed derives a deterministic RNG seed for one (slot, pair) test, so
+// sourceSeed derives the deterministic RNG seed of one (slot, source) draw
+// — schedule v2: a slot draws once per eligible source, never per pair — so
 // mining results do not depend on iteration order or parallel scheduling.
 // The slot is identified by its absolute start time, not its index in the
 // window: a slot's outcome is then a function of the slot's content alone,
 // which lets the streaming miner (internal/stream) cache per-slot outcomes
 // across window advances and still reproduce the batch result byte for
 // byte.
-func pairSeed(base int64, slotStart logmodel.Millis, p core.Pair) int64 {
+func sourceSeed(base int64, slotStart logmodel.Millis, source string) int64 {
 	// FNV-1a-64 (hash/fnv allocates a hasher per call) over the
-	// little-endian base and slot start, then A, a zero byte, B.
+	// little-endian base and slot start, then the source and a zero byte.
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
 	for _, w := range [2]uint64{uint64(base), uint64(slotStart)} {
@@ -243,12 +244,10 @@ func pairSeed(base int64, slotStart logmodel.Millis, p core.Pair) int64 {
 			h = (h ^ (w >> i & 0xff)) * prime64
 		}
 	}
-	for _, s := range [3]string{p.A, "\x00", p.B} {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * prime64
-		}
+	for i := 0; i < len(source); i++ {
+		h = (h ^ uint64(source[i])) * prime64
 	}
-	return int64(h)
+	return int64(h * prime64) // the zero byte: h ^ 0 is h
 }
 
 // EqualCountSlots divides the range into n slots holding approximately
@@ -325,8 +324,10 @@ type SlotOutcome struct {
 // SlotOutcomes runs the slot test for every eligible pair of one slot over
 // the slot's entries (which must be time-sorted and lie within the slot).
 // sources restricts the applications considered; nil means every source
-// appearing in the slot. Pairs fan out over Config.Workers; outcomes are
-// returned in lexicographic pair order regardless of the worker count.
+// appearing in the slot. The slot draws once per eligible source and tests
+// every pair against those draws (schedule v2, DESIGN.md §5); both phases
+// fan out over Config.Workers, and outcomes are returned in lexicographic
+// pair order regardless of the worker count.
 func SlotOutcomes(entries []logmodel.Entry, slot logmodel.TimeRange, sources []string, cfg Config) []SlotOutcome {
 	cfg = cfg.withDefaults()
 	idx := make(map[string][]logmodel.Millis)
@@ -354,21 +355,30 @@ func SlotOutcomes(entries []logmodel.Entry, slot logmodel.TimeRange, sources []s
 			total[k] = entries[k].Time
 		}
 	}
-	pairs := make([]core.Pair, 0, len(eligible)*(len(eligible)-1)/2)
+	// Phase 1, per eligible source: everything the slot draws.
+	refs := parallel.Map(parallel.Workers(cfg.Workers), len(eligible),
+		obs.Meter(cfg.Metrics, "l1.references", func(i int) sourceRef {
+			s := scratchPool.Get().(*scratch)
+			defer scratchPool.Put(s)
+			s.rng.Seed(sourceSeed(cfg.Seed, slot.Start, eligible[i]))
+			return s.drawSource(s.rng, idx[eligible[i]], total, slot, cfg)
+		}))
+	pairs := make([][2]int, 0, len(eligible)*(len(eligible)-1)/2)
 	for i := range eligible {
 		for j := i + 1; j < len(eligible); j++ {
-			pairs = append(pairs, core.MakePair(eligible[i], eligible[j]))
+			pairs = append(pairs, [2]int{i, j})
 		}
 	}
+	// Phase 2, per pair: both directions against the drawn references.
 	positive := cfg.Metrics.Counter("l1.positive_slots")
 	return parallel.Map(parallel.Workers(cfg.Workers), len(pairs),
 		obs.Meter(cfg.Metrics, "l1.pair_tests", func(k int) SlotOutcome {
-			p := pairs[k]
+			i, j := pairs[k][0], pairs[k][1]
 			s := scratchPool.Get().(*scratch)
-			s.rng.Seed(pairSeed(cfg.Seed, slot.Start, p))
 			o := SlotOutcome{
-				Pair:     p,
-				Positive: s.slotTest(s.rng, idx[p.A], idx[p.B], total, slot, cfg),
+				Pair: core.MakePair(eligible[i], eligible[j]),
+				Positive: s.closer(refs[i].sub, &refs[j], cfg) && // distances of i's logs to j
+					s.closer(refs[j].sub, &refs[i], cfg), // distances of j's logs to i
 			}
 			scratchPool.Put(s)
 			if o.Positive {

@@ -57,12 +57,14 @@ func (r *Runner) WriteReport(w io.Writer, opts ReportOptions) error {
 		}
 	}
 	if r.Opts.Metrics != nil {
-		// Last, so the snapshot covers every experiment above.
-		fmt.Fprintf(bw, "## Metrics snapshot\n\n```json\n")
-		if err := r.Opts.Metrics.WriteJSON(bw); err != nil && bw.err == nil {
+		// Last, so the snapshot covers every experiment above. Counters only:
+		// they are a function of the seed, which keeps the whole report one
+		// (CI regenerates it and compares); timings are evalrun -stats's.
+		doc, err := r.Opts.Metrics.CounterDocument()
+		if err != nil && bw.err == nil {
 			bw.err = err
 		}
-		fmt.Fprintf(bw, "```\n\n")
+		fmt.Fprintf(bw, "## Metrics snapshot\n\n```json\n%s\n```\n\n", doc)
 	}
 	return bw.err
 }
