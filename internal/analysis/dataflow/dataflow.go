@@ -34,7 +34,7 @@ type Param struct {
 	Name string
 }
 
-// Program is the indexed whole-program view a Spec is analyzed against.
+// Program is the indexed whole-program view the engine analyzes.
 type Program struct {
 	Fset  *token.FileSet
 	Units []*analysis.ProgramUnit

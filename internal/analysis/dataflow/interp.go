@@ -15,10 +15,7 @@ type interp struct {
 	a   *analyzer
 	fn  *Func
 	env map[types.Object]Cell
-	// fresh marks locals currently holding locally allocated containers:
-	// stores into them taint the local instead of reporting.
-	fresh map[types.Object]bool
-	sum   *Summary
+	sum *Summary
 	// rets is the return-context stack: the function's result flow at the
 	// bottom, one extra frame per nested function literal.
 	rets     []*retCtx
@@ -39,7 +36,6 @@ func (a *analyzer) interpret(fn *Func, report bool) *Summary {
 		a:      a,
 		fn:     fn,
 		env:    make(map[types.Object]Cell),
-		fresh:  make(map[types.Object]bool),
 		sum:    newSummary(fn),
 		report: report,
 	}
@@ -56,18 +52,12 @@ func (a *analyzer) interpret(fn *Func, report bool) *Summary {
 		if i < 64 {
 			cell.Params = 1 << i
 		}
-		if a.spec.ParamSource != nil {
-			if reason, ok := a.spec.ParamSource(fn, i, p.Obj); ok {
-				cell = cell.Join(Cell{Src: reason})
-			}
-		}
 		in.env[p.Obj] = cell
 	}
 	in.stmt(fn.Decl.Body)
 	return in.sum
 }
 
-func (in *interp) spec() *Spec                  { return in.a.spec }
 func (in *interp) info() *types.Info            { return in.fn.Unit.Info }
 func (in *interp) typeOf(e ast.Expr) types.Type { return in.info().TypeOf(e) }
 func (in *interp) obj(id *ast.Ident) types.Object {
@@ -92,7 +82,7 @@ func (in *interp) reportf(pos token.Pos, src, sink string) {
 	if !in.report || src == "" {
 		return
 	}
-	msg := in.spec().Message(src, sink)
+	msg := message(src, sink)
 	key := fmt.Sprintf("%d:%s", pos, msg)
 	if in.reported[key] {
 		return
@@ -121,34 +111,11 @@ func (in *interp) sink(pos token.Pos, cell Cell, desc string) {
 	in.escapeBits(cell, desc)
 }
 
-// ---- environment snapshots for branch joins ----
-
-func (in *interp) snapshot() (map[types.Object]Cell, map[types.Object]bool) {
-	env := make(map[types.Object]Cell, len(in.env))
-	for k, v := range in.env {
-		env[k] = v
-	}
-	fresh := make(map[types.Object]bool, len(in.fresh))
-	for k, v := range in.fresh {
-		fresh[k] = v
-	}
-	return env, fresh
-}
-
-func (in *interp) restore(env map[types.Object]Cell, fresh map[types.Object]bool) {
-	in.env, in.fresh = env, fresh
-}
-
 // joinWith merges another environment into the current one (least upper
-// bound per variable; fresh only survives if fresh on both paths).
-func (in *interp) joinWith(env map[types.Object]Cell, fresh map[types.Object]bool) {
+// bound per variable).
+func (in *interp) joinWith(env map[types.Object]Cell) {
 	for k, v := range env {
 		in.env[k] = in.env[k].Join(v)
-	}
-	for k := range in.fresh {
-		if !fresh[k] {
-			delete(in.fresh, k)
-		}
 	}
 }
 
@@ -219,7 +186,7 @@ func (in *interp) stmt(s ast.Stmt) {
 // loop runs body twice (propagating loop-carried taint) and then joins the
 // zero-iteration state back in.
 func (in *interp) loop(body func()) {
-	preEnv, preFresh := in.snapshot()
+	pre := cloneEnv(in.env)
 	// Iterate the body until the environment stabilises so taint carried
 	// across iterations through a chain of assignments propagates fully.
 	// Strong updates make single runs non-monotone, so a cap backstops
@@ -232,7 +199,7 @@ func (in *interp) loop(body func()) {
 			break
 		}
 	}
-	in.joinWith(preEnv, preFresh)
+	in.joinWith(pre)
 }
 
 func envEqual(a, b map[types.Object]Cell) bool {
@@ -250,20 +217,17 @@ func envEqual(a, b map[types.Object]Cell) bool {
 // branches interprets each clause from the same pre-state and joins the
 // results, modelling that exactly one (or none) executes.
 func (in *interp) branches(clauses []ast.Stmt, extra func(ast.Stmt)) {
-	baseEnv, baseFresh := in.snapshot() // pre-state, shared read-only
-	accEnv, accFresh := in.env, in.fresh
+	base, acc := cloneEnv(in.env), in.env
 	for _, c := range clauses {
-		in.restore(cloneEnv(baseEnv), cloneFresh(baseFresh))
+		in.env = cloneEnv(base)
 		if extra != nil {
 			extra(c)
 		}
 		in.stmt(c)
-		outEnv, outFresh := in.env, in.fresh
-		in.restore(accEnv, accFresh)
-		in.joinWith(outEnv, outFresh)
-		accEnv, accFresh = in.env, in.fresh
+		out := in.env
+		in.env = acc
+		in.joinWith(out)
 	}
-	in.restore(accEnv, accFresh)
 }
 
 func cloneEnv(m map[types.Object]Cell) map[types.Object]Cell {
@@ -274,25 +238,15 @@ func cloneEnv(m map[types.Object]Cell) map[types.Object]Cell {
 	return out
 }
 
-func cloneFresh(m map[types.Object]bool) map[types.Object]bool {
-	out := make(map[types.Object]bool, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 func (in *interp) ifStmt(s *ast.IfStmt) {
 	in.stmt(s.Init)
 	in.eval(s.Cond)
-	baseEnv, baseFresh := in.snapshot()
+	base := cloneEnv(in.env)
 	in.stmt(s.Body)
-	thenEnv, thenFresh := in.snapshot()
-	in.restore(baseEnv, baseFresh)
-	if s.Else != nil {
-		in.stmt(s.Else)
-	}
-	in.joinWith(thenEnv, thenFresh)
+	then := in.env
+	in.env = base
+	in.stmt(s.Else)
+	in.joinWith(then)
 }
 
 func (in *interp) typeSwitch(s *ast.TypeSwitchStmt) {
@@ -334,19 +288,15 @@ func (in *interp) declStmt(s *ast.DeclStmt) {
 				continue
 			}
 			cell := Cell{}
-			freshVal := true // zero values are locally owned
 			if i < len(vs.Values) {
 				cell = in.eval(vs.Values[i])
-				freshVal = in.freshExpr(vs.Values[i], cell)
 			} else if len(vs.Values) == 1 && len(vs.Names) > 1 {
 				cells := in.evalMulti(vs.Values[0])
 				if i < len(cells) {
 					cell = cells[i]
 				}
-				freshVal = !cell.Tainted()
 			}
 			in.env[obj] = cell
-			in.fresh[obj] = freshVal
 		}
 	}
 }
@@ -375,17 +325,9 @@ func (in *interp) returnStmt(s *ast.ReturnStmt) {
 }
 
 func (in *interp) rangeStmt(s *ast.RangeStmt) {
-	cellX := in.eval(s.X)
-	spec := in.spec()
-
-	var elem Cell
-	if spec.ValueMode {
-		elem = cellX
-	}
-	if spec.RangeSource != nil {
-		if reason, ok := spec.RangeSource(in.fn.Unit, s); ok {
-			elem = elem.Join(Cell{Src: reason})
-		}
+	elem := in.eval(s.X)
+	if isMapType(in.typeOf(s.X)) {
+		elem = elem.Join(Cell{Src: mapOrder})
 	}
 	bind := func(e ast.Expr) {
 		if e == nil {
@@ -397,7 +339,6 @@ func (in *interp) rangeStmt(s *ast.RangeStmt) {
 			}
 			if obj := in.obj(id); obj != nil {
 				in.env[obj] = elem
-				in.fresh[obj] = false
 				return
 			}
 		}
@@ -415,13 +356,11 @@ func (in *interp) assignStmt(s *ast.AssignStmt) {
 	case token.ASSIGN, token.DEFINE:
 		if len(s.Lhs) == len(s.Rhs) {
 			cells := make([]Cell, len(s.Rhs))
-			freshes := make([]bool, len(s.Rhs))
 			for i, r := range s.Rhs {
 				cells[i] = in.eval(r)
-				freshes[i] = in.freshExpr(r, cells[i])
 			}
 			for i, l := range s.Lhs {
-				in.assign(l, cells[i], freshes[i])
+				in.assign(l, cells[i])
 			}
 			return
 		}
@@ -433,7 +372,7 @@ func (in *interp) assignStmt(s *ast.AssignStmt) {
 				if i < len(cells) {
 					cell = cells[i]
 				}
-				in.assign(l, cell, !cell.Tainted())
+				in.assign(l, cell)
 			}
 		}
 	default:
@@ -442,10 +381,7 @@ func (in *interp) assignStmt(s *ast.AssignStmt) {
 		old := in.eval(lhs)
 		rhs := in.eval(s.Rhs[0])
 		cell := old.Join(rhs)
-		if !in.spec().ValueMode {
-			// Alias modes: operators produce fresh values.
-			cell = Cell{}
-		} else if exactCommutativeFold(s.Tok, in.typeOf(lhs)) {
+		if exactCommutativeFold(s.Tok, in.typeOf(lhs)) {
 			// Integer +=, *=, |=, &=, ^= are exact and commutative, so an
 			// accumulation over a complete iteration yields the same value
 			// in any order: the fold canonicalizes the taint away. (A fold
@@ -453,33 +389,20 @@ func (in *interp) assignStmt(s *ast.AssignStmt) {
 			// documented false negative.)
 			cell = old
 		}
-		if as := in.spec().AccumSink; as != nil && rhs.Tainted() && as(s.Tok, in.typeOf(lhs)) {
+		if rhs.Tainted() && accumSink(s.Tok, in.typeOf(lhs)) {
 			in.sink(s.TokPos, rhs, fmt.Sprintf("order-sensitive accumulation (%s)", s.Tok))
 		}
-		in.assign(lhs, cell, false)
+		in.assign(lhs, cell)
 	}
 }
 
-// assign writes cell to the lvalue target. freshVal reports whether the
-// assigned value is a locally allocated container.
-func (in *interp) assign(target ast.Expr, cell Cell, freshVal bool) {
+// assign writes cell to the lvalue target. Package-level variables are
+// not tracked.
+func (in *interp) assign(target ast.Expr, cell Cell) {
 	if id, ok := ast.Unparen(target).(*ast.Ident); ok {
-		if id.Name == "_" {
-			return
+		if obj := in.obj(id); obj != nil && id.Name != "_" && !isGlobal(obj) {
+			in.env[obj] = cell // strong update
 		}
-		obj := in.obj(id)
-		if obj == nil {
-			return
-		}
-		if v, ok := obj.(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			// Assignment to a package-level variable.
-			if in.spec().HeapStores {
-				in.sink(id.Pos(), cell, fmt.Sprintf("assignment to package-level variable %s", id.Name))
-			}
-			return
-		}
-		in.env[obj] = cell // strong update
-		in.fresh[obj] = freshVal
 		return
 	}
 	in.storeInto(target, cell)
@@ -489,54 +412,23 @@ func (in *interp) assign(target ast.Expr, cell Cell, freshVal bool) {
 // (x.f = v, m[k] = v, *p = v, sl[i] = v and chains thereof).
 func (in *interp) storeInto(target ast.Expr, cell Cell) {
 	baseObj, crossed, viaMap := in.storeBase(target)
-	if viaMap && in.spec().ValueMode {
-		// Order-taint mode: a store through a map index is keyed, not
-		// positional — the map's content does not depend on the order the
-		// stores happened in, and iterating the map re-introduces the
-		// taint at the range statement. The container stays clean.
-		return
-	}
 	switch {
-	case baseObj == nil:
-		// Store through an expression with no variable root (call result,
-		// etc.): treat as a heap store.
-		if crossed && in.spec().HeapStores {
-			in.sink(target.Pos(), cell, "store into heap-reachable memory")
-		}
+	case viaMap, baseObj == nil:
+		// A store through a map index is keyed, not positional — the map's
+		// content does not depend on the order the stores happened in, and
+		// iterating the map re-introduces the taint at the range
+		// statement. A store with no variable root (into a call result)
+		// reaches nothing tracked.
 	case !crossed:
 		// Pure value-field chain: mutates the local copy only.
 		in.env[baseObj] = in.env[baseObj].Join(cell)
-	default:
-		if i := in.paramIndex(baseObj); i >= 0 {
-			if in.spec().ParamStores {
-				// Contract modes (recycleuse): retaining tainted data in
-				// caller-visible memory is the violation itself.
-				in.sink(target.Pos(), cell, fmt.Sprintf("store through parameter %s", baseObj.Name()))
-				return
-			}
-			// Caller-visible memory: record the out-flow; the caller
-			// decides whether its target was durable.
-			if i < len(in.sum.ParamOut) {
-				in.sum.ParamOut[i] = in.sum.ParamOut[i].Join(cell)
-			}
-			return
-		}
-		if v, ok := baseObj.(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			if in.spec().HeapStores {
-				in.sink(target.Pos(), cell, fmt.Sprintf("store into package-level %s", v.Name()))
-			}
-			return
-		}
-		if in.fresh[baseObj] {
-			// Locally allocated container absorbs the taint; it only
-			// flags if the container itself escapes later.
-			in.env[baseObj] = in.env[baseObj].Join(cell)
-			return
-		}
+	case in.paramIndex(baseObj) >= 0:
+		// Caller-visible memory: record the out-flow; the caller decides
+		// whether its target was durable.
+		i := in.paramIndex(baseObj)
+		in.sum.ParamOut[i] = in.sum.ParamOut[i].Join(cell)
+	case !isGlobal(baseObj):
 		in.env[baseObj] = in.env[baseObj].Join(cell)
-		if in.spec().HeapStores {
-			in.sink(target.Pos(), cell, fmt.Sprintf("store into heap-reachable %s", baseObj.Name()))
-		}
 	}
 }
 
@@ -586,34 +478,4 @@ func (in *interp) storeBase(target ast.Expr) (types.Object, bool, bool) {
 			return nil, crossed, viaMap
 		}
 	}
-}
-
-// freshExpr reports whether e evaluates to locally allocated memory.
-func (in *interp) freshExpr(e ast.Expr, cell Cell) bool {
-	if cell.Tainted() {
-		return false
-	}
-	switch e := ast.Unparen(e).(type) {
-	case *ast.CompositeLit:
-		return true
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			return in.freshExpr(e.X, cell)
-		}
-	case *ast.Ident:
-		if obj := in.obj(e); obj != nil {
-			return in.fresh[obj]
-		}
-	case *ast.SliceExpr:
-		return in.freshExpr(e.X, cell)
-	case *ast.CallExpr:
-		// make/new, append chains rooted in fresh slices, and untainted
-		// constructor results all count as locally owned: treating them
-		// as shared heap would flag every store into a just-built
-		// container. A container that later escapes still flags there.
-		return true
-	case *ast.BasicLit:
-		return true
-	}
-	return false
 }

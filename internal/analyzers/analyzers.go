@@ -1,6 +1,6 @@
 // Package analyzers is the registry of the lintscape suite: the
-// per-package syntactic analyzers plus the program-level dataflow
-// analyzers built on internal/analysis/dataflow.
+// per-package syntactic analyzers plus taintorder, the one program-level
+// analyzer, built on internal/analysis/dataflow.
 package analyzers
 
 import (
@@ -11,7 +11,6 @@ import (
 	"logscape/internal/analyzers/doclint"
 	"logscape/internal/analyzers/floateq"
 	"logscape/internal/analyzers/maporder"
-	"logscape/internal/analyzers/recycleuse"
 	"logscape/internal/analyzers/taintorder"
 	"logscape/internal/analyzers/wallclock"
 )
@@ -25,7 +24,6 @@ func All() []*analysis.Analyzer {
 		doclint.Analyzer,
 		floateq.Analyzer,
 		maporder.Analyzer,
-		recycleuse.Analyzer,
 		taintorder.Analyzer,
 		wallclock.Analyzer,
 	}

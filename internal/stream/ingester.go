@@ -309,8 +309,11 @@ func (in *Ingester) seal() *Bucket {
 		// Buckets leaving the window surrender their entry slices as
 		// scratch for future buckets. A new bucket consumes one slice, so
 		// a small cap bounds the idle pool after a sparse stretch retires
-		// several buckets at once.
+		// several buckets at once. Zeroing a slice as it enters the pool
+		// makes a consumer that kept it read empty entries at once, which
+		// the equivalence suites catch, instead of stale ones later.
 		for i := 0; i < drop && len(in.free) < freeSlices; i++ {
+			clear(in.win[i].Entries)
 			in.free = append(in.free, in.win[i].Entries[:0])
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"logscape/internal/core"
 	"logscape/internal/logmodel"
 )
 
@@ -60,6 +61,42 @@ func TestIngesterBucketing(t *testing.T) {
 	}
 	if n := in.WindowStore().Len(); n != 1 {
 		t.Errorf("window store has %d entries, want 1 (only bucket 4 remains)", n)
+	}
+}
+
+// keeper is a miner that breaks the recycling contract: it keeps every
+// delivered bucket's entry slice.
+type keeper struct{ kept [][]logmodel.Entry }
+
+func (k *keeper) Advance(b Bucket)             { k.kept = append(k.kept, b.Entries) }
+func (k *keeper) Snapshot() core.ModelDocument { return core.ModelDocument{} }
+func (k *keeper) Batch(*logmodel.Store, logmodel.TimeRange) core.ModelDocument {
+	return core.ModelDocument{}
+}
+
+// TestRetiredSlicesAreZeroed pins the run-time half of the recycling
+// contract (DESIGN.md §12): a consumer that keeps a bucket's slice reads
+// zero entries as soon as the bucket retires into the pool, so a miner
+// that retains one breaks stream ≡ batch at once instead of reading stale
+// entries whenever the slice happens to be reused.
+func TestRetiredSlicesAreZeroed(t *testing.T) {
+	k := &keeper{}
+	in := NewIngester(Config{BucketWidth: 1000, WindowBuckets: 2, RecycleBuckets: true}, k)
+	in.AddBatch([]logmodel.Entry{
+		at(100, "A"),  // bucket 0
+		at(1100, "B"), // bucket 1
+		// Bucket 2 outgrows bucket 0's slice, so the pool keeps it unused.
+		at(2100, "C"), at(2200, "D"), at(2300, "E"),
+		at(3100, "F"), // closes bucket 2: bucket 0 retires
+	})
+	if len(k.kept) != 3 {
+		t.Fatalf("delivered %d buckets, want 3", len(k.kept))
+	}
+	if got := k.kept[0][0]; got != (logmodel.Entry{}) {
+		t.Errorf("retired bucket 0 reads %+v through a kept slice, want the zero entry", got)
+	}
+	if got := k.kept[1][0].Source; got != "B" {
+		t.Errorf("in-window bucket 1 reads source %q, want B", got)
 	}
 }
 

@@ -39,11 +39,11 @@ type Config struct {
 	// dominant steady-state allocation of the ingest path. Opt-in because
 	// it sharpens the Bucket ownership contract: with recycling on, every
 	// consumer (miners, OnAdvance) must treat Bucket.Entries as invalid
-	// once the bucket leaves the window — retaining the slice would observe
-	// it being overwritten. The built-in stream miners copy what they keep,
-	// so cmd/depmine enables this; leave it off when attaching miners with
-	// unknown retention. Delivered buckets and snapshots are byte-identical
-	// either way.
+	// once the bucket leaves the window. The ingester zeroes each slice as
+	// it enters the pool, so a consumer that kept one reads zero entries
+	// at once and the stream ≡ batch suites fail (DESIGN.md §12). The
+	// built-in stream miners copy what they keep, so cmd/depmine enables
+	// this. Delivered buckets and snapshots are byte-identical either way.
 	RecycleBuckets bool
 }
 

@@ -5,8 +5,8 @@ package logscape_test
 // serializes byte-identically to the corresponding batch miner run over a
 // store holding exactly the window's entries. The harness drives a
 // simulated testbed day through the ingester bucket by bucket and checks
-// the contract on every prefix window, for Workers: 1 and Workers: 8, for
-// all three techniques at once. It extends the worker-equivalence suite of
+// the contract on every prefix window, for Workers: 1 and Workers: 8, with
+// bucket recycling off and on, for all three techniques at once. It extends the worker-equivalence suite of
 // determinism_test.go into the time dimension: not just "same result for
 // any worker count" but "same result no matter how the window got there".
 
@@ -37,15 +37,16 @@ type streamRun struct {
 // runStreamDay streams one testbed day through all three miners and
 // records, per advance, the snapshot bytes and — when checkBatch — compares
 // them against the batch reference over the ingester's window store.
-func runStreamDay(t *testing.T, workers int, checkBatch bool) streamRun {
+func runStreamDay(t *testing.T, workers int, recycle, checkBatch bool) streamRun {
 	t.Helper()
 	tb := logscape.NewTestbed(11, 0.1, 1)
 	store := tb.Day(0)
 
 	wcfg := logscape.StreamConfig{
-		BucketWidth:   logscape.Millis(3600_000),
-		WindowBuckets: 6,
-		Workers:       workers,
+		BucketWidth:    logscape.Millis(3600_000),
+		WindowBuckets:  6,
+		Workers:        workers,
+		RecycleBuckets: recycle,
 	}
 	miners := map[string]logscape.StreamMiner{
 		"l1": logscape.NewL1Stream(wcfg, logscape.L1Config{MinLogs: 8, Seed: 11, Workers: workers}),
@@ -92,22 +93,28 @@ func runStreamDay(t *testing.T, workers int, checkBatch bool) streamRun {
 // TestStreamBatchEquivalence checks the byte-equivalence contract on every
 // prefix window of a simulated day, sequentially and sharded.
 func TestStreamBatchEquivalence(t *testing.T) {
-	seq := runStreamDay(t, 1, true)
-	par := runStreamDay(t, 8, false)
+	seq := runStreamDay(t, 1, false, true)
 
 	// The advance sequences and every per-advance snapshot must also agree
 	// across worker counts (the determinism contract, extended to
-	// streaming).
-	if len(seq.buckets) != len(par.buckets) {
-		t.Fatalf("advance counts differ: %d vs %d", len(seq.buckets), len(par.buckets))
-	}
-	for _, tech := range []string{"l1", "l2", "l3"} {
-		a, b := seq.snapshots[tech], par.snapshots[tech]
-		if len(a) != len(b) {
-			t.Fatalf("%s: snapshot counts differ: %d vs %d", tech, len(a), len(b))
+	// streaming) and with bucket recycling on: the ingester zeroes each
+	// slice it recycles, so a miner that kept one would diverge here.
+	for _, arm := range []struct {
+		workers int
+		recycle bool
+	}{{8, false}, {1, true}, {8, true}} {
+		other := runStreamDay(t, arm.workers, arm.recycle, false)
+		if len(seq.buckets) != len(other.buckets) {
+			t.Fatalf("%+v: advance counts differ: %d vs %d", arm, len(seq.buckets), len(other.buckets))
 		}
-		for i := range a {
-			requireSameBytes(t, tech, a[i], b[i])
+		for _, tech := range []string{"l1", "l2", "l3"} {
+			a, b := seq.snapshots[tech], other.snapshots[tech]
+			if len(a) != len(b) {
+				t.Fatalf("%+v %s: snapshot counts differ: %d vs %d", arm, tech, len(a), len(b))
+			}
+			for i := range a {
+				requireSameBytes(t, tech, a[i], b[i])
+			}
 		}
 	}
 

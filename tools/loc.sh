@@ -1,16 +1,19 @@
 #!/bin/sh
 # Prints the non-test Go lines of every package in the module (bench/ and
-# testdata/ excluded) and, given a base ref, each package's delta against it.
-# CI runs it against the merge base; ROADMAP item 3 budgets on the total.
+# testdata/ excluded), the lint toolchain's subtotal (internal/analysis*,
+# internal/analyzers*, cmd/lintscape) and the total and, given a base ref,
+# each line's delta against it. CI runs it against the merge base.
 #
 #	sh tools/loc.sh [base-ref]
 set -eu
 
-# loc DIR: "package lines" for every package under DIR, then "total lines".
+# loc DIR: "package lines" for every package under DIR, then "toolchain
+# lines" and "total lines".
 loc() {
 	(cd "$1" && find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -exec wc -l {} + |
-		awk '$2 != "total" { d = $2; sub(/\/[^\/]*$/, "", d); n[d] += $1; t += $1 }
-			END { for (d in n) print d, n[d]; print "total", t }' | sort)
+		awk '$2 != "total" { d = $2; sub(/\/[^\/]*$/, "", d); n[d] += $1; t += $1
+				if (d ~ /^\.\/internal\/analy(sis|zers)(\/|$)/ || d == "./cmd/lintscape") tc += $1 }
+			END { for (d in n) print d, n[d]; print "toolchain", tc; print "total", t }' | sort)
 }
 
 if [ $# -eq 0 ]; then
