@@ -1,6 +1,8 @@
 // Command lintscape is the repository's invariant checker: a multichecker
 // over the analyzers in internal/analyzers that mechanically enforces the
 // determinism & concurrency contract (see DESIGN.md §"Static invariants").
+// It loads the packages once and runs every analyzer once over the whole
+// load (internal/analysis/runner).
 //
 // Usage:
 //
@@ -9,12 +11,12 @@
 // With no packages it checks ./... . Flags:
 //
 //	-json           emit findings as a JSON array instead of text
-//	-tests          also check in-package _test.go files
-//	-workers N      analysis parallelism (0 = all cores, 1 = sequential)
+//	-tests          also check _test.go files, external test packages included
 //	-list           print the analyzers and their docs, then exit
 //
 // Exit status is 1 when any finding remains after //lint:allow filtering,
-// 2 on operational failure, 0 otherwise.
+// 2 on operational failure (a package that does not type-check included),
+// 0 otherwise.
 package main
 
 import (
@@ -24,14 +26,14 @@ import (
 	"os"
 
 	"logscape/internal/analysis"
+	"logscape/internal/analysis/load"
 	"logscape/internal/analysis/runner"
 	"logscape/internal/analyzers"
 )
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
-	tests := flag.Bool("tests", false, "also analyze in-package _test.go files")
-	workers := flag.Int("workers", 0, "analysis parallelism: 0 = all cores, 1 = sequential")
+	tests := flag.Bool("tests", false, "also analyze _test.go files, external test packages included")
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	flag.Parse()
 
@@ -42,18 +44,13 @@ func main() {
 		return
 	}
 
-	// Load packages, run the suite (per-package analyzers in parallel,
-	// program-level dataflow analyzers over the whole load), print.
-	res, err := runner.Run(analyzers.All(), runner.Options{
-		Patterns: flag.Args(),
-		Tests:    *tests,
-		Workers:  *workers,
-	})
+	// Load the packages, run every analyzer once over the whole load, print.
+	findings, err := runner.Run(analyzers.All(), load.Options{Patterns: flag.Args(), Tests: *tests})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lintscape:", err)
 		os.Exit(2)
 	}
-	os.Exit(report(res.Findings, *jsonOut))
+	os.Exit(report(findings, *jsonOut))
 }
 
 // report prints the findings and returns the exit code.

@@ -16,53 +16,38 @@ type Analyzer struct {
 	// Doc is the one-paragraph description printed by `lintscape -list`:
 	// the invariant the analyzer encodes and how to satisfy it.
 	Doc string
-	// Run applies the analyzer to one package. The result value is unused
-	// by the driver (it exists for x/tools API compatibility).
-	Run func(*Pass) (any, error)
-	// RunProgram, when non-nil, marks a program-level analyzer: instead of
-	// Run being called once per package, RunProgram is called once with
-	// every loaded package, so the analyzer can build cross-package call
-	// graphs and function summaries (see internal/analysis/dataflow). An
-	// analyzer sets exactly one of Run and RunProgram.
-	RunProgram func(*ProgramPass) error
+	// Run applies the analyzer once to the whole loaded program.
+	Run func(*Pass) error
 }
 
-// Pass carries one analyzed package through an Analyzer's Run function.
-type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-	// Sources maps each file name (as recorded in Fset positions) to its
-	// raw content, for analyzers that inspect comments or directives
-	// textually (e.g. allowaudit). May be nil for drivers that do not
-	// retain sources.
-	Sources map[string][]byte
-	// Report delivers one diagnostic to the driver.
-	Report func(Diagnostic)
-}
-
-// ProgramUnit is one package as seen by a program-level analyzer.
-type ProgramUnit struct {
+// Unit is one loaded package: its syntax, its types and its raw sources.
+type Unit struct {
 	Pkg   *types.Package
 	Files []*ast.File
 	Info  *types.Info
 	// RelDir is the package directory relative to the module root. Drivers
 	// without a module root use ".".
 	RelDir string
-	// Sources maps file names to raw content, for directive scanning.
+	// Sources maps each file name (as recorded in Fset positions) to its
+	// raw content, for analyzers that inspect comments or directives
+	// textually (e.g. allowaudit).
 	Sources map[string][]byte
 }
 
-// ProgramPass carries the whole loaded program through an Analyzer's
-// RunProgram function.
-type ProgramPass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
+// Inspect walks every file of the unit in depth-first order, calling fn for
+// each node; fn returning false prunes the subtree.
+func (u *Unit) Inspect(fn func(ast.Node) bool) {
+	for _, f := range u.Files {
+		ast.Inspect(f, fn)
+	}
+}
+
+// Pass carries the whole loaded program through an Analyzer's Run function.
+type Pass struct {
+	Fset *token.FileSet
 	// Units are the loaded packages, in deterministic (load) order.
-	// Program analyzers must not depend on the order beyond determinism.
-	Units []*ProgramUnit
+	// Analyzers must not depend on the order beyond determinism.
+	Units []*Unit
 	// Report delivers one diagnostic to the driver.
 	Report func(Diagnostic)
 	// ExportFact, when non-nil, receives one human-readable fact string
@@ -81,14 +66,6 @@ type Diagnostic struct {
 // Reportf reports a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// Inspect walks every file of the pass in depth-first order, calling fn for
-// each node; fn returning false prunes the subtree.
-func (p *Pass) Inspect(fn func(ast.Node) bool) {
-	for _, f := range p.Files {
-		ast.Inspect(f, fn)
-	}
 }
 
 // Finding is a Diagnostic resolved to a concrete position and annotated

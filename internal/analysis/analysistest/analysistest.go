@@ -1,7 +1,7 @@
 package analysistest
 
 import (
-	"go/ast"
+	"fmt"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -17,9 +17,14 @@ import (
 	"logscape/internal/analysis/load"
 )
 
-// Run applies the analyzer to each fixture package (import paths under
-// testdata/src relative to the calling test's directory) and reports any
-// mismatch against the // want expectations as test errors.
+// Run applies the analyzer to the fixture packages (import paths under
+// testdata/src relative to the calling test's directory) as one program:
+// every listed package, plus every sibling fixture package any of them
+// imports, becomes a Unit of the one Pass, so interprocedural flows across
+// fixture packages are summarized. Diagnostics are matched against // want
+// expectations; exported summary facts are matched against // wantfact
+// expectations anchored to the line of the function declaration they
+// describe. Every mismatch is a test error.
 func Run(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	testdata, err := filepath.Abs("testdata")
@@ -31,44 +36,15 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
 		testdata: testdata,
 		fset:     fset,
 		gc:       importer.ForCompiler(fset, "gc", load.StdResolver("")),
-		cache:    make(map[string]*fixturePkg),
+		cache:    make(map[string]*analysis.Unit),
 	}
 	for _, pkg := range pkgs {
-		runOne(t, ld, a, pkg)
-	}
-}
-
-// RunProgram applies a program-level analyzer (Analyzer.RunProgram) to the
-// fixture packages as one program: every listed package, plus every sibling
-// fixture package any of them imports, becomes a ProgramUnit, so
-// interprocedural flows across fixture packages are summarized. Diagnostics
-// are matched against // want expectations; exported summary facts are
-// matched against // wantfact expectations anchored to the line of the
-// function declaration they describe.
-func RunProgram(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
-	t.Helper()
-	if a.RunProgram == nil {
-		t.Fatalf("%s: analyzer has no RunProgram", a.Name)
-	}
-	testdata, err := filepath.Abs("testdata")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	ld := &fixtureLoader{
-		testdata: testdata,
-		fset:     fset,
-		gc:       importer.ForCompiler(fset, "gc", load.StdResolver("")),
-		cache:    make(map[string]*fixturePkg),
-	}
-	for _, pkg := range pkgs {
-		fp, err := ld.load(pkg)
-		if err != nil {
+		if _, err := ld.load(pkg); err != nil {
 			t.Fatalf("%s: loading fixture %s: %v", a.Name, pkg, err)
 		}
-		for _, err := range fp.errors {
-			t.Errorf("%s: fixture %s: type error: %v", a.Name, pkg, err)
-		}
+	}
+	for _, err := range ld.errs {
+		t.Errorf("%s: %v", a.Name, err)
 	}
 
 	// Deterministic unit order over everything loaded (including imported
@@ -78,15 +54,12 @@ func RunProgram(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-	var units []*analysis.ProgramUnit
+	var units []*analysis.Unit
 	allSources := make(map[string][]byte)
 	for _, p := range paths {
-		fp := ld.cache[p]
-		units = append(units, &analysis.ProgramUnit{
-			Pkg: fp.pkg, Files: fp.files, Info: fp.info,
-			RelDir: p, Sources: fp.sources,
-		})
-		for name, src := range fp.sources {
+		u := ld.cache[p]
+		units = append(units, u)
+		for name, src := range u.Sources {
 			allSources[name] = src
 		}
 	}
@@ -98,10 +71,9 @@ func RunProgram(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
 		fact string
 	}
 	var facts []factRec
-	pass := &analysis.ProgramPass{
-		Analyzer: a,
-		Fset:     fset,
-		Units:    units,
+	pass := &analysis.Pass{
+		Fset:  fset,
+		Units: units,
 		Report: func(d analysis.Diagnostic) {
 			pos := fset.Position(d.Pos)
 			findings = append(findings, analysis.Finding{
@@ -115,14 +87,14 @@ func RunProgram(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
 			facts = append(facts, factRec{p.Filename, p.Line, fact})
 		},
 	}
-	if err := a.RunProgram(pass); err != nil {
-		t.Fatalf("%s: RunProgram: %v", a.Name, err)
+	if err := a.Run(pass); err != nil {
+		t.Fatalf("%s: Run: %v", a.Name, err)
 	}
 
 	findings = analysis.FilterByDirectives(findings, allSources)
 	analysis.SortFindings(findings)
 
-	wants := parseWants(t, allSources)
+	wants := parseWants(t, allSources, wantRe)
 	for _, f := range findings {
 		if !wants.match(f) {
 			t.Errorf("%s: unexpected diagnostic at %s:%d: %s", a.Name, rel(f.Pos.Filename), f.Pos.Line, f.Message)
@@ -135,7 +107,7 @@ func RunProgram(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
 	// Fact expectations: every // wantfact must match some exported fact on
 	// its line. Facts without expectations are not errors (summaries are
 	// voluminous); only missing expected facts are.
-	for _, w := range parseFactWants(t, allSources).wants {
+	for _, w := range parseWants(t, allSources, wantFactRe).wants {
 		found := false
 		for _, f := range facts {
 			if f.file == w.file && f.line == w.line && w.re.MatchString(f.fact) {
@@ -153,53 +125,6 @@ func RunProgram(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
 			t.Errorf("%s: no exported fact at %s:%d matching %q (facts on line: %v)",
 				a.Name, rel(w.file), w.line, w.re.String(), nearby)
 		}
-	}
-}
-
-func runOne(t *testing.T, ld *fixtureLoader, a *analysis.Analyzer, pkgPath string) {
-	t.Helper()
-	fp, err := ld.load(pkgPath)
-	if err != nil {
-		t.Fatalf("%s: loading fixture %s: %v", a.Name, pkgPath, err)
-	}
-	for _, err := range fp.errors {
-		t.Errorf("%s: fixture %s: type error: %v", a.Name, pkgPath, err)
-	}
-
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      ld.fset,
-		Files:     fp.files,
-		Pkg:       fp.pkg,
-		TypesInfo: fp.info,
-		Sources:   fp.sources,
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("%s: Run: %v", a.Name, err)
-	}
-
-	findings := make([]analysis.Finding, 0, len(diags))
-	for _, d := range diags {
-		pos := ld.fset.Position(d.Pos)
-		findings = append(findings, analysis.Finding{
-			Analyzer: a.Name, Pos: pos,
-			File: pos.Filename, Line: pos.Line, Col: pos.Column,
-			Message: d.Message,
-		})
-	}
-	findings = analysis.FilterByDirectives(findings, fp.sources)
-	analysis.SortFindings(findings)
-
-	wants := parseWants(t, fp.sources)
-	for _, f := range findings {
-		if !wants.match(f) {
-			t.Errorf("%s: unexpected diagnostic at %s:%d: %s", a.Name, rel(f.Pos.Filename), f.Pos.Line, f.Message)
-		}
-	}
-	for _, w := range wants.unmatched() {
-		t.Errorf("%s: no diagnostic at %s:%d matching %q", a.Name, rel(w.file), w.line, w.re.String())
 	}
 }
 
@@ -227,17 +152,9 @@ var (
 	wantFactRe = regexp.MustCompile("//\\s*wantfact\\s+(`([^`]*)`|\"([^\"]*)\")")
 )
 
-func parseWants(t *testing.T, sources map[string][]byte) *wantSet {
-	t.Helper()
-	return parseWantsRe(t, sources, wantRe)
-}
-
-func parseFactWants(t *testing.T, sources map[string][]byte) *wantSet {
-	t.Helper()
-	return parseWantsRe(t, sources, wantFactRe)
-}
-
-func parseWantsRe(t *testing.T, sources map[string][]byte, re *regexp.Regexp) *wantSet {
+// parseWants collects the expectations re matches in the sources, in file
+// and line order.
+func parseWants(t *testing.T, sources map[string][]byte, re *regexp.Regexp) *wantSet {
 	t.Helper()
 	ws := &wantSet{}
 	names := make([]string, 0, len(sources))
@@ -285,15 +202,6 @@ func (ws *wantSet) unmatched() []*want {
 	return out
 }
 
-// fixturePkg is one parsed and type-checked fixture package.
-type fixturePkg struct {
-	files   []*ast.File
-	pkg     *types.Package
-	info    *types.Info
-	sources map[string][]byte
-	errors  []error
-}
-
 // fixtureLoader type-checks fixture packages, resolving sibling fixture
 // imports from source and everything else through export data.
 type fixtureLoader struct {
@@ -302,13 +210,14 @@ type fixtureLoader struct {
 	// gc is a single shared export-data importer so that all fixture
 	// packages see identical *types.Package instances for e.g. "sync".
 	gc       types.Importer
-	cache    map[string]*fixturePkg
+	cache    map[string]*analysis.Unit
 	checking []string // import cycle guard
+	errs     []error  // type errors of every fixture loaded
 }
 
-func (ld *fixtureLoader) load(pkgPath string) (*fixturePkg, error) {
-	if fp, ok := ld.cache[pkgPath]; ok {
-		return fp, nil
+func (ld *fixtureLoader) load(pkgPath string) (*analysis.Unit, error) {
+	if u, ok := ld.cache[pkgPath]; ok {
+		return u, nil
 	}
 	for _, p := range ld.checking {
 		if p == pkgPath {
@@ -323,7 +232,7 @@ func (ld *fixtureLoader) load(pkgPath string) (*fixturePkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	fp := &fixturePkg{sources: make(map[string][]byte)}
+	u := &analysis.Unit{RelDir: pkgPath, Sources: make(map[string][]byte)}
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
@@ -333,22 +242,24 @@ func (ld *fixtureLoader) load(pkgPath string) (*fixturePkg, error) {
 		if err != nil {
 			return nil, err
 		}
-		fp.sources[full] = src
+		u.Sources[full] = src
 		f, err := parser.ParseFile(ld.fset, full, src, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
-		fp.files = append(fp.files, f)
+		u.Files = append(u.Files, f)
 	}
 
-	fp.info = load.NewInfo()
+	u.Info = load.NewInfo()
 	conf := types.Config{
 		Importer: &fixtureImporter{ld: ld},
-		Error:    func(err error) { fp.errors = append(fp.errors, err) },
+		Error: func(err error) {
+			ld.errs = append(ld.errs, fmt.Errorf("fixture %s: type error: %v", pkgPath, err))
+		},
 	}
-	fp.pkg, _ = conf.Check(pkgPath, ld.fset, fp.files, fp.info)
-	ld.cache[pkgPath] = fp
-	return fp, nil
+	u.Pkg, _ = conf.Check(pkgPath, ld.fset, u.Files, u.Info)
+	ld.cache[pkgPath] = u
+	return u, nil
 }
 
 type errImportCycle string
@@ -361,11 +272,11 @@ type fixtureImporter struct{ ld *fixtureLoader }
 func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
 	// Sibling fixture package?
 	if dir := filepath.Join(fi.ld.testdata, "src", filepath.FromSlash(path)); isDir(dir) {
-		fp, err := fi.ld.load(path)
+		u, err := fi.ld.load(path)
 		if err != nil {
 			return nil, err
 		}
-		return fp.pkg, nil
+		return u.Pkg, nil
 	}
 	return fi.ld.gc.Import(path)
 }

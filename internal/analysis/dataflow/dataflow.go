@@ -17,7 +17,7 @@ type Func struct {
 	Decl *ast.FuncDecl
 	Obj  *types.Func
 	Sig  *types.Signature
-	Unit *analysis.ProgramUnit
+	Unit *analysis.Unit
 	// Params holds the receiver (if any) followed by the declared
 	// parameters; entries with a nil Obj are unnamed (or _).
 	Params []Param
@@ -37,7 +37,7 @@ type Param struct {
 // Program is the indexed whole-program view the engine analyzes.
 type Program struct {
 	Fset  *token.FileSet
-	Units []*analysis.ProgramUnit
+	Units []*analysis.Unit
 	// Funcs maps Func.ID to the function. Only declarations with bodies
 	// appear; external and export-data-only functions are absent.
 	Funcs map[string]*Func
@@ -47,7 +47,7 @@ type Program struct {
 }
 
 // BuildProgram indexes the functions and static call graph of the units.
-func BuildProgram(fset *token.FileSet, units []*analysis.ProgramUnit) *Program {
+func BuildProgram(fset *token.FileSet, units []*analysis.Unit) *Program {
 	p := &Program{
 		Fset:  fset,
 		Units: units,

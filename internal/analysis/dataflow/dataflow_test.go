@@ -20,9 +20,9 @@ type importerFunc func(path string) (*types.Package, error)
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // compile type-checks one single-file package per source, in order, into
-// ProgramUnits. A package is named by its clause and may import the
+// Units. A package is named by its clause and may import the
 // standard library and any package compiled before it.
-func compile(t *testing.T, srcs ...string) (*token.FileSet, []*analysis.ProgramUnit) {
+func compile(t *testing.T, srcs ...string) (*token.FileSet, []*analysis.Unit) {
 	t.Helper()
 	fset := token.NewFileSet()
 	std := importer.ForCompiler(fset, "gc", load.StdResolver(""))
@@ -33,7 +33,7 @@ func compile(t *testing.T, srcs ...string) (*token.FileSet, []*analysis.ProgramU
 		}
 		return std.Import(path)
 	})
-	var units []*analysis.ProgramUnit
+	var units []*analysis.Unit
 	for _, src := range srcs {
 		f, err := parser.ParseFile(fset, "", src, parser.PackageClauseOnly)
 		if err != nil {
@@ -49,7 +49,7 @@ func compile(t *testing.T, srcs ...string) (*token.FileSet, []*analysis.ProgramU
 			t.Fatal(err)
 		}
 		done[name] = pkg
-		units = append(units, &analysis.ProgramUnit{
+		units = append(units, &analysis.Unit{
 			Pkg: pkg, Files: []*ast.File{f}, Info: info, RelDir: name,
 			Sources: map[string][]byte{name + ".go": []byte(src)},
 		})
@@ -64,7 +64,7 @@ func analyzeSrc(t *testing.T, srcs ...string) (diags []string, facts map[string]
 	fset, units := compile(t, srcs...)
 	prog := BuildProgram(fset, units)
 	facts = make(map[string][]string)
-	pass := &analysis.ProgramPass{
+	pass := &analysis.Pass{
 		Fset:  fset,
 		Units: units,
 		Report: func(d analysis.Diagnostic) {

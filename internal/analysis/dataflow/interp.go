@@ -183,13 +183,12 @@ func (in *interp) stmt(s ast.Stmt) {
 	}
 }
 
-// loop runs body twice (propagating loop-carried taint) and then joins the
-// zero-iteration state back in.
+// loop runs body until the environment stops changing (at most 16 times),
+// so taint carried across iterations through a chain of assignments
+// propagates fully, and then joins the zero-iteration state back in.
 func (in *interp) loop(body func()) {
 	pre := cloneEnv(in.env)
-	// Iterate the body until the environment stabilises so taint carried
-	// across iterations through a chain of assignments propagates fully.
-	// Strong updates make single runs non-monotone, so a cap backstops
+	// Strong updates make single runs non-monotone, so the cap backstops
 	// oscillation.
 	const maxIter = 16
 	for i := 0; i < maxIter; i++ {

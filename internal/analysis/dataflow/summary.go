@@ -110,7 +110,7 @@ func (s *Summary) Facts() []string {
 // Analyze runs the engine over the program: bottom-up summaries with a
 // fixpoint per SCC, then a reporting pass per function, then fact export
 // when the pass requests it.
-func Analyze(prog *Program, pass *analysis.ProgramPass) {
+func Analyze(prog *Program, pass *analysis.Pass) {
 	a := &analyzer{pass: pass, summaries: make(map[string]*Summary)}
 
 	// maxRounds bounds a fixpoint that fails to converge (it cannot, the
@@ -153,6 +153,6 @@ func Analyze(prog *Program, pass *analysis.ProgramPass) {
 
 // analyzer is the analysis state shared by all interpretations.
 type analyzer struct {
-	pass      *analysis.ProgramPass
+	pass      *analysis.Pass
 	summaries map[string]*Summary
 }

@@ -5,11 +5,12 @@
 // from go/types, and export data for imports resolved through
 // `go list -export` (see internal/analysis/load).
 //
-// The API deliberately mirrors x/tools so the analyzers can migrate to the
-// upstream framework verbatim once the module is allowed third-party
-// dependencies: an Analyzer has a Name, a Doc and a Run function; Run
-// receives a Pass with the parsed files, the type-checked package and the
-// type info, and reports Diagnostics.
+// Every analyzer has one shape: a Name, a Doc and a Run function that is
+// called once with a Pass holding the whole loaded program — one Unit per
+// package (parsed files, type-checked package, type info, raw sources) —
+// and reports Diagnostics through it. Syntactic analyzers range over the
+// units; the interprocedural one (taintorder) builds its call graph over
+// them (see internal/analysis/dataflow).
 //
 // See DESIGN.md §8 (Static invariants).
 package analysis

@@ -3,6 +3,7 @@ package load
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -16,34 +17,9 @@ import (
 	"strings"
 	"sync"
 
+	"logscape/internal/analysis"
 	"logscape/internal/parallel"
 )
-
-// Package is one parsed and type-checked target package.
-type Package struct {
-	// ImportPath is the canonical import path.
-	ImportPath string
-	// Dir is the absolute package directory.
-	Dir string
-	// RelDir is Dir relative to the module root with forward slashes
-	// ("." for the root package).
-	RelDir string
-	// Fset is the shared file set of the load.
-	Fset *token.FileSet
-	// Files are the parsed source files (GoFiles, plus in-package test
-	// files when Options.Tests is set).
-	Files []*ast.File
-	// Types and Info are the type-checked package and its type
-	// information.
-	Types *types.Package
-	Info  *types.Info
-	// Sources maps each file name (as recorded in Fset positions) to its
-	// raw content, for directive scanning.
-	Sources map[string][]byte
-	// Errors holds type-checking errors, if any. Analyzers still run on
-	// packages with errors, but the driver reports them.
-	Errors []error
-}
 
 // Options configures a Load.
 type Options struct {
@@ -51,22 +27,18 @@ type Options struct {
 	Dir string
 	// Patterns are the package patterns to load (default: ./...).
 	Patterns []string
-	// Tests includes in-package _test.go files in each target package
-	// (external _test packages are not loaded).
+	// Tests includes in-package _test.go files in each target package and
+	// loads each external _test package as a unit of its own.
 	Tests bool
-	// Workers bounds the type-checking parallelism as in
-	// internal/parallel: 0 means GOMAXPROCS, 1 forces sequential.
-	Workers int
 }
 
 // Result is the outcome of a Load.
 type Result struct {
-	// Packages are the target packages in `go list` order.
-	Packages []*Package
-	// ModuleDir and ModulePath describe the main module.
-	ModuleDir  string
-	ModulePath string
-	Fset       *token.FileSet
+	// Units are the target packages in `go list` order.
+	Units []*analysis.Unit
+	// ModuleDir is the root of the main module.
+	ModuleDir string
+	Fset      *token.FileSet
 }
 
 // listPackage is the subset of `go list -json` output the loader uses.
@@ -88,7 +60,9 @@ type listPackage struct {
 	Error *struct{ Err string }
 }
 
-// Load lists, parses and type-checks the packages matching the patterns.
+// Load lists, parses and type-checks the packages matching the patterns,
+// at GOMAXPROCS parallelism. A package that fails to read, parse or
+// type-check fails the whole load: analyzers only ever see well-typed code.
 func Load(opts Options) (*Result, error) {
 	patterns := opts.Patterns
 	if len(patterns) == 0 {
@@ -125,7 +99,6 @@ func Load(opts Options) (*Result, error) {
 			targets = append(targets, p)
 			if res.ModuleDir == "" && p.Module != nil && p.Module.Main {
 				res.ModuleDir = p.Module.Dir
-				res.ModulePath = p.Module.Path
 			}
 			// External test packages (package foo_test) type-check as their
 			// own compilation unit importing the package under test, so they
@@ -141,22 +114,27 @@ func Load(opts Options) (*Result, error) {
 		}
 	}
 
-	pkgs := parallel.Map(parallel.Workers(opts.Workers), len(targets), func(i int) *Package {
-		return loadOne(res, targets[i], resolver, opts.Tests)
+	errs := make([]error, len(targets))
+	res.Units = parallel.Map(parallel.Workers(0), len(targets), func(i int) *analysis.Unit {
+		u, err := loadOne(res, targets[i], resolver, opts.Tests)
+		errs[i] = err
+		return u
 	})
-	res.Packages = pkgs
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
-// loadOne parses and type-checks one target package.
-func loadOne(res *Result, lp listPackage, r *resolver, tests bool) *Package {
-	pkg := &Package{
-		ImportPath: lp.ImportPath,
-		Dir:        lp.Dir,
-		RelDir:     relDir(res.ModuleDir, lp.Dir),
-		Fset:       res.Fset,
-		Sources:    make(map[string][]byte),
+// loadOne parses and type-checks one target package. The error joins every
+// read, parse and type error, each prefixed with the import path.
+func loadOne(res *Result, lp listPackage, r *resolver, tests bool) (*analysis.Unit, error) {
+	u := &analysis.Unit{
+		RelDir:  relDir(res.ModuleDir, lp.Dir),
+		Sources: make(map[string][]byte),
 	}
+	var errs []error
+	fail := func(err error) { errs = append(errs, fmt.Errorf("%s: %w", lp.ImportPath, err)) }
 	names := append([]string{}, lp.GoFiles...)
 	if tests {
 		names = append(names, lp.TestGoFiles...)
@@ -165,32 +143,32 @@ func loadOne(res *Result, lp listPackage, r *resolver, tests bool) *Package {
 		full := filepath.Join(lp.Dir, name)
 		src, err := os.ReadFile(full)
 		if err != nil {
-			pkg.Errors = append(pkg.Errors, err)
+			fail(err)
 			continue
 		}
-		pkg.Sources[full] = src
+		u.Sources[full] = src
 		f, err := parser.ParseFile(res.Fset, full, src, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			pkg.Errors = append(pkg.Errors, err)
+			fail(err)
 			continue
 		}
-		pkg.Files = append(pkg.Files, f)
+		u.Files = append(u.Files, f)
 	}
 
-	pkg.Info = NewInfo()
+	u.Info = NewInfo()
 	conf := types.Config{
 		// Each package gets its own importer instance: the gc importer's
 		// internal package cache is not safe for the concurrent
 		// type-checking the worker pool does.
 		Importer: importer.ForCompiler(res.Fset, "gc", r.lookup),
-		Error:    func(err error) { pkg.Errors = append(pkg.Errors, err) },
+		Error:    fail,
 	}
-	tpkg, err := conf.Check(lp.ImportPath, res.Fset, pkg.Files, pkg.Info)
-	if err != nil && len(pkg.Errors) == 0 {
-		pkg.Errors = append(pkg.Errors, err)
+	tpkg, err := conf.Check(lp.ImportPath, res.Fset, u.Files, u.Info)
+	if err != nil && len(errs) == 0 {
+		fail(err)
 	}
-	pkg.Types = tpkg
-	return pkg
+	u.Pkg = tpkg
+	return u, errors.Join(errs...)
 }
 
 // NewInfo allocates the types.Info maps the analyzers rely on.

@@ -28,15 +28,18 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	names := make([]string, 0, len(pass.Sources))
-	for name := range pass.Sources {
-		names = append(names, name)
+func run(pass *analysis.Pass) error {
+	var names []string
+	sources := make(map[string][]byte)
+	for _, u := range pass.Units {
+		for name, src := range u.Sources {
+			names = append(names, name)
+			sources[name] = src
+		}
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		src := pass.Sources[name]
-		for _, d := range analysis.ParseDirectives(name, src) {
+		for _, d := range analysis.ParseDirectives(name, sources[name]) {
 			at := linePos(pass.Fset, name, d.Line)
 			if len(d.Analyzers) == 0 {
 				pass.Reportf(at, "//lint:allow without an analyzer list; write //lint:allow <analyzer> <why>")
@@ -52,7 +55,7 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // knownList renders the known analyzer names for error messages.

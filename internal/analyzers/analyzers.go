@@ -1,6 +1,3 @@
-// Package analyzers is the registry of the lintscape suite: the
-// per-package syntactic analyzers plus taintorder, the one program-level
-// analyzer, built on internal/analysis/dataflow.
 package analyzers
 
 import (

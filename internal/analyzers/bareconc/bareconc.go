@@ -21,30 +21,32 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	if pass.Pkg.Path() == parallelPath {
-		return nil, nil
-	}
-	pass.Inspect(func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			pass.Reportf(n.Pos(), "bare go statement outside internal/parallel; use parallel.Map or parallel.MapShards")
-		case *ast.SelectorExpr:
-			if isPkgSymbol(pass, n, "sync", "WaitGroup") {
-				pass.Reportf(n.Pos(), "sync.WaitGroup outside internal/parallel; use the shared worker pool instead")
-			}
-		case *ast.CallExpr:
-			if isMakeChan(pass, n) {
-				pass.Reportf(n.Pos(), "channel fan-out outside internal/parallel; shard work with parallel.MapShards instead")
-			}
+func run(pass *analysis.Pass) error {
+	for _, u := range pass.Units {
+		if u.Pkg.Path() == parallelPath {
+			continue
 		}
-		return true
-	})
-	return nil, nil
+		u.Inspect(func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				pass.Reportf(n.Pos(), "bare go statement outside internal/parallel; use parallel.Map or parallel.MapShards")
+			case *ast.SelectorExpr:
+				if isPkgSymbol(u.Info, n, "sync", "WaitGroup") {
+					pass.Reportf(n.Pos(), "sync.WaitGroup outside internal/parallel; use the shared worker pool instead")
+				}
+			case *ast.CallExpr:
+				if isMakeChan(u.Info, n) {
+					pass.Reportf(n.Pos(), "channel fan-out outside internal/parallel; shard work with parallel.MapShards instead")
+				}
+			}
+			return true
+		})
+	}
+	return nil
 }
 
 // isPkgSymbol reports whether sel is a reference to pkgPath.name.
-func isPkgSymbol(pass *analysis.Pass, sel *ast.SelectorExpr, pkgPath, name string) bool {
+func isPkgSymbol(info *types.Info, sel *ast.SelectorExpr, pkgPath, name string) bool {
 	if sel.Sel.Name != name {
 		return false
 	}
@@ -52,20 +54,20 @@ func isPkgSymbol(pass *analysis.Pass, sel *ast.SelectorExpr, pkgPath, name strin
 	if !ok {
 		return false
 	}
-	pkgName, ok := pass.TypesInfo.Uses[id].(*types.PkgName)
+	pkgName, ok := info.Uses[id].(*types.PkgName)
 	return ok && pkgName.Imported().Path() == pkgPath
 }
 
 // isMakeChan reports whether call is make(chan ...).
-func isMakeChan(pass *analysis.Pass, call *ast.CallExpr) bool {
+func isMakeChan(info *types.Info, call *ast.CallExpr) bool {
 	id, ok := call.Fun.(*ast.Ident)
 	if !ok || id.Name != "make" || len(call.Args) == 0 {
 		return false
 	}
-	if _, ok := pass.TypesInfo.Uses[id].(*types.Builtin); !ok {
+	if _, ok := info.Uses[id].(*types.Builtin); !ok {
 		return false
 	}
-	if tv, ok := pass.TypesInfo.Types[call.Args[0]]; ok && tv.IsType() {
+	if tv, ok := info.Types[call.Args[0]]; ok && tv.IsType() {
 		_, isChan := tv.Type.Underlying().(*types.Chan)
 		return isChan
 	}

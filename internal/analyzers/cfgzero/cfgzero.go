@@ -16,35 +16,37 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	pass.Inspect(func(n ast.Node) bool {
-		lit, ok := n.(*ast.CompositeLit)
-		if !ok {
-			return true
-		}
-		tv, ok := pass.TypesInfo.Types[lit]
-		if !ok || !isWorkersConfig(tv.Type) {
-			return true
-		}
-		setsWorkers, setsOther := false, false
-		for _, elt := range lit.Elts {
-			kv, ok := elt.(*ast.KeyValueExpr)
+func run(pass *analysis.Pass) error {
+	for _, u := range pass.Units {
+		u.Inspect(func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
 			if !ok {
-				// Positional literals set every field; nothing to flag.
 				return true
 			}
-			if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Workers" {
-				setsWorkers = true
-			} else {
-				setsOther = true
+			tv, ok := u.Info.Types[lit]
+			if !ok || !isWorkersConfig(tv.Type) {
+				return true
 			}
-		}
-		if setsWorkers && !setsOther {
-			pass.Reportf(lit.Pos(), "%s literal sets Workers but every threshold field is left zero; set thresholds explicitly or start from DefaultConfig()", typeLabel(tv.Type))
-		}
-		return true
-	})
-	return nil, nil
+			setsWorkers, setsOther := false, false
+			for _, elt := range lit.Elts {
+				kv, ok := elt.(*ast.KeyValueExpr)
+				if !ok {
+					// Positional literals set every field; nothing to flag.
+					return true
+				}
+				if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Workers" {
+					setsWorkers = true
+				} else {
+					setsOther = true
+				}
+			}
+			if setsWorkers && !setsOther {
+				pass.Reportf(lit.Pos(), "%s literal sets Workers but every threshold field is left zero; set thresholds explicitly or start from DefaultConfig()", typeLabel(tv.Type))
+			}
+			return true
+		})
+	}
+	return nil
 }
 
 // isWorkersConfig reports whether t is a struct type named Config with an

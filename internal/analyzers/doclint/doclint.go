@@ -16,33 +16,36 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	if strings.HasSuffix(pass.Pkg.Name(), "_test") {
-		return nil, nil
-	}
-	// The diagnostic anchors to the package clause of the alphabetically
-	// first non-test file, so the finding position is deterministic no
-	// matter the load order.
-	var first *ast.File
-	firstName := ""
-	for _, f := range pass.Files {
-		name := pass.Fset.Position(f.Package).Filename
-		if strings.HasSuffix(name, "_test.go") {
+func run(pass *analysis.Pass) error {
+units:
+	for _, u := range pass.Units {
+		if strings.HasSuffix(u.Pkg.Name(), "_test") {
 			continue
 		}
-		if f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != "" {
-			return nil, nil
+		// The diagnostic anchors to the package clause of the alphabetically
+		// first non-test file, so the finding position is deterministic no
+		// matter the load order.
+		var first *ast.File
+		firstName := ""
+		for _, f := range u.Files {
+			name := pass.Fset.Position(f.Package).Filename
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			if f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != "" {
+				continue units
+			}
+			if first == nil || name < firstName {
+				first, firstName = f, name
+			}
 		}
-		if first == nil || name < firstName {
-			first, firstName = f, name
+		if first == nil {
+			// Test-only compilation unit.
+			continue
 		}
+		pass.Reportf(first.Package,
+			"package %s has no package comment; document its purpose in the primary file or a doc.go",
+			u.Pkg.Name())
 	}
-	if first == nil {
-		// Test-only compilation unit.
-		return nil, nil
-	}
-	pass.Reportf(first.Package,
-		"package %s has no package comment; document its purpose in the primary file or a doc.go",
-		pass.Pkg.Name())
-	return nil, nil
+	return nil
 }

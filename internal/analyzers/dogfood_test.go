@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"logscape/internal/analysis"
 	"logscape/internal/analysis/dataflow"
 	"logscape/internal/analysis/load"
 	"logscape/internal/analysis/runner"
@@ -26,7 +25,7 @@ func TestDogfood(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dogfood run type-checks the whole module; skipped in -short")
 	}
-	res, err := runner.Run(analyzers.All(), runner.Options{
+	findings, err := runner.Run(analyzers.All(), load.Options{
 		Dir:      "../..", // module root, relative to this package
 		Patterns: []string{"./..."},
 		Tests:    true,
@@ -34,7 +33,7 @@ func TestDogfood(t *testing.T) {
 	if err != nil {
 		t.Fatalf("runner.Run: %v", err)
 	}
-	for _, f := range res.Findings {
+	for _, f := range findings {
 		t.Error(f.String())
 	}
 	if t.Failed() {
@@ -118,14 +117,7 @@ func unreachableExports(t *testing.T) (dead, stale []string) {
 	if err != nil {
 		t.Fatalf("load.Load: %v", err)
 	}
-	units := make([]*analysis.ProgramUnit, 0, len(res.Packages))
-	for _, pkg := range res.Packages {
-		units = append(units, &analysis.ProgramUnit{
-			Pkg: pkg.Types, Files: pkg.Files, Info: pkg.Info,
-			RelDir: pkg.RelDir, Sources: pkg.Sources,
-		})
-	}
-	prog := dataflow.BuildProgram(res.Fset, units)
+	prog := dataflow.BuildProgram(res.Fset, res.Units)
 
 	byMethodName := make(map[string][]string)
 	for id, fn := range prog.Funcs {
@@ -164,7 +156,7 @@ func unreachableExports(t *testing.T) (dead, stale []string) {
 		})
 	}
 
-	for _, u := range units {
+	for _, u := range res.Units {
 		for _, f := range u.Files {
 			for _, d := range f.Decls {
 				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {

@@ -19,31 +19,33 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	pass.Inspect(func(n ast.Node) bool {
-		bin, ok := n.(*ast.BinaryExpr)
-		if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
+func run(pass *analysis.Pass) error {
+	for _, u := range pass.Units {
+		u.Inspect(func(n ast.Node) bool {
+			bin, ok := n.(*ast.BinaryExpr)
+			if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
+				return true
+			}
+			if !isFloat(u.Info, bin.X) || !isFloat(u.Info, bin.Y) {
+				return true
+			}
+			// Sentinel comparison: one side is a compile-time constant.
+			if isConst(u.Info, bin.X) || isConst(u.Info, bin.Y) {
+				return true
+			}
+			// The canonical NaN probe compares an expression with itself.
+			if exprString(pass.Fset, bin.X) == exprString(pass.Fset, bin.Y) {
+				return true
+			}
+			pass.Reportf(bin.Pos(), "floating-point %s between computed values; use a tolerance comparison (e.g. stats.ApproxEqual)", bin.Op)
 			return true
-		}
-		if !isFloat(pass, bin.X) || !isFloat(pass, bin.Y) {
-			return true
-		}
-		// Sentinel comparison: one side is a compile-time constant.
-		if isConst(pass, bin.X) || isConst(pass, bin.Y) {
-			return true
-		}
-		// The canonical NaN probe compares an expression with itself.
-		if exprString(pass.Fset, bin.X) == exprString(pass.Fset, bin.Y) {
-			return true
-		}
-		pass.Reportf(bin.Pos(), "floating-point %s between computed values; use a tolerance comparison (e.g. stats.ApproxEqual)", bin.Op)
-		return true
-	})
-	return nil, nil
+		})
+	}
+	return nil
 }
 
-func isFloat(pass *analysis.Pass, e ast.Expr) bool {
-	tv, ok := pass.TypesInfo.Types[e]
+func isFloat(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
 	if !ok || tv.Type == nil {
 		return false
 	}
@@ -51,8 +53,8 @@ func isFloat(pass *analysis.Pass, e ast.Expr) bool {
 	return ok && b.Info()&(types.IsFloat|types.IsComplex) != 0
 }
 
-func isConst(pass *analysis.Pass, e ast.Expr) bool {
-	tv, ok := pass.TypesInfo.Types[e]
+func isConst(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
 	return ok && tv.Value != nil
 }
 

@@ -18,13 +18,15 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	for _, file := range pass.Files {
-		for _, fn := range functionsOf(file) {
-			checkFunc(pass, fn)
+func run(pass *analysis.Pass) error {
+	for _, u := range pass.Units {
+		for _, file := range u.Files {
+			for _, fn := range functionsOf(file) {
+				checkFunc(pass, u.Info, fn)
+			}
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // functionsOf collects every function body in the file (declarations and
@@ -53,7 +55,7 @@ func funcBody(fn ast.Node) *ast.BlockStmt {
 
 // checkFunc inspects the map-range loops whose nearest enclosing function
 // is fn.
-func checkFunc(pass *analysis.Pass, fn ast.Node) {
+func checkFunc(pass *analysis.Pass, info *types.Info, fn ast.Node) {
 	body := funcBody(fn)
 	if body == nil {
 		return
@@ -64,8 +66,8 @@ func checkFunc(pass *analysis.Pass, fn ast.Node) {
 			// Nested functions are visited on their own.
 			return n == fn
 		case *ast.RangeStmt:
-			if tv, ok := pass.TypesInfo.Types[n.X]; ok && isMap(tv.Type) {
-				checkMapRange(pass, body, n)
+			if tv, ok := info.Types[n.X]; ok && isMap(tv.Type) {
+				checkMapRange(pass, info, body, n)
 			}
 		}
 		return true
@@ -83,19 +85,19 @@ func isMap(t types.Type) bool {
 // checkMapRange flags the appends inside one map-range body, unless a sort
 // after the loop normalizes the order. funcBody is the body of the
 // enclosing function, where that sort is looked for.
-func checkMapRange(pass *analysis.Pass, funcBody *ast.BlockStmt, rng *ast.RangeStmt) {
+func checkMapRange(pass *analysis.Pass, info *types.Info, funcBody *ast.BlockStmt, rng *ast.RangeStmt) {
 	if sortsAfter(funcBody, rng.End()) {
 		return
 	}
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		if as, ok := n.(*ast.AssignStmt); ok && (as.Tok == token.ASSIGN || as.Tok == token.DEFINE) && hasAppend(pass, as.Rhs) {
+		if as, ok := n.(*ast.AssignStmt); ok && (as.Tok == token.ASSIGN || as.Tok == token.DEFINE) && hasAppend(info, as.Rhs) {
 			pass.Reportf(as.Pos(), "append in map iteration order without a subsequent sort; sort the result or iterate sorted keys")
 		}
 		return true
 	})
 }
 
-func hasAppend(pass *analysis.Pass, exprs []ast.Expr) bool {
+func hasAppend(info *types.Info, exprs []ast.Expr) bool {
 	for _, e := range exprs {
 		found := false
 		ast.Inspect(e, func(n ast.Node) bool {
@@ -104,7 +106,7 @@ func hasAppend(pass *analysis.Pass, exprs []ast.Expr) bool {
 				return true
 			}
 			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "append" {
-				if _, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok {
+				if _, ok := info.Uses[id].(*types.Builtin); ok {
 					found = true
 					return false
 				}

@@ -27,10 +27,10 @@ var Analyzer = &analysis.Analyzer{
 		"+= or any -= /=), or RNG seeding without an intervening sort — interprocedural: " +
 		"taint follows values through helpers and returns; any call whose name mentions " +
 		"\"sort\" canonicalizes",
-	RunProgram: run,
+	Run: run,
 }
 
-func run(pass *analysis.ProgramPass) error {
+func run(pass *analysis.Pass) error {
 	prog := dataflow.BuildProgram(pass.Fset, pass.Units)
 	dataflow.Analyze(prog, pass)
 	return nil

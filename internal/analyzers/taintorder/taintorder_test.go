@@ -8,5 +8,5 @@ import (
 )
 
 func TestTaintOrder(t *testing.T) {
-	analysistest.RunProgram(t, taintorder.Analyzer, "a", "g", "qb", "q")
+	analysistest.Run(t, taintorder.Analyzer, "a", "g", "qb", "q")
 }

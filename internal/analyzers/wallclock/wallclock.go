@@ -25,20 +25,22 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	pass.Inspect(func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok || !banned[sel.Sel.Name] {
+func run(pass *analysis.Pass) error {
+	for _, u := range pass.Units {
+		u.Inspect(func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || !banned[sel.Sel.Name] {
+				return true
+			}
+			id, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			if pkgName, ok := u.Info.Uses[id].(*types.PkgName); ok && pkgName.Imported().Path() == "time" {
+				pass.Reportf(sel.Pos(), "time.%s reads the wall clock; derive time from log-entry timestamps (logmodel.Millis)", sel.Sel.Name)
+			}
 			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if pkgName, ok := pass.TypesInfo.Uses[id].(*types.PkgName); ok && pkgName.Imported().Path() == "time" {
-			pass.Reportf(sel.Pos(), "time.%s reads the wall clock; derive time from log-entry timestamps (logmodel.Millis)", sel.Sel.Name)
-		}
-		return true
-	})
-	return nil, nil
+		})
+	}
+	return nil
 }

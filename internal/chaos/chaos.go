@@ -77,8 +77,8 @@ type Schedule struct {
 	// RotateEveryLines inserts a file rotation after every N delivered
 	// lines. 0 disables rotation.
 	RotateEveryLines int
-	// StallPerMille inserts a burst stall — one transient read error —
-	// before a line.
+	// StallPerMille inserts a burst stall — a pause in delivery, which
+	// ends the transport's current read — before a line.
 	StallPerMille int
 
 	// Gzip compresses the delivered stream; TornTail additionally cuts the
@@ -100,7 +100,7 @@ const (
 	// the in-memory transport, which models the reader that follows across
 	// rotations.
 	OpRotate
-	// OpStall delivers one transient read error.
+	// OpStall pauses delivery: no read spans it, and no error surfaces.
 	OpStall
 )
 

@@ -66,26 +66,13 @@ type chaosRun struct {
 	feed  stream.FeedStats
 }
 
-// stalls counts the script's stall ops.
-func stalls(sc *Script) int {
-	n := 0
-	for _, op := range sc.Ops {
-		if op.Kind == OpStall {
-			n++
-		}
-	}
-	return n
-}
-
 // hardenedSource composes the hardened read stack over a raw transport:
-// retry below, torn-gzip above (gzip errors are sticky, so retries must
-// happen underneath the decompressor).
+// the torn-gzip reader for gzip scripts, the transport itself otherwise.
 func hardenedSource(raw io.Reader, sc *Script) io.Reader {
-	rr := stream.NewRetryReader(raw, stream.RetryPolicy{MaxRetries: stalls(sc) + 1}, nil)
 	if sc.Gzip {
-		return stream.NewTornGzipReader(rr, nil)
+		return stream.NewTornGzipReader(raw, nil)
 	}
-	return rr
+	return raw
 }
 
 // runScript drives one full pipeline over the script's in-memory transport.
@@ -411,8 +398,7 @@ func TestReaderAtMidLineOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for off := 0; off <= len(got); off++ {
-		rest, err := io.ReadAll(stream.NewRetryReader(NewReaderAt(sc, int64(off)),
-			stream.RetryPolicy{MaxRetries: 4}, nil))
+		rest, err := io.ReadAll(NewReaderAt(sc, int64(off)))
 		if err != nil {
 			t.Fatalf("offset %d: %v", off, err)
 		}

@@ -5,17 +5,15 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"logscape/internal/stream"
 )
 
 // Reader plays a Script as an io.Reader: the in-memory transport. OpWrite
-// data is delivered in order, each OpStall surfaces exactly one transient
-// read error (stream.IsTransient), and OpRotate is a no-op — the in-memory
-// stream models a reader that already follows across rotations, so the
-// logical byte sequence is the rotation-free concatenation. Gzip scripts
-// deliver the compressed (and possibly torn) stream, with stalls mapped to
-// evenly spaced byte positions.
+// data is delivered in order, no read spanning two writes; an OpStall is a
+// pause between reads, not an error, and OpRotate is a no-op — the
+// in-memory stream models a reader that already follows across rotations,
+// so the logical byte sequence is the rotation-free concatenation. Gzip
+// scripts deliver the compressed (and possibly torn) stream, with stalls
+// mapped to evenly spaced byte positions that no read spans.
 type Reader struct {
 	ops []Op
 	cur []byte
@@ -77,9 +75,6 @@ func NewReaderAt(s *Script, offset int64) *Reader {
 	return r
 }
 
-// errStall is the transient error a burst stall surfaces.
-var errStall = stream.Transient(errors.New("chaos: burst stall"))
-
 // Read implements io.Reader.
 func (r *Reader) Read(p []byte) (int, error) {
 	if r.gzip {
@@ -96,22 +91,19 @@ func (r *Reader) Read(p []byte) (int, error) {
 		}
 		op := r.ops[0]
 		r.ops = r.ops[1:]
-		switch op.Kind {
-		case OpWrite:
+		if op.Kind == OpWrite {
 			r.cur = op.Data
-		case OpStall:
-			return 0, errStall
-		case OpRotate:
-			// Rotation is invisible to a concatenated logical stream.
 		}
+		// A stall already ended the previous read, and a rotation is
+		// invisible to a concatenated logical stream.
 	}
 }
 
-// readGzip delivers the compressed stream with positional stalls.
+// readGzip delivers the compressed stream, ending a read at each stall
+// position.
 func (r *Reader) readGzip(p []byte) (int, error) {
-	if len(r.stallAt) > 0 && r.stallAt[0] <= r.pos {
+	for len(r.stallAt) > 0 && r.stallAt[0] <= r.pos {
 		r.stallAt = r.stallAt[1:]
-		return 0, errStall
 	}
 	if r.pos >= len(r.gz) {
 		return 0, io.EOF

@@ -139,7 +139,7 @@ type engine struct {
 	feeder *stream.Feeder
 
 	// The composed hardened input stack.
-	r       io.Reader              // retry (+ gzip) composition; read this
+	r       io.Reader              // the source, or its gzip reader; read this
 	tailer  *stream.Tailer         // nil unless a plain file: rotation-aware
 	gz      *stream.TornGzipReader // non-nil for .gz input
 	closers []io.Closer            // the source and quarantine files
@@ -158,28 +158,26 @@ type engine struct {
 }
 
 // openSource builds the hardened read stack for the configured input:
-// retries below the decompressor (gzip errors are sticky), torn-tail
-// tolerance for .gz, rotation-aware tailing for plain files.
+// torn-tail tolerance for .gz, rotation-aware tailing for plain files.
 func (e *engine) openSource() (err error) {
-	policy, m := stream.RetryPolicy{MaxRetries: 8}, e.cfg.Metrics
 	switch name := e.cfg.Source; {
 	case name == "-":
-		e.r = stream.NewRetryReader(os.Stdin, policy, m)
+		e.r = os.Stdin
 	case strings.HasSuffix(name, ".gz"):
 		f, err := os.Open(name)
 		if err != nil {
 			return err
 		}
 		e.closers = append(e.closers, f)
-		e.gz = stream.NewTornGzipReader(stream.NewRetryReader(f, policy, m), m)
+		e.gz = stream.NewTornGzipReader(f, e.cfg.Metrics)
 		e.r = e.gz
 	default:
-		e.tailer, err = stream.NewTailer(name, stream.TailerConfig{Wait: e.cfg.Wait, Metrics: m})
+		e.tailer, err = stream.NewTailer(name, stream.TailerConfig{Wait: e.cfg.Wait, Metrics: e.cfg.Metrics})
 		if err != nil {
 			return err
 		}
 		e.closers = append(e.closers, e.tailer)
-		e.r = stream.NewRetryReader(e.tailer, policy, m)
+		e.r = e.tailer
 	}
 	return nil
 }

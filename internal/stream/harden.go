@@ -22,79 +22,11 @@ import (
 // Composition order (outermost source first):
 //
 //	Tailer | os.Stdin | *os.File
-//	  → RetryReader      bounded deterministic retry on transient errors
 //	  → TornGzipReader   (gz input only) torn-trailer tolerance
 //	  → Feeder           line splitting, parsing, quarantine, Ingester
-
-// transientError marks an error as transient: worth a bounded retry rather
-// than a stream abort.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return "transient: " + e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient wraps err as a transient read error. The chaos injector's burst
-// stalls produce these; a real transport adapter can wrap recoverable
-// syscall errors the same way.
-func Transient(err error) error { return &transientError{err: err} }
-
-// IsTransient reports whether err is (or wraps) a transient read error.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
-}
-
-// RetryPolicy bounds how the ingest path reacts to transient read errors.
-type RetryPolicy struct {
-	// MaxRetries is the number of consecutive transient failures tolerated
-	// before the error is surfaced. 0 means no retries.
-	MaxRetries int
-	// Backoff, when non-nil, is called before retry attempt n (1-based).
-	// It is the only place the ingest path may block. No source follow.Run
-	// opens returns a transient error, so production leaves it nil; the
-	// chaos transport's burst stalls are what exercise it. Determinism
-	// note: the backoff must not influence *what* is read, only when.
-	Backoff func(attempt int)
-}
-
-// RetryReader absorbs transient errors from an underlying reader with a
-// bounded deterministic retry loop. Non-transient errors and io.EOF pass
-// through unchanged. The retry counter resets on every successful read, so
-// MaxRetries bounds consecutive failures, not lifetime failures — a stream
-// with periodic stalls survives indefinitely.
-type RetryReader struct {
-	r        io.Reader
-	policy   RetryPolicy
-	attempts int
-	mRetries *obs.Counter
-}
-
-// NewRetryReader wraps r with the given policy. Metrics may be nil.
-func NewRetryReader(r io.Reader, policy RetryPolicy, m *obs.Registry) *RetryReader {
-	return &RetryReader{r: r, policy: policy, mRetries: m.Counter("ingest.read_retries")}
-}
-
-// Read implements io.Reader.
-func (r *RetryReader) Read(p []byte) (int, error) {
-	for {
-		n, err := r.r.Read(p)
-		if n > 0 || err == nil {
-			r.attempts = 0
-			return n, nil
-		}
-		if err == io.EOF || !IsTransient(err) {
-			return 0, err
-		}
-		if r.attempts >= r.policy.MaxRetries {
-			return 0, err
-		}
-		r.attempts++
-		r.mRetries.Inc()
-		if r.policy.Backoff != nil {
-			r.policy.Backoff(r.attempts)
-		}
-	}
-}
+//
+// A read error from the transport ends the run: no source the engine opens
+// produces a recoverable one, so there is no retry layer.
 
 // TornGzipReader decompresses a gzip stream, treating a torn tail — a
 // truncated member, a missing trailer, a corrupt checksum — as a clean end
@@ -148,12 +80,8 @@ func (g *TornGzipReader) Read(p []byte) (int, error) {
 }
 
 // tearOK classifies err: true for the error shapes a torn tail produces,
-// marking the stream torn and finished. Transient errors from the
-// underlying reader are never a tear (they propagate for retry below).
+// marking the stream torn and finished.
 func (g *TornGzipReader) tearOK(err error) bool {
-	if IsTransient(err) {
-		return false
-	}
 	if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, gzip.ErrChecksum) ||
 		errors.Is(err, gzip.ErrHeader) || errors.Is(err, io.EOF) {
 		g.torn = true
@@ -200,10 +128,10 @@ type FeederConfig struct {
 }
 
 // Feeder drains a byte stream into an Ingester: it splits lines itself (no
-// bufio.Scanner, so a transient mid-line error can resume where it
-// stopped), parses each line, quarantines rejects by fault class, and
-// tracks the logical byte offset of the last fully processed line — the
-// resume position a Checkpoint records.
+// bufio.Scanner, so a line may arrive across any number of reads), parses
+// each line, quarantines rejects by fault class, and tracks the logical
+// byte offset of the last fully processed line — the resume position a
+// Checkpoint records.
 type Feeder struct {
 	in       *Ingester
 	cfg      FeederConfig
@@ -249,9 +177,8 @@ func (f *Feeder) Stats() FeedStats { return f.stats }
 func (f *Feeder) Consumed() int64 { return f.consumed }
 
 // Run drains r to EOF, feeding the ingester. It does not Flush: the caller
-// decides whether EOF is end-of-stream or a pause. A read error (after the
-// RetryReader below gave up, if one is installed) is returned as-is with
-// everything before it already processed.
+// decides whether EOF is end-of-stream or a pause. A read error is returned
+// as-is, with every complete line before it already processed.
 func (f *Feeder) Run(r io.Reader) error {
 	// Read directly into the line buffer's tail: every stream byte is
 	// copied once (transport → buf), not twice through a staging chunk.

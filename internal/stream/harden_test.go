@@ -35,55 +35,6 @@ func (r *flakyReader) Read(p []byte) (int, error) {
 	return copy(p, s.data), nil
 }
 
-func TestRetryReaderAbsorbsBoundedTransients(t *testing.T) {
-	src := &flakyReader{steps: []flakyStep{
-		{data: []byte("a")},
-		{err: Transient(errors.New("stall 1"))},
-		{err: Transient(errors.New("stall 2"))},
-		{data: []byte("b")},
-		{err: Transient(errors.New("stall 3"))}, // counter reset by "b": allowed again
-		{data: []byte("c")},
-	}}
-	m := obs.New()
-	rr := NewRetryReader(src, RetryPolicy{MaxRetries: 2}, m)
-	got, err := io.ReadAll(rr)
-	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
-	}
-	if string(got) != "abc" {
-		t.Errorf("read %q, want abc", got)
-	}
-	if v := m.Counter("ingest.read_retries").Value(); v != 3 {
-		t.Errorf("read_retries = %d, want 3", v)
-	}
-}
-
-func TestRetryReaderGivesUpAfterMaxConsecutive(t *testing.T) {
-	src := &flakyReader{steps: []flakyStep{
-		{err: Transient(errors.New("s1"))},
-		{err: Transient(errors.New("s2"))},
-		{err: Transient(errors.New("s3"))},
-	}}
-	var attempts []int
-	rr := NewRetryReader(src, RetryPolicy{MaxRetries: 2, Backoff: func(n int) { attempts = append(attempts, n) }}, nil)
-	_, err := io.ReadAll(rr)
-	if err == nil || !IsTransient(err) {
-		t.Fatalf("err = %v, want the surfaced transient error", err)
-	}
-	if len(attempts) != 2 || attempts[0] != 1 || attempts[1] != 2 {
-		t.Errorf("backoff attempts = %v, want [1 2]", attempts)
-	}
-}
-
-func TestRetryReaderPassesPersistentErrors(t *testing.T) {
-	boom := errors.New("disk gone")
-	src := &flakyReader{steps: []flakyStep{{err: boom}}}
-	rr := NewRetryReader(src, RetryPolicy{MaxRetries: 5}, nil)
-	if _, err := io.ReadAll(rr); !errors.Is(err, boom) {
-		t.Errorf("err = %v, want the persistent error unchanged", err)
-	}
-}
-
 // gzBytes compresses s.
 func gzBytes(t *testing.T, s string) []byte {
 	t.Helper()
@@ -240,7 +191,7 @@ func TestFeederSplitReadsAndCRLF(t *testing.T) {
 	line := wire(1000, "A", "u", "split across reads")
 	input := line + "\r\n"
 	// Deliver one byte at a time: line assembly must survive arbitrary
-	// chunking (burst stalls deliver exactly this shape).
+	// chunking (burst stalls cut reads at arbitrary points).
 	var steps []flakyStep
 	for i := 0; i < len(input); i++ {
 		steps = append(steps, flakyStep{data: []byte{input[i]}})
@@ -253,6 +204,31 @@ func TestFeederSplitReadsAndCRLF(t *testing.T) {
 	in.Flush()
 	if got := in.Stats().Accepted; got != 1 {
 		t.Errorf("accepted = %d, want 1", got)
+	}
+}
+
+// TestFeederSurfacesReadError pins what a transport's read error does: Run
+// returns it unchanged, every complete line before it is ingested, and
+// Consumed covers exactly those lines — a resume starts at the partial one.
+func TestFeederSurfacesReadError(t *testing.T) {
+	boom := errors.New("disk gone")
+	done := wire(1000, "A", "u", "one") + "\n" + wire(1500, "B", "u", "two") + "\n"
+	src := &flakyReader{steps: []flakyStep{
+		{data: []byte(done)},
+		{data: []byte(wire(1800, "C", "u", "torn"))[:10]},
+		{err: boom},
+	}}
+	in := NewIngester(Config{BucketWidth: 1000, WindowBuckets: 4})
+	f := NewFeeder(in, FeederConfig{})
+	if err := f.Run(src); !errors.Is(err, boom) {
+		t.Fatalf("Run = %v, want the transport's error", err)
+	}
+	in.Flush()
+	if got := in.Stats().Accepted; got != 2 {
+		t.Errorf("accepted = %d, want 2 (the complete lines)", got)
+	}
+	if f.Consumed() != int64(len(done)) {
+		t.Errorf("consumed = %d, want %d (the complete lines only)", f.Consumed(), len(done))
 	}
 }
 
