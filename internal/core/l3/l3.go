@@ -116,7 +116,7 @@ func (m *Miner) Mine(store *logmodel.Store, r logmodel.TimeRange) *Result {
 	res := &Result{Evidence: make(map[core.AppServicePair]*Evidence), Config: m.cfg}
 	parts := parallel.MapShards(parallel.Workers(m.cfg.Workers), len(entries),
 		obs.MeterShards(m.cfg.Metrics, "l3.scan_shards", func(lo, hi int) map[core.AppServicePair]*Evidence {
-			return m.Scan(entries[lo:hi])
+			return m.Scan(entries[lo:hi], nil)
 		}))
 	if len(parts) == 1 {
 		res.Evidence = parts[0]
@@ -134,8 +134,11 @@ func (m *Miner) Config() Config { return m.cfg }
 // Scan runs the sequential citation scan over one contiguous, time-ordered
 // entry shard — the incremental unit of L3 state: per-bucket evidence maps
 // folded in time order with MergeEvidence reproduce a sequential scan of
-// the concatenated entries exactly.
-func (m *Miner) Scan(entries []logmodel.Entry) map[core.AppServicePair]*Evidence {
+// the concatenated entries exactly. When times is non-nil, the same pass
+// appends the timestamp of every counted citation to times[pair], in entry
+// order; stopped and self-citations are skipped exactly as Count skips
+// them, so len(times[p]) == Count and only pairs with Count > 0 get a key.
+func (m *Miner) Scan(entries []logmodel.Entry, times map[core.AppServicePair][]logmodel.Millis) map[core.AppServicePair]*Evidence {
 	// Scanned/citation counts are sums over entries, so sharding the entry
 	// range cannot change them — they stay in the worker-count-independent
 	// counter document.
@@ -172,34 +175,9 @@ func (m *Miner) Scan(entries []logmodel.Entry) map[core.AppServicePair]*Evidence
 			ev.Count++
 			cited.Inc()
 			ev.Last = e.Time
-		}
-	}
-	return out
-}
-
-// ScanTimes runs the citation scan over one contiguous, time-ordered entry
-// shard and returns the timestamps of every counted citation per
-// dependency, in entry order. Counting rules match Scan exactly (stopped
-// and self-citations are excluded), so len(times) == Evidence.Count for
-// each pair. It is a second pass used by the drift detector's delay
-// channel; it records no metrics.
-func (m *Miner) ScanTimes(entries []logmodel.Entry) map[core.AppServicePair][]logmodel.Millis {
-	out := make(map[core.AppServicePair][]logmodel.Millis)
-	for i := range entries {
-		e := &entries[i]
-		cits := m.scanner.Citations(e.Message)
-		if cits == nil {
-			continue
-		}
-		if m.scanner.Stopped(e.Source, e.Message) {
-			continue
-		}
-		for _, id := range cits {
-			if !m.cfg.SelfCitations && m.cfg.Owner != nil && m.cfg.Owner[id] == e.Source {
-				continue
+			if times != nil {
+				times[p] = append(times[p], e.Time)
 			}
-			p := core.AppServicePair{App: e.Source, Group: id}
-			out[p] = append(out[p], e.Time)
 		}
 	}
 	return out

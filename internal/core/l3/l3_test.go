@@ -1,6 +1,7 @@
 package l3
 
 import (
+	"reflect"
 	"testing"
 
 	"logscape/internal/core"
@@ -175,5 +176,62 @@ func TestMineOnSimulatedDay(t *testing.T) {
 	ratio := float64(tp) / float64(tp+fp)
 	if ratio < 0.85 {
 		t.Errorf("precision = %.3f (tp=%d fp=%d), want ≥ 0.85", ratio, tp, fp)
+	}
+}
+
+// TestScanRecordsCountedCitationTimes: the times a scan records are exactly
+// the citations it counts — the scan's evidence does not depend on whether
+// times are recorded, each pair gets Count non-decreasing times spanning
+// First..Last, and pairs with only stopped citations get no key. With the
+// Owner map every stopped message is a self-citation, skipped before the
+// stop test; the arm without it keeps them, so stop patterns fire.
+func TestScanRecordsCountedCitationTimes(t *testing.T) {
+	topo := hospital.GenerateTopology(hospital.DefaultTopologyConfig(), 41)
+	cfg := hospital.DefaultConfig(41)
+	cfg.Scale = 0.1
+	store, _ := hospital.NewSimulator(cfg, topo).GenerateDay(0)
+	es := store.Entries()
+	owner := make(map[string]string, len(topo.Groups))
+	for _, g := range topo.Groups {
+		owner[g.ID] = g.Owner
+	}
+	for _, tc := range []struct {
+		name  string
+		owner map[string]string
+	}{{"owner", owner}, {"no owner", nil}} {
+		m := NewMiner(topo.Directory(), Config{Stops: hospital.CanonicalStopPatterns(), Owner: tc.owner})
+		times := make(map[core.AppServicePair][]logmodel.Millis)
+		ev := m.Scan(es, times)
+		if want := m.Scan(es, nil); !reflect.DeepEqual(ev, want) {
+			t.Fatalf("%s: recording times changed the scan's evidence", tc.name)
+		}
+		counted, stoppedOnly := 0, 0
+		for p, e := range ev {
+			ts := times[p]
+			if len(ts) != e.Count {
+				t.Errorf("%s, %v: %d times for Count %d", tc.name, p, len(ts), e.Count)
+				continue
+			}
+			if e.Count == 0 {
+				stoppedOnly++
+				continue
+			}
+			counted++
+			if ts[0] != e.First || ts[len(ts)-1] != e.Last {
+				t.Errorf("%s, %v: times span %d..%d, evidence %d..%d", tc.name, p, ts[0], ts[len(ts)-1], e.First, e.Last)
+			}
+			for i := 1; i < len(ts); i++ {
+				if ts[i] < ts[i-1] {
+					t.Errorf("%s, %v: times decrease at %d", tc.name, p, i)
+					break
+				}
+			}
+		}
+		if len(times) != counted {
+			t.Errorf("%s: times holds %d pairs, %d were counted", tc.name, len(times), counted)
+		}
+		if counted == 0 || (tc.owner == nil && stoppedOnly == 0) {
+			t.Fatalf("%s: %d counted and %d stopped-only pairs; the test wants both kinds", tc.name, counted, stoppedOnly)
+		}
 	}
 }

@@ -386,6 +386,8 @@ func storeFiles(t *testing.T, dir string) map[string]string {
 // it collects no metrics, clockless metrics or wall-clock timings; and the
 // loop times every stage of every bucket — stage counts equal the buckets
 // delivered, and the stage sums fit inside the one follow.run_ns observation.
+// Drift and the store add no mining work either: every miner counter of the
+// durable drift run equals that of a plain run with neither.
 func TestInstrumentsNeverPerturb(t *testing.T) {
 	src := writeFile(t, "day.log", corpus(t))
 	var dirXML bytes.Buffer
@@ -394,19 +396,39 @@ func TestInstrumentsNeverPerturb(t *testing.T) {
 	}
 	dir := writeFile(t, "directory.xml", dirXML.Bytes())
 	stages := []string{"mine", "snapshot", "render", "store", "delta", "drift", "checkpoint", "progress"}
+	minerCounter := func(name string) bool {
+		return strings.HasPrefix(name, "l1.") || strings.HasPrefix(name, "l2.") || strings.HasPrefix(name, "l3.")
+	}
 
 	type artifacts struct {
 		out, err, ckpt string
 		store          map[string]string
 	}
 	for _, method := range []string{"l1", "l2", "l3"} {
-		var want artifacts
-		for i, reg := range []*obs.Registry{nil, obs.New(), obs.NewWithClock(obs.SystemClock)} {
+		methodConfig := func(reg *obs.Registry) follow.Config {
 			cfg := config(src)
-			cfg.Method, cfg.MinLogs, cfg.Drift, cfg.Metrics = method, 4, true, reg
+			cfg.Method, cfg.MinLogs, cfg.Metrics = method, 4, reg
 			if method == "l3" {
 				cfg.Directory = dir
 			}
+			return cfg
+		}
+		plain := obs.New()
+		run(t, methodConfig(plain))
+		minerCounters := plain.Snapshot().Counters
+		for name := range minerCounters {
+			if !minerCounter(name) {
+				delete(minerCounters, name)
+			}
+		}
+		if len(minerCounters) == 0 {
+			t.Fatalf("%s: the plain run counted no mining work", method)
+		}
+
+		var want artifacts
+		for i, reg := range []*obs.Registry{nil, obs.New(), obs.NewWithClock(obs.SystemClock)} {
+			cfg := methodConfig(reg)
+			cfg.Drift = true
 			cfg = durable(t, cfg, t.TempDir())
 			res, out, errb := run(t, cfg)
 			ckpt, err := os.ReadFile(cfg.ResumePath)
@@ -433,7 +455,18 @@ func TestInstrumentsNeverPerturb(t *testing.T) {
 				}
 			}
 
-			hists := reg.Snapshot().Histograms
+			snap := reg.Snapshot()
+			for name, v := range snap.Counters {
+				if minerCounter(name) && v != minerCounters[name] {
+					t.Errorf("%s, registry %d: %s = %d with drift and the store, %d without", method, i, name, v, minerCounters[name])
+				}
+			}
+			for name := range minerCounters {
+				if _, ok := snap.Counters[name]; !ok {
+					t.Errorf("%s, registry %d: the durable drift run lacks %s", method, i, name)
+				}
+			}
+			hists := snap.Histograms
 			var stageSum int64
 			for _, st := range stages {
 				h := hists["follow."+st+"_ns"]

@@ -6,16 +6,12 @@ package stream
 // levels, and per-key delay samples. Feature tracking is off by default —
 // the ingest hot path stays allocation-free unless a caller opts in with
 // TrackDrift(true) — and tracked features are a pure function of the
-// delivered bucket, so they are identical for every worker count.
+// delivered bucket, so they are identical for every worker count. They are
+// read off the products of the bucket's one mining pass (L3's citation
+// scan, L2's bigram extraction and association tests), so tracking adds
+// no mining work and leaves every miner counter unchanged.
 
-import (
-	"sort"
-
-	"logscape/internal/core/l2"
-	"logscape/internal/drift"
-	"logscape/internal/logmodel"
-	"logscape/internal/sessions"
-)
+import "logscape/internal/drift"
 
 // DriftFeatures are one bucket's drift observables. Active is sorted and
 // deduplicated; keys use the drift package's canonical forms (PairKey for
@@ -58,7 +54,7 @@ func (m *L2Stream) TrackDrift(on bool) { m.trackDrift = on }
 // type (the level the score channel's CUSUM monitors).
 func (m *L2Stream) DriftFeatures() DriftFeatures {
 	f := DriftFeatures{Active: append([]string(nil), m.lastActive...)}
-	res := l2.ResultFromCounts(m.counts, m.cfg)
+	res := m.result()
 	f.Scores = make(map[string]float64, len(res.Types))
 	for t, tr := range res.Types {
 		if tr.Statistic < 0 {
@@ -72,39 +68,8 @@ func (m *L2Stream) DriftFeatures() DriftFeatures {
 	return f
 }
 
-// newBigramKeys extracts the pair keys whose bigram activity grew in the
-// appended deltas: the multiset difference of each delta's added versus
-// removed bigrams (a session re-emitted unchanged contributes nothing).
-func newBigramKeys(ds []sessions.SessionDelta, timeout logmodel.Millis) []string {
-	set := make(map[string]bool)
-	for _, d := range ds {
-		removed := make(map[l2.Bigram]int)
-		if d.Removed != nil {
-			for _, bg := range l2.ExtractBigrams(d.Removed, timeout) {
-				removed[bg]++
-			}
-		}
-		if d.Added == nil {
-			continue
-		}
-		for _, bg := range l2.ExtractBigrams(d.Added, timeout) {
-			if removed[bg] > 0 {
-				removed[bg]--
-				continue
-			}
-			set[drift.PairKey(bg.First, bg.Second)] = true
-		}
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// TrackDrift implements FeatureSource. Delay tracking adds a second
-// citation scan per bucket.
+// TrackDrift implements FeatureSource. Delays are recorded by the bucket's
+// one citation scan.
 func (m *L3Stream) TrackDrift(on bool) { m.trackDrift = on }
 
 // DriftFeatures returns the dependencies cited in the last bucket and

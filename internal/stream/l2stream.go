@@ -5,6 +5,7 @@ import (
 
 	"logscape/internal/core"
 	"logscape/internal/core/l2"
+	"logscape/internal/drift"
 	"logscape/internal/logmodel"
 	"logscape/internal/sessions"
 )
@@ -16,14 +17,19 @@ import (
 // session grows at the tail or loses retired entries at the head, its old
 // bigrams are removed and its new ones added — all counts are
 // integer-valued, so the incremental aggregation stays structurally equal
-// to a from-scratch tally of the window's sessions. Snapshot re-runs only
-// the per-type association tests over the maintained counts.
+// to a from-scratch tally of the window's sessions. Each bucket is mined
+// once: Advance extracts every delta's bigrams a single time (drift
+// features come from the same extraction), and the per-type association
+// tests over the maintained counts run at most once per advanced bucket,
+// their result shared by Snapshot and DriftFeatures.
 type L2Stream struct {
 	win     window
 	cfg     l2.Config
 	scfg    sessions.Config
 	tracker *sessions.Tracker
 	counts  *l2.Counts
+	// res caches the association tests over counts; Advance clears it.
+	res *l2.Result
 	// users holds the distinct users of each window bucket, in index
 	// order — the affected-user lists handed to Tracker.Retire so
 	// retirement touches only the users of leaving buckets.
@@ -61,6 +67,7 @@ func NewL2(wcfg Config, scfg sessions.Config, cfg l2.Config) *L2Stream {
 // revisited.
 func (m *L2Stream) Advance(b Bucket) {
 	m.win.observe(b)
+	m.res = nil
 
 	// Retire everything before the new window start. Only users appearing
 	// in the leaving buckets can be affected; collecting them from the
@@ -83,36 +90,72 @@ func (m *L2Stream) Advance(b Bucket) {
 			names = append(names, u)
 		}
 		sort.Strings(names)
-		m.apply(m.tracker.Retire(cutoff, names))
+		m.apply(m.tracker.Retire(cutoff, names), nil)
 	}
 
-	ds := m.tracker.Append(b.Entries)
-	m.apply(ds)
+	var grown map[string]bool
 	if m.trackDrift {
-		m.lastActive = newBigramKeys(ds, m.cfg.Timeout)
+		grown = make(map[string]bool)
+	}
+	m.apply(m.tracker.Append(b.Entries), grown)
+	if m.trackDrift {
+		m.lastActive = m.lastActive[:0]
+		for k := range grown {
+			m.lastActive = append(m.lastActive, k)
+		}
+		sort.Strings(m.lastActive)
 	}
 	if us := distinctUsers(b.Entries); len(us) > 0 {
 		m.users = append(m.users, bucketUsers{index: b.Index, users: us})
 	}
 }
 
-// apply folds session deltas into the bigram counts.
-func (m *L2Stream) apply(ds []sessions.SessionDelta) {
+// apply folds session deltas into the bigram counts. When grown is non-nil
+// it also collects the pair keys whose bigram activity grew: the multiset
+// difference of each delta's added versus removed bigrams (a session
+// re-emitted unchanged contributes nothing).
+func (m *L2Stream) apply(ds []sessions.SessionDelta, grown map[string]bool) {
 	timeout := m.cfg.Timeout
 	for _, d := range ds {
+		var removed []l2.Bigram
 		if d.Removed != nil {
-			m.counts.Remove(l2.ExtractBigrams(d.Removed, timeout))
+			removed = l2.ExtractBigrams(d.Removed, timeout)
+			m.counts.Remove(removed)
 		}
-		if d.Added != nil {
-			m.counts.Add(l2.ExtractBigrams(d.Added, timeout))
+		if d.Added == nil {
+			continue
+		}
+		added := l2.ExtractBigrams(d.Added, timeout)
+		m.counts.Add(added)
+		if grown == nil {
+			continue
+		}
+		left := make(map[l2.Bigram]int, len(removed))
+		for _, bg := range removed {
+			left[bg]++
+		}
+		for _, bg := range added {
+			if left[bg] > 0 {
+				left[bg]--
+				continue
+			}
+			grown[drift.PairKey(bg.First, bg.Second)] = true
 		}
 	}
 }
 
-// Snapshot runs the association tests over the maintained counts.
+// result runs the association tests over the maintained counts once per
+// advanced bucket; Snapshot and DriftFeatures share it.
+func (m *L2Stream) result() *l2.Result {
+	if m.res == nil {
+		m.res = l2.ResultFromCounts(m.counts, m.cfg)
+	}
+	return m.res
+}
+
+// Snapshot renders the window's L2 model document.
 func (m *L2Stream) Snapshot() core.ModelDocument {
-	res := l2.ResultFromCounts(m.counts, m.cfg)
-	return core.NewPairDocument("l2", res.DependentPairs(), nil)
+	return core.NewPairDocument("l2", m.result().DependentPairs(), nil)
 }
 
 // Batch is the reference: batch session creation and batch L2 mining over

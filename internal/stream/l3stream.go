@@ -11,11 +11,11 @@ import (
 
 // L3Stream is the incremental L3 miner: the citation scan has no
 // cross-entry state, so the window state is simply one evidence map per
-// non-empty bucket. Advance scans only the new bucket (through the shared
-// Aho–Corasick automaton of the wrapped batch miner); Snapshot folds the
-// ≤ W per-bucket maps in time order with l3.MergeEvidence, which
-// reproduces a sequential scan of the window exactly and never mutates the
-// cached maps.
+// non-empty bucket. Advance scans only the new bucket, once, through the
+// shared Aho–Corasick automaton of the wrapped batch miner — drift
+// features come from the same scan; Snapshot folds the ≤ W per-bucket
+// maps in time order with l3.MergeEvidence, which reproduces a sequential
+// scan of the window exactly and never mutates the cached maps.
 type L3Stream struct {
 	win   window
 	miner *l3.Miner
@@ -37,23 +37,26 @@ func NewL3(wcfg Config, miner *l3.Miner) *L3Stream {
 	return &L3Stream{win: window{cfg: wcfg.withDefaults()}, miner: miner}
 }
 
-// Advance scans the bucket and retires buckets that left the window.
+// Advance scans the bucket and retires buckets that left the window. While
+// drift features are tracked, the same scan records each dependency's
+// citation times, from which the bucket's features are built.
 func (m *L3Stream) Advance(b Bucket) {
 	m.win.observe(b)
-	ev := m.miner.Scan(b.Entries)
+	var times map[core.AppServicePair][]logmodel.Millis
+	if m.trackDrift {
+		times = make(map[core.AppServicePair][]logmodel.Millis)
+	}
+	ev := m.miner.Scan(b.Entries, times)
 	if len(ev) > 0 {
 		m.evs = append(m.evs, indexedEvidence{index: b.Index, evidence: ev})
 	}
 	if m.trackDrift {
+		// times holds exactly the pairs counted in this bucket.
 		m.lastActive = m.lastActive[:0]
-		for p, e := range ev {
-			if e.Count > 0 {
-				m.lastActive = append(m.lastActive, drift.DepKey(p.App, p.Group))
-			}
-		}
-		sort.Strings(m.lastActive)
 		m.lastDelays = make(map[string][]float64)
-		for p, ts := range m.miner.ScanTimes(b.Entries) {
+		for p, ts := range times {
+			key := drift.DepKey(p.App, p.Group)
+			m.lastActive = append(m.lastActive, key)
 			if len(ts) < 2 {
 				continue
 			}
@@ -61,8 +64,9 @@ func (m *L3Stream) Advance(b Bucket) {
 			for i := 1; i < len(ts); i++ {
 				gaps = append(gaps, float64(ts[i]-ts[i-1])) //lint:allow maporder per-key gaps follow the scan's time order, not the map's
 			}
-			m.lastDelays[drift.DepKey(p.App, p.Group)] = gaps
+			m.lastDelays[key] = gaps
 		}
+		sort.Strings(m.lastActive)
 	}
 	lo := m.win.lo()
 	drop := 0
