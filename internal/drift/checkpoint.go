@@ -3,8 +3,9 @@ package drift
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
+
+	"logscape/internal/canon"
 )
 
 // Detector state wire format (versioned; see DESIGN.md §13):
@@ -24,12 +25,12 @@ import (
 //	samples:  uvarint count | per sample: floats
 //	floats:   uvarint count | per value: f64
 //
-// varint is the zig-zag form, f64 the u64le IEEE-754 bits (so NaN payloads,
-// infinities and −0 survive exactly). The encoding is canonical — keys
-// strictly ascending within each table, fields in fixed order, varints
-// minimal, no flag bit outside the four — so one detector state has exactly
-// one byte image and Restore accepts nothing State would not have written.
-// That is what the resume-equivalence and checkpoint property tests pin.
+// Keys, varints and f64s follow internal/canon's encoding (keys strictly
+// ascending within each table, varints minimal and zig-zag, f64 the IEEE-754
+// bits); with fields in fixed order and no flag bit outside the four, one
+// detector state has exactly one byte image and Restore accepts nothing
+// State would not have written. That is what the resume-equivalence and
+// checkpoint property tests pin.
 const stateVersion = 2
 
 // State serializes the detector's full state. Feeding a detector restored
@@ -43,7 +44,7 @@ func (d *Detector) State() ([]byte, error) {
 	p, d.keys = appendKeys(p, d.keys, d.presence)
 	for _, key := range d.keys {
 		st := d.presence[key]
-		p = appendKey(p, key)
+		p = canon.AppendString(p, key)
 		var flags byte
 		for i, set := range [...]bool{st.Confirmed, st.WarmStart, st.Flickered, st.EverConfirmed} {
 			if set {
@@ -54,18 +55,18 @@ func (d *Detector) State() ([]byte, error) {
 		p = binary.AppendVarint(p, int64(st.RunPresent))
 		p = binary.AppendVarint(p, int64(st.RunAbsent))
 		p = binary.AppendVarint(p, st.RunStart)
-		p = appendFloat(p, st.Rate)
-		p = appendFloat(p, st.RunRate)
+		p = canon.AppendFloat(p, st.Rate)
+		p = canon.AppendFloat(p, st.RunRate)
 		p = binary.AppendVarint(p, st.SeenBuckets)
 	}
 
 	p, d.keys = appendKeys(p, d.keys, d.scores)
 	for _, key := range d.keys {
 		ss := d.scores[key]
-		p = appendKey(p, key)
+		p = canon.AppendString(p, key)
 		p = appendFloats(p, ss.Ring)
-		p = appendFloat(p, ss.Pos)
-		p = appendFloat(p, ss.Neg)
+		p = canon.AppendFloat(p, ss.Pos)
+		p = canon.AppendFloat(p, ss.Neg)
 		p = binary.AppendVarint(p, ss.PosOnset)
 		p = binary.AppendVarint(p, ss.NegOnset)
 		p = binary.AppendVarint(p, int64(ss.Idle))
@@ -74,7 +75,7 @@ func (d *Detector) State() ([]byte, error) {
 	p, d.keys = appendKeys(p, d.keys, d.delays)
 	for _, key := range d.keys {
 		ds := d.delays[key]
-		p = appendKey(p, key)
+		p = canon.AppendString(p, key)
 		p = appendSamples(p, ds.Ref)
 		p = binary.AppendVarint(p, int64(ds.Idle))
 		p = binary.AppendVarint(p, int64(ds.Pending))
@@ -98,18 +99,10 @@ func appendKeys[V any](p []byte, keys []string, m map[string]V) ([]byte, []strin
 	return binary.AppendUvarint(p, uint64(len(keys))), keys
 }
 
-func appendKey(p []byte, key string) []byte {
-	return append(binary.AppendUvarint(p, uint64(len(key))), key...)
-}
-
-func appendFloat(p []byte, x float64) []byte {
-	return binary.LittleEndian.AppendUint64(p, math.Float64bits(x))
-}
-
 func appendFloats(p []byte, xs []float64) []byte {
 	p = binary.AppendUvarint(p, uint64(len(xs)))
 	for _, x := range xs {
-		p = appendFloat(p, x)
+		p = canon.AppendFloat(p, x)
 	}
 	return p
 }
@@ -122,102 +115,26 @@ func appendSamples(p []byte, samples [][]float64) []byte {
 	return p
 }
 
-// stateReader decodes a state image front to back. The first failure
-// latches in err and every later read returns zero, so Restore checks once
-// per table entry instead of once per field.
-type stateReader struct {
-	p   []byte
-	err error
-}
-
-func (r *stateReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("drift: state: "+format, args...)
-	}
-	r.p = nil
-}
-
-func (r *stateReader) byte() byte {
-	if len(r.p) == 0 {
-		r.fail("truncated")
-		return 0
-	}
-	b := r.p[0]
-	r.p = r.p[1:]
-	return b
-}
-
-func (r *stateReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.p)
-	switch {
-	case n <= 0:
-		r.fail("truncated or overlong varint")
-		return 0
-	case n > 1 && v>>(7*(n-1)) == 0:
-		r.fail("non-minimal varint")
-		return 0
-	}
-	r.p = r.p[n:]
-	return v
-}
-
-func (r *stateReader) varint() int64 {
-	u := r.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-// count reads an element count and refuses one the remaining bytes cannot
-// hold at min bytes per element — before anything is sized from it.
-func (r *stateReader) count(min int) int {
-	n := r.uvarint()
-	if n > uint64(len(r.p)/min) {
-		r.fail("count %d exceeds the %d bytes left", n, len(r.p))
-		return 0
-	}
-	return int(n)
-}
-
-// key reads one table key, which must sort strictly after prev.
-func (r *stateReader) key(prev string, first bool) string {
-	n := r.count(1)
-	key := string(r.p[:n])
-	r.p = r.p[n:]
-	if r.err == nil && !first && key <= prev {
-		r.fail("keys out of order (%q after %q)", key, prev)
-	}
-	return key
-}
-
-func (r *stateReader) float() float64 {
-	if len(r.p) < 8 {
-		r.fail("truncated")
-		return 0
-	}
-	x := math.Float64frombits(binary.LittleEndian.Uint64(r.p))
-	r.p = r.p[8:]
-	return x
-}
-
-func (r *stateReader) floats() []float64 {
-	n := r.count(8)
+func readFloats(r *canon.Reader) []float64 {
+	n := r.Count(8)
 	if n == 0 {
 		return nil
 	}
 	xs := make([]float64, n)
 	for i := range xs {
-		xs[i] = r.float()
+		xs[i] = r.Float()
 	}
 	return xs
 }
 
-func (r *stateReader) samples() [][]float64 {
-	n := r.count(1)
+func readSamples(r *canon.Reader) [][]float64 {
+	n := r.Count(1)
 	if n == 0 {
 		return nil
 	}
 	samples := make([][]float64, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		samples = append(samples, r.floats())
+	for i := 0; i < n && r.Err() == nil; i++ {
+		samples = append(samples, readFloats(r))
 	}
 	return samples
 }
@@ -227,46 +144,43 @@ func (r *stateReader) samples() [][]float64 {
 // (the state carries runs and references, not thresholds). Every length is
 // checked against the bytes left and the image must be consumed exactly.
 func Restore(cfg Config, data []byte) (*Detector, error) {
-	r := &stateReader{p: data}
-	if v := r.byte(); r.err == nil && v != stateVersion {
+	r := canon.NewReader(data)
+	if v := r.Byte(); r.Err() == nil && v != stateVersion {
 		return nil, fmt.Errorf("drift: state version %d, want %d", v, stateVersion)
 	}
 	d := NewDetector(cfg)
-	d.seq = r.varint()
+	d.seq = r.Varint()
 
 	prev := ""
-	for i, n := 0, r.count(1); i < n && r.err == nil; i++ {
-		prev = r.key(prev, i == 0)
-		flags := r.byte()
+	for i, n := 0, r.Count(1); i < n && r.Err() == nil; i++ {
+		prev = r.Key(prev, i == 0)
+		flags := r.Byte()
 		if flags >= 1<<4 {
-			r.fail("unknown presence flags %#x", flags)
+			r.Fail("unknown presence flags %#x", flags)
 		}
 		d.presence[prev] = &presenceState{
 			Confirmed: flags&1 != 0, WarmStart: flags&2 != 0,
 			Flickered: flags&4 != 0, EverConfirmed: flags&8 != 0,
-			RunPresent: int(r.varint()), RunAbsent: int(r.varint()), RunStart: r.varint(),
-			Rate: r.float(), RunRate: r.float(), SeenBuckets: r.varint(),
+			RunPresent: int(r.Varint()), RunAbsent: int(r.Varint()), RunStart: r.Varint(),
+			Rate: r.Float(), RunRate: r.Float(), SeenBuckets: r.Varint(),
 		}
 	}
-	for i, n := 0, r.count(1); i < n && r.err == nil; i++ {
-		prev = r.key(prev, i == 0)
+	for i, n := 0, r.Count(1); i < n && r.Err() == nil; i++ {
+		prev = r.Key(prev, i == 0)
 		d.scores[prev] = &scoreState{
-			Ring: r.floats(), Pos: r.float(), Neg: r.float(),
-			PosOnset: r.varint(), NegOnset: r.varint(), Idle: int(r.varint()),
+			Ring: readFloats(r), Pos: r.Float(), Neg: r.Float(),
+			PosOnset: r.Varint(), NegOnset: r.Varint(), Idle: int(r.Varint()),
 		}
 	}
-	for i, n := 0, r.count(1); i < n && r.err == nil; i++ {
-		prev = r.key(prev, i == 0)
+	for i, n := 0, r.Count(1); i < n && r.Err() == nil; i++ {
+		prev = r.Key(prev, i == 0)
 		d.delays[prev] = &delayState{
-			Ref: r.samples(), Idle: int(r.varint()), Pending: int(r.varint()),
-			PendingOnset: r.varint(), Held: r.samples(), Pool: r.samples(),
+			Ref: readSamples(r), Idle: int(r.Varint()), Pending: int(r.Varint()),
+			PendingOnset: r.Varint(), Held: readSamples(r), Pool: readSamples(r),
 		}
 	}
-	if r.err == nil && len(r.p) != 0 {
-		r.fail("%d trailing bytes", len(r.p))
-	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("drift: state: %w", err)
 	}
 	return d, nil
 }

@@ -20,6 +20,7 @@ func TestStationaryWeekFlagsNothing(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 10; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel() // runDriftStream builds everything it uses per call
 			opts := DefaultDriftOptions(seed)
 			opts.Days = 7
 			opts.Detector.LearnBuckets = opts.Days * 24

@@ -257,8 +257,15 @@ func open(cfg Config, stdout, stderr io.Writer) (e *engine, err error) {
 		quarantine = qf
 	}
 	e.feeder = stream.NewFeeder(e.in, stream.FeederConfig{Quarantine: quarantine, Metrics: cfg.Metrics})
-	if err = e.openSource(); err != nil || cp == nil {
+	if err = e.openSource(); err != nil {
 		return e, err
+	}
+	if cp == nil {
+		// A fresh resumable run checkpoints its empty start before the
+		// first read: a failure at bucket 1 after the store append then
+		// leaves a checkpoint the restart resumes from — re-appending bucket
+		// 1 — instead of a populated store no restart would accept.
+		return e, e.checkpoint(stream.Bucket{})
 	}
 	// Reposition the transport at the checkpoint offset: a seek for a plain
 	// file, a decompressed-byte skip for .gz (the stream is re-read from the

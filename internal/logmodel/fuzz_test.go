@@ -76,8 +76,9 @@ func FuzzParseEntry(f *testing.F) {
 
 // FuzzParseBytes is the differential target pinning the allocation-free
 // parser to the string parser: on every input both either produce the same
-// Entry or both fail (with the same message), intern mode never modifies the
-// input line, and every parsed entry survives an AppendEntry round trip.
+// Entry or both fail (with the same message), the message matches the string
+// reference unescapeMessage, intern mode never modifies the input line, and
+// every parsed entry survives an AppendEntry round trip.
 func FuzzParseBytes(f *testing.F) {
 	f.Add("2005-12-06T08:00:00.000Z\tDPIFormidoc\thost1\tu17\tINFO\thello")
 	f.Add("2005-12-06T08:00:00.000Z\tA\tB\tC\tERROR\t")
@@ -108,6 +109,11 @@ func FuzzParseBytes(f *testing.F) {
 		}
 		if got != want {
 			t.Fatalf("intern-mode entry differs on %q:\n want %+v\n got  %+v", line, want, got)
+		}
+		// Both parsers unescape through unescapeAppend; the message field
+		// (everything after the fifth tab) must match the string reference.
+		if ref := unescapeMessage(strings.SplitN(line, "\t", 6)[5]); want.Message != ref {
+			t.Fatalf("message of %q is %q; the reference unescapes it to %q", line, want.Message, ref)
 		}
 		if string(raw) != line {
 			t.Fatalf("intern mode modified its input: %q -> %q", line, raw)

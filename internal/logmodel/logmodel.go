@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -280,71 +279,4 @@ func (s *Store) Filter(pred func(*Entry) bool) *Store {
 	}
 	out.unsorted = s.unsorted
 	return out
-}
-
-// escapeMessage makes a message safe for the tab-separated wire format. It
-// operates on bytes, not runes, so messages that are not valid UTF-8 pass
-// through unaltered instead of being replaced with U+FFFD (found by
-// FuzzReadLogs: real log streams carry arbitrary bytes).
-func escapeMessage(m string) string {
-	if !strings.ContainsAny(m, "\t\n\r\\") {
-		return m
-	}
-	var b strings.Builder
-	b.Grow(len(m) + 8)
-	for i := 0; i < len(m); i++ {
-		switch c := m[i]; c {
-		case '\t':
-			b.WriteString(`\t`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\\':
-			b.WriteString(`\\`)
-		default:
-			b.WriteByte(c)
-		}
-	}
-	return b.String()
-}
-
-// unescapeMessage reverses escapeMessage. Byte-oriented for the same
-// reason.
-func unescapeMessage(m string) string {
-	if !strings.ContainsRune(m, '\\') {
-		return m
-	}
-	var b strings.Builder
-	b.Grow(len(m))
-	esc := false
-	for i := 0; i < len(m); i++ {
-		c := m[i]
-		if esc {
-			switch c {
-			case 't':
-				b.WriteByte('\t')
-			case 'n':
-				b.WriteByte('\n')
-			case 'r':
-				b.WriteByte('\r')
-			case '\\':
-				b.WriteByte('\\')
-			default:
-				b.WriteByte('\\')
-				b.WriteByte(c)
-			}
-			esc = false
-			continue
-		}
-		if c == '\\' {
-			esc = true
-			continue
-		}
-		b.WriteByte(c)
-	}
-	if esc {
-		b.WriteByte('\\')
-	}
-	return b.String()
 }

@@ -173,11 +173,11 @@ func (it *Intern) message(b []byte) string {
 	return byteView(it.chunk[start:len(it.chunk):len(it.chunk)])
 }
 
-// unescapeAppend appends the unescaped form of m to dst, mirroring
-// unescapeMessage byte for byte: \t \n \r \\ collapse, an invalid escape
-// keeps the backslash and the following byte, a trailing lone backslash is
-// preserved. Output length never exceeds len(m), which is what lets
-// Intern.message reserve len(m) arena bytes up front.
+// unescapeAppend appends the unescaped form of m to dst, mirroring the
+// test reference unescapeMessage byte for byte: \t \n \r \\ collapse, an
+// invalid escape keeps the backslash and the following byte, a trailing lone
+// backslash is preserved. Output length never exceeds len(m), which is what
+// lets Intern.message reserve len(m) arena bytes up front.
 func unescapeAppend(dst, m []byte) []byte {
 	for i := 0; i < len(m); i++ {
 		c := m[i]
@@ -291,7 +291,7 @@ func ParseEntryBytesInto(e *Entry, line []byte, it *Intern) error {
 		e.Source = string(f[1])
 		e.Host = string(f[2])
 		e.User = string(f[3])
-		e.Message = unescapeMessage(string(rest))
+		e.Message = string(unescapeAppend(nil, rest))
 	}
 	return nil
 }
@@ -327,8 +327,8 @@ func AppendEntry(dst []byte, e Entry) []byte {
 	return appendEscaped(dst, e.Message)
 }
 
-// appendEscaped appends m with wire-format escaping, mirroring
-// escapeMessage: tab, newline, carriage return and backslash are
+// appendEscaped appends m with wire-format escaping, mirroring the test
+// reference escapeMessage: tab, newline, carriage return and backslash are
 // backslash-escaped; everything else is copied verbatim.
 func appendEscaped(dst []byte, m string) []byte {
 	if !strings.ContainsAny(m, "\t\n\r\\") {

@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"math/bits"
 	"os"
 
+	"logscape/internal/canon"
 	"logscape/internal/logmodel"
 	"logscape/internal/stream"
 )
@@ -24,10 +24,12 @@ import (
 //	                                u64le IEEE-754 bits
 //	         uvarint evidence count | per line: uvarint length | wire bytes
 //
-// Everything is length-prefixed and CRC-guarded: a torn or bit-flipped
-// file fails loudly at read time instead of yielding a silently truncated
-// history. Whole files are written via tmp+rename, so refusal (rather
-// than best-effort salvage) is the safe policy — a verified previous
+// The payload follows internal/canon's encoding (minimal varints, score
+// keys strictly ascending, consumed exactly), so it has one byte image per
+// record. Everything is length-prefixed and CRC-guarded: a torn or
+// bit-flipped file fails loudly at read time instead of yielding a silently
+// truncated history. Whole files are written via tmp+rename, so refusal
+// (rather than best-effort salvage) is the safe policy — a verified previous
 // version of every file always exists.
 const (
 	segMagic      = "LSEG"
@@ -80,18 +82,14 @@ func appendRecord(dst []byte, r Record) []byte {
 	p = binary.AppendUvarint(p, uint64(r.Bucket))
 	p = binary.AppendUvarint(p, uint64(r.Range.Start))
 	p = binary.AppendUvarint(p, uint64(r.Range.End-r.Range.Start))
-	p = binary.AppendUvarint(p, uint64(len(r.Model)))
-	p = append(p, r.Model...)
+	p = canon.AppendBytes(p, r.Model)
 	p = binary.AppendUvarint(p, uint64(len(r.Scores)))
 	for _, s := range r.Scores {
-		p = binary.AppendUvarint(p, uint64(len(s.Key)))
-		p = append(p, s.Key...)
-		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(s.Value))
+		p = canon.AppendFloat(canon.AppendString(p, s.Key), s.Value)
 	}
 	p = binary.AppendUvarint(p, uint64(len(r.Evidence)))
 	for _, line := range r.Evidence {
-		p = binary.AppendUvarint(p, uint64(len(line)))
-		p = append(p, line...)
+		p = canon.AppendBytes(p, line)
 	}
 	payload := p[frame+8:]
 	binary.LittleEndian.PutUint32(p[frame:], uint32(len(payload)))
@@ -136,104 +134,29 @@ func validRecord(r Record) error {
 }
 
 // parseRecord decodes one record payload (the CRC has already been
-// verified). Every length is checked against the remaining bytes before
-// slicing, and trailing garbage is an error: the payload must be consumed
-// exactly.
+// verified) by internal/canon's rules: every length is checked against the
+// remaining bytes before slicing, varints must be minimal, score keys
+// strictly ascending, and the payload must be consumed exactly.
 func parseRecord(p []byte) (Record, error) {
-	var r Record
-	u := func() (uint64, error) {
-		v, n := binary.Uvarint(p)
-		if n <= 0 {
-			return 0, fmt.Errorf("modelstore: truncated varint in record")
-		}
-		// Reject non-minimal encodings: the format has exactly one byte
-		// image per value, which is what lets the round-trip tests assert
-		// encode(decode(x)) == x on every accepted input.
-		if n > 1 && v>>(7*(n-1)) == 0 {
-			return 0, fmt.Errorf("modelstore: non-minimal varint in record")
-		}
-		p = p[n:]
-		return v, nil
+	r := canon.NewReader(p)
+	bucket, start := r.Uvarint(), r.Uvarint()
+	rec := Record{
+		Bucket: int64(bucket),
+		Range:  logmodel.TimeRange{Start: logmodel.Millis(start), End: logmodel.Millis(start + r.Uvarint())},
+		Model:  r.Bytes(),
 	}
-	take := func(n uint64) ([]byte, error) {
-		if n > uint64(len(p)) {
-			return nil, fmt.Errorf("modelstore: record field length %d exceeds remaining %d bytes", n, len(p))
-		}
-		b := p[:n:n]
-		p = p[n:]
-		return b, nil
+	prev := ""
+	for i, n := 0, r.Count(1); i < n && r.Err() == nil; i++ {
+		prev = r.Key(prev, i == 0)
+		rec.Scores = append(rec.Scores, Score{Key: prev, Value: r.Float()})
 	}
-
-	bucket, err := u()
-	if err != nil {
-		return r, err
+	for i, n := 0, r.Count(1); i < n && r.Err() == nil; i++ {
+		rec.Evidence = append(rec.Evidence, r.Bytes())
 	}
-	start, err := u()
-	if err != nil {
-		return r, err
+	if err := r.End(); err != nil {
+		return rec, fmt.Errorf("modelstore: record: %w", err)
 	}
-	width, err := u()
-	if err != nil {
-		return r, err
-	}
-	r.Bucket = int64(bucket)
-	r.Range = logmodel.TimeRange{Start: logmodel.Millis(start), End: logmodel.Millis(start + width)}
-
-	n, err := u()
-	if err != nil {
-		return r, err
-	}
-	if r.Model, err = take(n); err != nil {
-		return r, err
-	}
-
-	if n, err = u(); err != nil {
-		return r, err
-	}
-	prevKey := ""
-	for i := uint64(0); i < n; i++ {
-		kl, err := u()
-		if err != nil {
-			return r, err
-		}
-		kb, err := take(kl)
-		if err != nil {
-			return r, err
-		}
-		if len(p) < 8 {
-			return r, fmt.Errorf("modelstore: truncated score value")
-		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(p))
-		p = p[8:]
-		key := string(kb)
-		if i > 0 && key <= prevKey {
-			return r, fmt.Errorf("modelstore: score keys out of order (%q after %q)", key, prevKey)
-		}
-		prevKey = key
-		r.Scores = append(r.Scores, Score{Key: key, Value: v})
-	}
-
-	if n, err = u(); err != nil {
-		return r, err
-	}
-	for i := uint64(0); i < n; i++ {
-		ll, err := u()
-		if err != nil {
-			return r, err
-		}
-		line, err := take(ll)
-		if err != nil {
-			return r, err
-		}
-		r.Evidence = append(r.Evidence, line)
-	}
-	if len(p) != 0 {
-		return r, fmt.Errorf("modelstore: %d trailing bytes after record", len(p))
-	}
-	if err := validRecord(r); err != nil {
-		return r, err
-	}
-	return r, nil
+	return rec, validRecord(rec)
 }
 
 // encodeSegment builds the full byte image of a segment file.
