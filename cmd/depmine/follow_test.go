@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -264,8 +265,12 @@ func TestFollowDriftResumeKeepsAlertStream(t *testing.T) {
 		return o
 	}
 
+	// Durable runs carry segment= locators on their DRIFT lines, so the
+	// reference keeps a store too.
+	oref := mkOpts(full)
+	oref.storePath = filepath.Join(t.TempDir(), "store")
 	var refOut, refErr bytes.Buffer
-	if err := followStream(mkOpts(full), &refOut, &refErr); err != nil {
+	if err := followStream(oref, &refOut, &refErr); err != nil {
 		t.Fatal(err)
 	}
 	ref := driftLines(refErr.String())
@@ -287,16 +292,17 @@ func TestFollowDriftResumeKeepsAlertStream(t *testing.T) {
 		}
 	}
 	prefixPath := writeLog(t, lines[:cut])
-	ckpt := filepath.Join(t.TempDir(), "follow.ckpt")
+	state := t.TempDir()
+	ckpt, store := filepath.Join(state, "follow.ckpt"), filepath.Join(state, "store")
 
 	o1 := mkOpts(prefixPath)
-	o1.resumePath = ckpt
+	o1.resumePath, o1.storePath = ckpt, store
 	var out1, err1 bytes.Buffer
 	if err := followStream(o1, &out1, &err1); err != nil {
 		t.Fatal(err)
 	}
 	o2 := mkOpts(full)
-	o2.resumePath = ckpt
+	o2.resumePath, o2.storePath = ckpt, store
 	var out2, err2 bytes.Buffer
 	if err := followStream(o2, &out2, &err2); err != nil {
 		t.Fatal(err)
@@ -336,10 +342,11 @@ func TestFollowResumeContinuesWhereItStopped(t *testing.T) {
 		}
 	}
 	prefixPath := writeLog(t, lines[:cut])
-	ckpt := filepath.Join(t.TempDir(), "follow.ckpt")
+	state := t.TempDir()
+	ckpt, store := filepath.Join(state, "follow.ckpt"), filepath.Join(state, "store")
 
 	o1 := followOpts(prefixPath)
-	o1.resumePath = ckpt
+	o1.resumePath, o1.storePath = ckpt, store
 	var out1, err1 bytes.Buffer
 	if err := followStream(o1, &out1, &err1); err != nil {
 		t.Fatal(err)
@@ -351,7 +358,7 @@ func TestFollowResumeContinuesWhereItStopped(t *testing.T) {
 
 	// The full file has the same bytes for the prefix; resume from it.
 	o2 := followOpts(full)
-	o2.resumePath = ckpt
+	o2.resumePath, o2.storePath = ckpt, store
 	var out2, err2 bytes.Buffer
 	if err := followStream(o2, &out2, &err2); err != nil {
 		t.Fatal(err)
@@ -370,26 +377,98 @@ func TestFollowResumeContinuesWhereItStopped(t *testing.T) {
 	}
 }
 
+// TestFollowResumeRefusals: each resume refusal names its cause and a
+// recovery, and the run that follows the recovery literally succeeds.
 func TestFollowResumeRefusals(t *testing.T) {
-	o := followOpts("-")
-	o.resumePath = filepath.Join(t.TempDir(), "ckpt")
-	if err := followStream(o, &bytes.Buffer{}, &bytes.Buffer{}); err == nil ||
-		!strings.Contains(err.Error(), "stdin") {
-		t.Errorf("stdin resume = %v, want refusal naming stdin", err)
-	}
-
-	// A checkpoint taken after a rotation must be refused: its offset no
-	// longer maps to one file.
 	log := writeLog(t, pairCorpus())
-	o = followOpts(log)
-	o.resumePath = filepath.Join(t.TempDir(), "rotated.ckpt")
-	in := stream.NewIngester(stream.Config{BucketWidth: 1000, WindowBuckets: 2})
-	if err := stream.WriteCheckpointFile(o.resumePath, in.Checkpoint(10, 3)); err != nil {
-		t.Fatal(err)
+	fresh := func() string { return filepath.Join(t.TempDir(), "store") }
+	resumable := func(o *options) { o.resumePath, o.storePath = filepath.Join(t.TempDir(), "ckpt"), fresh() }
+	// edited leaves a finished run's checkpoint and store behind, then sets
+	// (or, given nil, deletes) one field of the checkpoint's JSON.
+	edited := func(field string, v any) func(*options) {
+		return func(o *options) {
+			resumable(o)
+			if err := followStream(*o, io.Discard, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(o.resumePath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m map[string]any
+			if err := json.Unmarshal(data, &m); err != nil {
+				t.Fatal(err)
+			}
+			if m[field] = v; v == nil {
+				delete(m, field)
+			}
+			if data, err = json.Marshal(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(o.resumePath, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if err := followStream(o, &bytes.Buffer{}, &bytes.Buffer{}); err == nil ||
-		!strings.Contains(err.Error(), "rotation") {
-		t.Errorf("rotated checkpoint = %v, want refusal naming rotation", err)
+	const startFresh = "remove it and point -store at a fresh directory to start fresh"
+	removeAndFresh := func(o *options) {
+		if err := os.Remove(o.resumePath); err != nil {
+			t.Fatal(err)
+		}
+		o.storePath = fresh()
+	}
+	// another leaves a finished run's checkpoint beside the store of a run
+	// over the same stream ten seconds later: its bucket indexes reach the
+	// checkpoint's, its times do not.
+	var written string
+	another := func(o *options) {
+		resumable(o)
+		if err := followStream(*o, io.Discard, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		var later []string
+		for _, l := range pairCorpus() {
+			e, err := logmodel.ParseEntry(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Time += 10_000
+			later = append(later, logmodel.FormatEntry(e))
+		}
+		other := followOpts(writeLog(t, later))
+		other.storePath = fresh()
+		if err := followStream(other, io.Discard, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		written, o.storePath = o.storePath, other.storePath
+	}
+	for _, c := range []struct {
+		name, cause, advice string
+		setup, recover      func(*options)
+	}{
+		{"stdin", "stdin cannot be repositioned", "requires a file input",
+			func(o *options) { o.files = []string{"-"}; resumable(o) },
+			func(o *options) { o.files = []string{log} }},
+		{"rotation", "predates 1 rotation(s)", startFresh, edited("rotations", 1), removeAndFresh},
+		{"missing store", "resume needs a model store", "rerun with -store DIR",
+			func(o *options) { o.resumePath = filepath.Join(t.TempDir(), "ckpt") },
+			func(o *options) { o.storePath = fresh() }},
+		{"inline window", "keeps its window inline", startFresh, edited("window_in_store", nil), removeAndFresh},
+		{"version", "has format version 1, want 2", startFresh, edited("version", 1), removeAndFresh},
+		{"another store", "holds no model for bucket 6", "point -store at the directory the checkpoint was written with",
+			another, func(o *options) { o.storePath = written }},
+	} {
+		o := followOpts(log)
+		c.setup(&o)
+		err := followStream(o, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), c.cause) || !strings.Contains(err.Error(), c.advice) {
+			t.Errorf("%s: err = %v; want a refusal naming %q and advising %q", c.name, err, c.cause, c.advice)
+			continue
+		}
+		c.recover(&o)
+		if err := followStream(o, io.Discard, io.Discard); err != nil {
+			t.Errorf("%s: the run that follows the advice fails: %v", c.name, err)
+		}
 	}
 }
 

@@ -37,7 +37,7 @@
 //	-resume FILE    checkpoint file: written atomically on every closed
 //	                bucket, loaded on start to resume a killed follow run
 //	                without replaying the stream or double-ingesting a line
-//	                (refused after a file rotation, and for stdin input)
+//	                (requires -store; refused for stdin and after a rotation)
 //	-quarantine FILE  append every rejected line, prefixed with its fault
 //	                class (malformed, oversized, late, corrupt)
 //	-drift          run the drift detector over the delivered buckets and
@@ -127,7 +127,7 @@ func main() {
 	followMode := flag.Bool("follow", false, "streaming mode: tail one log stream and emit the sliding-window model per bucket")
 	flag.Float64Var(&o.spec.BucketSec, "bucket", 3600, "follow mode: bucket width in seconds")
 	flag.IntVar(&o.spec.WindowBuckets, "window", 24, "follow mode: window size in buckets")
-	flag.StringVar(&o.resumePath, "resume", "", "follow mode: checkpoint file — written per closed bucket, loaded on start to resume after a kill")
+	flag.StringVar(&o.resumePath, "resume", "", "follow mode: checkpoint file — written per closed bucket, loaded on start to resume after a kill (requires -store)")
 	flag.BoolVar(&o.spec.Drift, "drift", false, "follow mode: detect model drift (births, deaths, score and delay shifts) and print DRIFT lines to stderr")
 	flag.StringVar(&o.quarantinePath, "quarantine", "", "follow mode: append rejected lines (malformed/oversized/late/corrupt) to this file")
 	flag.StringVar(&o.storePath, "store", "", "follow mode: persist per-bucket models and evidence to this segment-store directory")

@@ -327,7 +327,7 @@ func TestFollowStoreRefusals(t *testing.T) {
 		t.Errorf("fresh run over a populated store: err = %v", err)
 	}
 
-	// A light checkpoint without its store must refuse.
+	// A checkpoint without a store must refuse.
 	lines2 := writeLog(t, bucketCorpus(6, time.Second))
 	ckpt := filepath.Join(t.TempDir(), "follow.ckpt")
 	o3 := storeOpts(t, lines2)
@@ -339,8 +339,8 @@ func TestFollowStoreRefusals(t *testing.T) {
 	o4 := followOpts(lines2)
 	o4.resumePath = ckpt
 	if err := followStream(o4, &stdout, &stderr); err == nil ||
-		!strings.Contains(err.Error(), "rerun with the original -store") {
-		t.Errorf("light checkpoint without -store: err = %v", err)
+		!strings.Contains(err.Error(), "rerun with -store DIR") {
+		t.Errorf("checkpoint without -store: err = %v", err)
 	}
 }
 

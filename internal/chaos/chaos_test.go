@@ -14,6 +14,7 @@ import (
 	"logscape/internal/core/l3"
 	"logscape/internal/directory"
 	"logscape/internal/logmodel"
+	"logscape/internal/modelstore"
 	"logscape/internal/sessions"
 	"logscape/internal/stream"
 )
@@ -319,6 +320,86 @@ func TestChaosEquivalenceTailerFS(t *testing.T) {
 	}
 }
 
+// killResume runs the script's pipeline, appending every closed bucket to
+// a model store and checkpointing at the killAt-th, and drops everything
+// after that checkpoint, as a kill there would. It then resumes the way a
+// restarted follower does: the checkpoint file read back, its window
+// hydrated from the reopened store, the transport re-read from the recorded
+// offset. It returns the resumed run's snapshots and stats; ok is false when
+// the stream starts before the epoch, which no store holds.
+func killResume(t *testing.T, sc *Script, workers, killAt int) (r chaosRun, ok bool) {
+	t.Helper()
+	wcfg := stream.Config{BucketWidth: 1000, WindowBuckets: 4, Workers: workers}
+	scfg := modelstore.Config{BucketWidth: wcfg.BucketWidth, WindowBuckets: wcfg.WindowBuckets}
+	dir := t.TempDir()
+	s, err := modelstore.Open(dir, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := stream.NewIngester(wcfg, chaosMiners(wcfg)...)
+	f := stream.NewFeeder(pre, stream.FeederConfig{})
+	var cp *stream.Checkpoint
+	closed, preEpoch := 0, false
+	pre.OnAdvance = func(b stream.Bucket) {
+		if preEpoch = preEpoch || b.Range.Start < 0; cp != nil || preEpoch {
+			return
+		}
+		rec := modelstore.Record{Bucket: b.Index, Range: b.Range, Model: []byte("{}\n")}
+		for _, e := range b.Entries {
+			rec.Evidence = append(rec.Evidence, logmodel.AppendEntry(nil, e))
+		}
+		if err := s.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		if closed++; closed == killAt {
+			cp = pre.CheckpointLight(f.Consumed(), 0)
+		}
+	}
+	if err := f.Run(hardenedSource(NewReader(sc), sc)); err != nil {
+		t.Fatalf("pre-kill run: %v", err)
+	}
+	if preEpoch {
+		return r, false
+	}
+	if cp == nil {
+		t.Fatalf("stream closed fewer than %d buckets; no checkpoint taken", killAt)
+	}
+
+	path := filepath.Join(t.TempDir(), "follow.ckpt")
+	if err := stream.WriteCheckpointFile(path, cp); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := stream.ReadCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err = modelstore.Open(dir, scfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Hydrate(loaded); err != nil {
+		t.Fatal(err)
+	}
+	miners := chaosMiners(wcfg)
+	resumed, err := loaded.Restore(wcfg, miners...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2 := stream.NewFeeder(resumed, stream.FeederConfig{})
+	if err := f2.Run(hardenedSource(NewReaderAt(sc, loaded.Offset), sc)); err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	resumed.Flush()
+	for _, m := range miners {
+		var buf bytes.Buffer
+		if err := core.WriteModel(&buf, m.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		r.snaps = append(r.snaps, buf.Bytes())
+	}
+	r.stats = resumed.Stats()
+	return r, true
+}
+
 // TestChaosKillResume simulates a kill after a checkpoint and a -resume
 // restart: the resumed pipeline, reading the same fault stream from the
 // checkpoint offset, must land on snapshots byte-identical to an
@@ -330,60 +411,16 @@ func TestChaosKillResume(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			ref := runScript(t, sc, workers)
-
-			wcfg := stream.Config{BucketWidth: 1000, WindowBuckets: 4, Workers: workers}
-			preMiners := chaosMiners(wcfg)
-			pre := stream.NewIngester(wcfg, preMiners...)
-			f := stream.NewFeeder(pre, stream.FeederConfig{})
-			var cp *stream.Checkpoint
-			closed := 0
-			pre.OnAdvance = func(stream.Bucket) {
-				closed++
-				if closed == 2 {
-					cp = pre.Checkpoint(f.Consumed(), 0)
-				}
+			got, ok := killResume(t, sc, workers, 2)
+			if !ok {
+				t.Fatal("the corpus starts before the epoch; no store holds it")
 			}
-			if err := f.Run(hardenedSource(NewReader(sc), sc)); err != nil {
-				t.Fatal(err)
-			}
-			if cp == nil {
-				t.Fatal("stream closed fewer than 2 buckets; no checkpoint taken")
-			}
-			// Kill: everything after the checkpoint is lost. Resume from the
-			// persisted state and the recorded offset.
-			path := filepath.Join(t.TempDir(), "follow.ckpt")
-			if err := stream.WriteCheckpointFile(path, cp); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := stream.ReadCheckpointFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			postMiners := chaosMiners(wcfg)
-			resumed, err := loaded.Restore(wcfg, postMiners...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f2 := stream.NewFeeder(resumed, stream.FeederConfig{})
-			if err := f2.Run(hardenedSource(NewReaderAt(sc, loaded.Offset), sc)); err != nil {
-				t.Fatal(err)
-			}
-			resumed.Flush()
-
-			var got [][]byte
-			for _, m := range postMiners {
-				var buf bytes.Buffer
-				if err := core.WriteModel(&buf, m.Snapshot()); err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, buf.Bytes())
-			}
-			if !reflect.DeepEqual(got, ref.snaps) {
+			if !reflect.DeepEqual(got.snaps, ref.snaps) {
 				t.Errorf("resumed snapshots diverge from uninterrupted run\nresumed: %s\nref:     %s",
-					bytes.Join(got, []byte("|")), bytes.Join(ref.snaps, []byte("|")))
+					bytes.Join(got.snaps, []byte("|")), bytes.Join(ref.snaps, []byte("|")))
 			}
-			if s := resumed.Stats(); s != ref.stats {
-				t.Errorf("resumed stats = %+v, want %+v", s, ref.stats)
+			if got.stats != ref.stats {
+				t.Errorf("resumed stats = %+v, want %+v", got.stats, ref.stats)
 			}
 		})
 	}

@@ -460,7 +460,7 @@ func TestTenantRefusesOldCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "stream: checkpoint " + ckpt + " has format version 1, want 2 — remove it to start fresh"
+	want := "stream: checkpoint " + ckpt + " has format version 1, want 2 — remove it and point -store at a fresh directory to start fresh"
 	if st.State != "failed" || st.Error != want {
 		t.Fatalf("resumed over a version-1 checkpoint: state %q, error %q\nwant failed with %q", st.State, st.Error, want)
 	}

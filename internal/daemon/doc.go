@@ -10,7 +10,7 @@
 //	<state>/<name>/stream.json      the stream's persisted configuration
 //	<state>/<name>/out.log          every emitted model document, in order
 //	<state>/<name>/events.log       delta lines and DRIFT alerts; a failed run's error, last
-//	<state>/<name>/follow.ckpt      the resume checkpoint (light form)
+//	<state>/<name>/follow.ckpt      the resume checkpoint (the window is in the store)
 //	<state>/<name>/quarantine.log   rejected lines, fault-class prefixed
 //	<state>/<name>/store/           the tenant's model store
 //

@@ -27,16 +27,16 @@ import (
 // pass Validate.
 type Config struct {
 	Spec
-	// ResumePath, when set, checkpoints the window per closed bucket and
-	// resumes from an existing checkpoint on start.
+	// ResumePath, when set, checkpoints the run per closed bucket and
+	// resumes from an existing checkpoint on start. It requires Store.
 	ResumePath string
 	// QuarantinePath, when set, appends every rejected line prefixed with
 	// its fault class.
 	QuarantinePath string
-	// Store, when non-nil, receives every closed bucket's model and evidence
-	// and switches checkpoints to the light (window-in-store) form. The host
-	// opens it (Spec.OpenStore) and keeps the handle: a daemon answers its
-	// queries from it under AdvanceLock.
+	// Store, when non-nil, receives every closed bucket's model and evidence,
+	// from which a resumed run reads back its window and delta baseline. The
+	// host opens it (Spec.OpenStore) and keeps the handle: a daemon answers
+	// its queries from it under AdvanceLock.
 	Store *modelstore.Store
 	// Metrics, when non-nil, collects the run's counters, gauges and histograms
 	// (one follow.<stage>_ns per advance stage) without perturbing the models.
@@ -189,6 +189,9 @@ func open(cfg Config, stdout, stderr io.Writer) (e *engine, err error) {
 	if err := cfg.Validate(); err != nil {
 		return e, err
 	}
+	if cfg.ResumePath != "" && cfg.Store == nil {
+		return e, fmt.Errorf("resume needs a model store: the window is read back from it on restart; rerun with -store DIR")
+	}
 	if wait := cfg.Wait; wait != nil {
 		// A halted run must not sit in the tailer's poll loop.
 		cfg.Wait = func() bool { return !e.halt() && wait() }
@@ -199,9 +202,9 @@ func open(cfg Config, stdout, stderr io.Writer) (e *engine, err error) {
 		WindowBuckets: cfg.WindowBuckets,
 		Workers:       cfg.Workers,
 		Metrics:       cfg.Metrics,
-		// The built-in follow miners copy what they retain and the
-		// checkpoint serializes window buckets before they retire, so the
-		// ingester may reuse retired bucket slices.
+		// The built-in follow miners copy what they retain and the store
+		// stage copies a bucket's entries out as evidence before advance
+		// returns, so the ingester may reuse retired bucket slices.
 		RecycleBuckets: true,
 	}
 	if e.miner, err = buildMiner(cfg, wcfg); err != nil {
@@ -218,18 +221,15 @@ func open(cfg Config, stdout, stderr io.Writer) (e *engine, err error) {
 		return e, err
 	}
 	// The ingester carries no miner — mining is the first stage of advance —
-	// so a restored window is replayed into the miner here. The previous
-	// run's last delta line was printed against exactly that window's model:
-	// seeding the baseline with it makes the resumed run's first delta show
-	// only what changed, the concatenated delta stream byte-identical to an
-	// uninterrupted run's.
+	// so a restored window is replayed into the miner here.
 	if cp != nil {
 		if e.in, err = cp.Restore(wcfg); err != nil {
 			return e, fmt.Errorf("resume: %w", err)
 		}
 		e.in.Replay(e.miner)
-		snap := e.miner.Snapshot()
-		e.prevPairs, e.prevDeps = snap.PairSet(), snap.DepSet()
+		if err = e.storedBaseline(cp); err != nil {
+			return e, fmt.Errorf("resume: %w", err)
+		}
 	} else {
 		e.in = stream.NewIngester(wcfg)
 	}
@@ -282,7 +282,7 @@ func open(cfg Config, stdout, stderr io.Writer) (e *engine, err error) {
 }
 
 // loadCheckpoint reads the resume checkpoint, if any — a missing file is a
-// fresh start — and hydrates a window-in-store checkpoint from the store.
+// fresh start — and hydrates its window from the store.
 func loadCheckpoint(cfg Config) (cp *stream.Checkpoint, err error) {
 	if cfg.ResumePath != "" {
 		if cfg.Source == "-" {
@@ -291,27 +291,51 @@ func loadCheckpoint(cfg Config) (cp *stream.Checkpoint, err error) {
 		if cp, err = stream.ReadCheckpointFile(cfg.ResumePath); err != nil {
 			return nil, err
 		}
-		if cp != nil && cp.Rotations > 0 {
-			return nil, fmt.Errorf("checkpoint %s predates %d rotation(s); its offset no longer maps to one file — remove it to start fresh",
-				cfg.ResumePath, cp.Rotations)
-		}
 	}
-	if cp != nil && cp.WindowInStore {
-		// The window's entries live in the store's raw segments: read them
-		// back locally instead of re-tailing the source stream.
-		if cfg.Store == nil {
-			return nil, fmt.Errorf("checkpoint %s stores its window in a model store; rerun with the original -store DIR", cfg.ResumePath)
+	switch {
+	case cp == nil:
+		if cfg.Store != nil && !cfg.Store.Empty() {
+			// Bucket indexes in the store are anchored to the original run's
+			// origin; appending from a fresh origin would corrupt the history.
+			return nil, fmt.Errorf("store %s already holds segments but no checkpoint was found; resume with a checkpoint, or point the store at a fresh directory", cfg.Store.Dir())
 		}
-		if err := cfg.Store.Hydrate(cp); err != nil {
-			return nil, fmt.Errorf("resume: %w", err)
-		}
+		return nil, nil
+	case cp.Rotations > 0:
+		return nil, fmt.Errorf("checkpoint %s predates %d rotation(s); its offset no longer maps to one file — remove it and point -store at a fresh directory to start fresh",
+			cfg.ResumePath, cp.Rotations)
+	case !cp.WindowInStore: // restored against a fresh store, the window would come up short after the next kill
+		return nil, fmt.Errorf("checkpoint %s keeps its window inline, as runs without -store wrote it; remove it and point -store at a fresh directory to start fresh", cfg.ResumePath)
 	}
-	if cp == nil && cfg.Store != nil && !cfg.Store.Empty() {
-		// Bucket indexes in the store are anchored to the original run's
-		// origin; appending from a fresh origin would corrupt the history.
-		return nil, fmt.Errorf("store %s already holds segments but no checkpoint was found; resume with a checkpoint, or point the store at a fresh directory", cfg.Store.Dir())
+	// The window's entries live in the store's raw segments: read them back
+	// locally instead of re-tailing the source stream.
+	if err := cfg.Store.Hydrate(cp); err != nil {
+		return nil, fmt.Errorf("resume: %w", err)
 	}
 	return cp, nil
+}
+
+// storedBaseline seeds the delta baseline with the document the previous
+// run printed its last delta line against: the store's record of the last
+// bucket delivered before the checkpoint. A snapshot of the replayed window
+// is not always that document — the window Hydrate returns lacks whatever
+// the append of a rolled-back bucket compacted away — and only the stored
+// one keeps the concatenated delta stream an uninterrupted run's.
+func (e *engine) storedBaseline(cp *stream.Checkpoint) error {
+	hi := cp.Cur // the last index that can have been delivered, as in Hydrate
+	if cp.Open {
+		hi--
+	}
+	rec, ok, err := e.cfg.Store.ModelAt(cp.Origin + logmodel.Millis(hi+1)*cp.BucketWidth)
+	if n := len(cp.Buckets); err == nil && n > 0 && (!ok || rec.Bucket != cp.Buckets[n-1].Index) {
+		err = fmt.Errorf("store %s holds no model for bucket %d, the restored window's last; point -store at the directory the checkpoint was written with",
+			e.cfg.Store.Dir(), cp.Buckets[n-1].Index)
+	}
+	if err != nil || !ok {
+		return err // !ok: nothing was delivered, so no delta line was printed
+	}
+	doc, err := core.ReadModel(bytes.NewReader(rec.Model))
+	e.prevPairs, e.prevDeps = doc.PairSet(), doc.DepSet()
+	return err
 }
 
 func (e *engine) close() {
@@ -498,19 +522,14 @@ func (e *engine) observeDrift(b stream.Bucket) error {
 	return err
 }
 
-// checkpoint persists the resume point. Consumed() already covers the line
-// that closed this bucket (it sits in the checkpoint's pending set), so
-// base+Consumed is exact: no replay, no gap. With a store the window is not
-// serialized — the store's raw segments already hold it (CheckpointLight).
+// checkpoint persists the resume point but the window, which the store
+// holds. Consumed() already covers the line that closed this bucket (it sits
+// in the checkpoint's pending set), so base+Consumed is exact: no replay.
 func (e *engine) checkpoint(stream.Bucket) error {
 	if e.cfg.ResumePath == "" {
 		return nil
 	}
-	take := e.in.Checkpoint
-	if e.cfg.Store != nil {
-		take = e.in.CheckpointLight
-	}
-	next := take(e.base+e.feeder.Consumed(), e.tailer.Rotations())
+	next := e.in.CheckpointLight(e.base+e.feeder.Consumed(), e.tailer.Rotations())
 	if e.det != nil {
 		blob, err := e.det.State()
 		if err != nil {

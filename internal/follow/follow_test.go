@@ -140,45 +140,28 @@ func (w *failAt) Write(p []byte) (int, error) {
 }
 
 // failAtBucket is the fail-at-k arm of TestGzipStopResumeEveryBucket, run
-// under a Wait hook that would keep tailing: stdout fails on document k of a
-// store-backed run, then stderr on delta line k of a checkpoint-only one and,
-// at k = 1, of a store-backed one. The run must end there like a kill — the
-// error returned without tailing on, no later stage run for bucket k or any
-// bucket after it — and a rerun from the checkpoint it left, with healthy
-// writers, must continue with bucket k exactly as an uninterrupted run prints
-// it: the stream that failed is then whole, byte for byte. (After a failed
-// delta line document k — rendered a stage earlier — is on stdout twice, as
-// after a kill between the two.)
+// durable under a Wait hook that would keep tailing: stdout fails on
+// document k, then stderr on delta line k. The run must end there like a
+// kill — the error returned without tailing on, no later stage run for
+// bucket k or any bucket after it — and a rerun from the checkpoint it left,
+// with healthy writers, must continue with bucket k exactly as an
+// uninterrupted run prints it: the stream that failed is then whole, byte
+// for byte. (After a failed delta line document k — rendered a stage earlier
+// — is on stdout twice, as after a kill between the two.)
 //
-// Past bucket 1 the stderr arm keeps its window in the checkpoint because a
-// store-backed run rolled back one bucket cannot always rebuild the delta
-// baseline: appending record k may already have compacted the evidence of
-// the oldest bucket of window k−1 away. That corner predates this test and
-// is the store's, not the failed stage's; see CHANGES.md. At bucket 1 there
-// is nothing to compact, and the store holds the failed bucket's record with
-// only the fresh run's empty checkpoint beside it: the rerun must re-append
-// it rather than refuse the store.
+// A failed delta line leaves bucket k's record in the store beside bucket
+// k−1's checkpoint (at k = 1, the fresh run's empty one): the rerun
+// re-appends it, and takes its first delta against the stored document of
+// bucket k−1 — exact even where appending record k compacted the oldest
+// bucket of window k−1 out of the store.
 func failAtBucket(t *testing.T, plain string, k int, wantOut, wantErr []byte) {
 	t.Helper()
-	arms := []struct{ failStderr, store bool }{{false, true}, {true, false}, {true, true}}
-	if k > 1 {
-		arms = arms[:2] // the store-backed stderr arm runs at k = 1 only
-	}
-	for _, arm := range arms {
-		failStderr := arm.failStderr
+	for _, failStderr := range []bool{false, true} {
 		state, out1, err1 := t.TempDir(), &failAt{k: k}, &failAt{}
 		if failStderr {
 			out1, err1 = err1, out1
 		}
-		host := func() follow.Config { return durable(t, config(plain), state) }
-		if !arm.store {
-			host = func() follow.Config {
-				cfg := config(plain)
-				cfg.ResumePath = filepath.Join(state, "follow.ckpt")
-				return cfg
-			}
-		}
-		first := host()
+		first := durable(t, config(plain), state)
 		polls, fired := 0, 0
 		first.Wait = func() bool { polls++; return polls < 50 }
 		first.Progress = func(follow.Progress) { fired++ }
@@ -192,7 +175,7 @@ func failAtBucket(t *testing.T, plain string, k int, wantOut, wantErr []byte) {
 		if res.Entries == 0 || res.Buckets < k {
 			t.Errorf("k=%d, stderr %v: failed run reports %+v; want its accounting up to the failure", k, failStderr, res)
 		}
-		cfg := host() // a restarted host: it opens the store again
+		cfg := durable(t, config(plain), state) // a restarted host: it opens the store again
 		cp, err := stream.ReadCheckpointFile(cfg.ResumePath)
 		if err != nil {
 			t.Fatal(err)
@@ -200,15 +183,13 @@ func failAtBucket(t *testing.T, plain string, k int, wantOut, wantErr []byte) {
 		if cp == nil || cp.Stats.Buckets != k-1 {
 			t.Errorf("k=%d, stderr %v: checkpoint %+v is not bucket %d's", k, failStderr, cp, k-1)
 		}
-		if cfg.Store != nil {
-			// The store stage runs before the delta line, after the document.
-			want := k - 1
-			if failStderr {
-				want = k
-			}
-			if recs, err := cfg.Store.Records(); err != nil || len(recs) != want {
-				t.Errorf("k=%d, stderr %v: store holds %d records (%v); want %d", k, failStderr, len(recs), err, want)
-			}
+		// The store stage runs before the delta line, after the document.
+		want := k - 1
+		if failStderr {
+			want = k
+		}
+		if recs, err := cfg.Store.Records(); err != nil || len(recs) != want {
+			t.Errorf("k=%d, stderr %v: store holds %d records (%v); want %d", k, failStderr, len(recs), err, want)
 		}
 
 		_, out2, err2 := run(t, cfg)
@@ -225,25 +206,24 @@ func failAtBucket(t *testing.T, plain string, k int, wantOut, wantErr []byte) {
 	}
 }
 
-// TestGzipStopResumeEveryBucket: a .gz run hard-stopped once k buckets are
-// out, then resumed from its checkpoint (which skips the consumed prefix of
-// the decompressed stream), prints exactly what the uninterrupted run
-// prints — for every k, not a sample of stop points. So does a run ended at
-// bucket k by a failing stage (failAtBucket).
+// TestGzipStopResumeEveryBucket: a durable .gz run hard-stopped once k
+// buckets are out, then resumed from its checkpoint (which skips the
+// consumed prefix of the decompressed stream), prints exactly what the
+// uninterrupted run prints — for every k, not a sample of stop points. So
+// does a run ended at bucket k by a failing stage (failAtBucket).
 func TestGzipStopResumeEveryBucket(t *testing.T) {
 	data := corpus(t)
 	src, plain := writeFile(t, "day.log.gz", gzipped(t, data)), writeFile(t, "day.log", data)
-	ref, wantOut, wantErr := run(t, config(src))
+	ref, wantOut, wantErr := run(t, durable(t, config(src), t.TempDir()))
 
 	stops := make(map[int]bool) // distinct bucket counts the stops landed on
 	for k := 1; k < ref.Buckets; k++ {
-		cfg := config(src)
-		cfg.ResumePath = filepath.Join(t.TempDir(), "follow.ckpt")
+		state := t.TempDir()
 
 		// Stop is polled at read boundaries, so the run ends at the first
 		// one after bucket k: with k or a few more buckets delivered.
 		stopped := false
-		first := cfg
+		first := durable(t, config(src), state)
 		first.Progress = func(p follow.Progress) { stopped = stopped || p.Buckets >= k }
 		first.Stop = func() bool { return stopped }
 		res1, out1, err1 := run(t, first)
@@ -252,7 +232,7 @@ func TestGzipStopResumeEveryBucket(t *testing.T) {
 		}
 		stops[res1.Buckets] = true
 
-		_, out2, err2 := run(t, cfg)
+		_, out2, err2 := run(t, durable(t, config(src), state))
 		if got := append(out1, out2...); !bytes.Equal(got, wantOut) {
 			t.Errorf("k=%d: stopped+resumed documents differ from the uninterrupted run's (%d vs %d bytes)",
 				k, len(got), len(wantOut))
@@ -269,12 +249,61 @@ func TestGzipStopResumeEveryBucket(t *testing.T) {
 	}
 }
 
-// TestFailedAlertWriteIsReprinted: whichever stderr write of a drift run
-// fails — a delta line or a bucket's DRIFT lines — the run ends with the
+// TestRollbackAcrossASilence: a delta line that fails on the first bucket
+// after a silence longer than the window leaves the store one record ahead
+// of the checkpoint, and appending that record compacted the checkpoint's
+// whole window out of the store. The rerun restores an empty window and
+// still prints the failed line as the uninterrupted run does: against the
+// stored document of the last bucket before the silence.
+func TestRollbackAcrossASilence(t *testing.T) {
+	var kept bytes.Buffer
+	var origin logmodel.Millis
+	before := 0 // hours delivered before the silence
+	for i, l := range bytes.SplitAfter(corpus(t), []byte("\n")) {
+		e, err := logmodel.ParseEntry(strings.TrimSuffix(string(l), "\n"))
+		if err != nil {
+			continue // the trailing empty split
+		}
+		if i == 0 {
+			origin = e.Time - e.Time%logmodel.MillisPerHour
+		}
+		switch hour := int((e.Time - origin) / logmodel.MillisPerHour); {
+		case hour >= 14 && hour < 22: // eight silent hours; the window is six
+			continue
+		case hour < 14:
+			before = hour + 1
+		}
+		kept.Write(l)
+	}
+	src := writeFile(t, "silent.log", kept.Bytes())
+	_, _, wantErr := run(t, durable(t, config(src), t.TempDir()))
+
+	state, err1 := t.TempDir(), &failAt{k: before + 1}
+	if _, err := follow.Run(durable(t, config(src), state), io.Discard, err1); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Run = %v; want the writer's error", err)
+	}
+	cfg := durable(t, config(src), state)
+	cp, err := stream.ReadCheckpointFile(cfg.ResumePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Store.Hydrate(cp); err != nil || cp.Stats.Buckets != before || len(cp.Buckets) != 0 {
+		t.Fatalf("checkpoint after %d of %d buckets hydrates %d window buckets (%v); the test wants bucket %d's with its window compacted away",
+			cp.Stats.Buckets, before, len(cp.Buckets), err, before-1)
+	}
+	_, _, err2 := run(t, durable(t, config(src), state))
+	if got := append(err1.Bytes(), err2...); !bytes.Equal(got, wantErr) {
+		t.Errorf("failed+rerun delta lines differ:\n%s\nvs\n%s", got, wantErr)
+	}
+}
+
+// TestFailedAlertWriteIsReprinted: whichever stderr write of a durable drift
+// run fails — a delta line or a bucket's DRIFT lines — the run ends with the
 // writer's error before the checkpoint stage, so the detector state on disk
 // never moves past an alert that was not written: the rerun prints every
 // DRIFT line the failed run did not, none twice. (A delta line written just
 // before its bucket's alerts failed is printed again, as after a kill there.)
+// The reference runs durable too: DRIFT lines then carry segment= locators.
 func TestFailedAlertWriteIsReprinted(t *testing.T) {
 	cfg := config(writeFile(t, "day.log", corpus(t)))
 	cfg.Drift = true
@@ -287,7 +316,7 @@ func TestFailedAlertWriteIsReprinted(t *testing.T) {
 		return lines
 	}
 	ref := &failAt{}
-	if _, err := follow.Run(cfg, io.Discard, ref); err != nil {
+	if _, err := follow.Run(durable(t, cfg, t.TempDir()), io.Discard, ref); err != nil {
 		t.Fatal(err)
 	}
 	want := alerts(ref.Bytes())
@@ -295,12 +324,11 @@ func TestFailedAlertWriteIsReprinted(t *testing.T) {
 		t.Fatalf("the corpus raised %d alerts; the test wants several", len(want))
 	}
 	for w := 1; w <= ref.writes; w++ {
-		cfg.ResumePath = filepath.Join(t.TempDir(), "follow.ckpt")
-		err1 := &failAt{k: w}
-		if _, err := follow.Run(cfg, io.Discard, err1); !errors.Is(err, errDiskFull) {
+		state, err1 := t.TempDir(), &failAt{k: w}
+		if _, err := follow.Run(durable(t, cfg, state), io.Discard, err1); !errors.Is(err, errDiskFull) {
 			t.Fatalf("write %d: Run = %v; want the writer's error", w, err)
 		}
-		_, _, err2 := run(t, cfg)
+		_, _, err2 := run(t, durable(t, cfg, state))
 		if !bytes.HasPrefix(ref.Bytes(), err1.Bytes()) || !bytes.HasSuffix(ref.Bytes(), err2) {
 			t.Fatalf("write %d: failed and rerun stderr are not a prefix and a suffix of the uninterrupted run's", w)
 		}

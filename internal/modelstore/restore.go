@@ -6,12 +6,17 @@ import (
 	"logscape/internal/stream"
 )
 
-// Hydrate fills in the window buckets of a checkpoint that was written
-// with WindowInStore (the O(1) checkpoint form a store-backed follower
-// uses): the window's entries are read back from the raw segments'
-// evidence instead of having been serialized into the checkpoint — and
-// instead of re-tailing the source logs. After Hydrate the checkpoint is
-// an ordinary one and restores through stream.Checkpoint.Restore.
+// Hydrate fills in the window buckets of a checkpoint written with
+// WindowInStore (stream.Ingester.CheckpointLight) from the raw segments'
+// evidence — instead of having serialized them into the checkpoint, and
+// instead of re-tailing the source logs. The checkpoint then restores
+// through stream.Checkpoint.Restore.
+//
+// The window can lack its oldest buckets: after a kill between appending
+// record k and checkpointing it, the append may have compacted the granule
+// holding bucket k−W. That is harmless: the next delivered bucket (k or
+// later) retires them before any snapshot, and the first delta line's
+// baseline is the stored document, not a snapshot of this window.
 //
 // A checkpoint whose WindowInStore flag is unset is returned untouched.
 func (s *Store) Hydrate(cp *stream.Checkpoint) error {

@@ -492,8 +492,8 @@ func TestLocateMemoryEqualsDisk(t *testing.T) {
 }
 
 // TestHydrateFillsWindowFromSegments pins the segment-backed resume path:
-// a light checkpoint gets its window back from raw-segment evidence, and
-// the hydrated checkpoint restores through the ordinary stream path.
+// a checkpoint gets its window back from raw-segment evidence, bounded by
+// its own cursor, and without what compaction already took.
 func TestHydrateFillsWindowFromSegments(t *testing.T) {
 	s, err := Open(t.TempDir(), testCfg())
 	if err != nil {
@@ -536,6 +536,26 @@ func TestHydrateFillsWindowFromSegments(t *testing.T) {
 	}
 	if len(cp2.Buckets) != 2 || cp2.Buckets[1].Index != 3 {
 		t.Fatalf("hydrated window = %+v, want buckets 2,3", cp2.Buckets)
+	}
+
+	// Rolled back one bucket: the store holds record 5, and its append
+	// compacted the granule of bucket 3 = 5 − W, the oldest of checkpoint
+	// 4's window. Exactly the raw buckets that remain come back.
+	if err := s.Append(rec(5)); err != nil {
+		t.Fatal(err)
+	}
+	if names := dirNames(t, s.Dir()); !strings.Contains(names, segName(levelHour, 0)) {
+		t.Fatalf("record 5 compacted nothing: %s", names)
+	}
+	cp4 := &stream.Checkpoint{
+		Version: 1, BucketWidth: 1000, WindowBuckets: 2,
+		Cur: 5, Open: true, WindowInStore: true,
+	}
+	if err := s.Hydrate(cp4); err != nil {
+		t.Fatal(err)
+	}
+	if len(cp4.Buckets) != 1 || cp4.Buckets[0].Index != 4 {
+		t.Fatalf("rolled-back window = %+v, want bucket 4 alone", cp4.Buckets)
 	}
 
 	// Geometry mismatch refuses.

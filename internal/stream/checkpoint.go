@@ -13,12 +13,14 @@ import (
 // as a JSON object.
 const checkpointVersion = 2
 
-// Checkpoint is a serializable snapshot of an Ingester's window state plus
-// the transport position it corresponds to: everything a killed follow
-// process needs to resume without replaying the whole stream and without
-// double-ingesting a single line. Entries are stored as wire-format lines
-// (byte slices, base64 in JSON, so messages that are not valid UTF-8
-// survive the round trip — encoding/json would otherwise mangle them).
+// Checkpoint is a serializable snapshot of an Ingester's state plus the
+// transport position it corresponds to: beside the model store that holds
+// the window (modelstore.Store.Hydrate reads it back into Buckets),
+// everything a killed follow process needs to resume without replaying the
+// whole stream and without double-ingesting a single line. Entries are
+// stored as wire-format lines (byte slices, base64 in JSON, so messages
+// that are not valid UTF-8 survive the round trip — encoding/json would
+// otherwise mangle them).
 //
 // The checkpoint deliberately holds no miner state: miners are rebuilt on
 // restore by replaying the window's buckets through Advance. The streaming
@@ -48,12 +50,11 @@ type Checkpoint struct {
 	Buckets []CheckpointBucket `json:"buckets,omitempty"`
 	Stats   IngestStats        `json:"stats"`
 
-	// WindowInStore marks a light checkpoint (CheckpointLight): the window
-	// buckets were not serialized because a model store holds the same
-	// entries as raw-segment evidence. Restore refuses such a checkpoint
-	// until a hydrator (modelstore.Store.Hydrate) has filled Buckets back
-	// in and cleared the flag — restoring with a silently empty window
-	// would drop the miners' state instead of failing loudly.
+	// WindowInStore marks a checkpoint whose window lives in a model store
+	// (CheckpointLight always sets it). Restore refuses it until
+	// modelstore.Store.Hydrate has filled Buckets back in and cleared the
+	// flag — restoring with a silently empty window would drop the miners'
+	// state instead of failing loudly.
 	WindowInStore bool `json:"window_in_store,omitempty"`
 
 	// Drift carries the drift detector's serialized state (drift.State),
@@ -72,35 +73,15 @@ type CheckpointBucket struct {
 	Entries [][]byte `json:"entries"`
 }
 
-// Checkpoint captures the ingester's current window state. offset and
-// rotations describe the transport position (see the field docs); callers
-// typically take a checkpoint inside OnAdvance, right after a bucket
-// closed, with offset = Feeder.Consumed().
-func (in *Ingester) Checkpoint(offset, rotations int64) *Checkpoint {
-	c := in.checkpointHead(offset, rotations)
-	for _, b := range in.win {
-		c.Buckets = append(c.Buckets, CheckpointBucket{Index: b.Index, Entries: wireLines(b.Entries)})
-	}
-	return c
-}
-
-// CheckpointLight captures the ingester's state like Checkpoint but skips
-// the window buckets and marks the result WindowInStore. It is the O(1)
-// form for store-backed followers: the window's entries already live in
-// the model store's raw segments, so serializing them again into every
-// checkpoint would write the window twice per bucket. Pending entries
-// (the open bucket) are still included — they have not been delivered,
-// so no store record holds them.
+// CheckpointLight captures the ingester's state but for the delivered
+// window, and marks the result WindowInStore: the window's entries already
+// live in the model store's raw segments, so serializing them again would
+// write the window twice per bucket. Pending (open-bucket) entries are
+// included — no store record holds them yet. offset and rotations describe
+// the transport position (see the field docs); callers take a checkpoint
+// inside OnAdvance, right after a bucket closed, with offset =
+// Feeder.Consumed().
 func (in *Ingester) CheckpointLight(offset, rotations int64) *Checkpoint {
-	c := in.checkpointHead(offset, rotations)
-	c.WindowInStore = true
-	return c
-}
-
-// checkpointHead is what both checkpoint forms share: the transport
-// position, the window geometry and cursor, the stats and the pending
-// (open-bucket) entries — everything but the delivered window.
-func (in *Ingester) checkpointHead(offset, rotations int64) *Checkpoint {
 	c := &Checkpoint{
 		Version:       checkpointVersion,
 		Offset:        offset,
@@ -110,25 +91,16 @@ func (in *Ingester) checkpointHead(offset, rotations int64) *Checkpoint {
 		Origin:        in.origin,
 		Cur:           in.cur,
 		Open:          in.open,
-		Pending:       wireLines(in.pending),
 		Stats:         in.stats,
+		WindowInStore: true,
 	}
 	if !in.started {
 		c.Cur = -1 // sentinel: no origin fixed yet
 	}
+	for _, e := range in.pending {
+		c.Pending = append(c.Pending, logmodel.AppendEntry(nil, e))
+	}
 	return c
-}
-
-// wireLines renders entries as wire-format lines, nil for none.
-func wireLines(es []logmodel.Entry) [][]byte {
-	if len(es) == 0 {
-		return nil
-	}
-	lines := make([][]byte, 0, len(es))
-	for _, e := range es {
-		lines = append(lines, logmodel.AppendEntry(nil, e))
-	}
-	return lines
 }
 
 // Restore rebuilds an ingester (and the given freshly constructed miners)
@@ -273,7 +245,7 @@ func ReadCheckpointFile(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("stream: checkpoint %s: %w", path, err)
 	}
 	if head.Version != checkpointVersion {
-		return nil, fmt.Errorf("stream: checkpoint %s has format version %d, want %d — remove it to start fresh",
+		return nil, fmt.Errorf("stream: checkpoint %s has format version %d, want %d — remove it and point -store at a fresh directory to start fresh",
 			path, head.Version, checkpointVersion)
 	}
 	var c Checkpoint

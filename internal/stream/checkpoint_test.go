@@ -1,4 +1,10 @@
-package stream
+package stream_test
+
+// The checkpoint tests resume the way a restarted follower does: the
+// delivered buckets were appended to a model store as they closed, the
+// checkpoint file is read back, its window is hydrated from the reopened
+// store, and only then restored — so they live outside the package, beside
+// modelstore.
 
 import (
 	"bytes"
@@ -12,23 +18,25 @@ import (
 	"logscape/internal/core/l1"
 	"logscape/internal/core/l2"
 	"logscape/internal/logmodel"
+	"logscape/internal/modelstore"
 	"logscape/internal/sessions"
+	"logscape/internal/stream"
 )
 
 // ckptMiners builds a fresh miner stack for checkpoint tests.
-func ckptMiners(wcfg Config) []Miner {
+func ckptMiners(wcfg stream.Config) []stream.Miner {
 	l1cfg := l1.DefaultConfig()
 	l1cfg.MinLogs = 2
 	l1cfg.SampleSize = 8
-	return []Miner{
-		NewL1(wcfg, l1cfg),
-		NewL2(wcfg, sessions.Config{MaxGap: 500, MinEntries: 2, MinSources: 2},
+	return []stream.Miner{
+		stream.NewL1(wcfg, l1cfg),
+		stream.NewL2(wcfg, sessions.Config{MaxGap: 500, MinEntries: 2, MinSources: 2},
 			l2.Config{MinJoint: 1, Alpha: 0.05, Timeout: 500, Measure: l2.MeasureG2}),
 	}
 }
 
 // snapshots serializes every miner's snapshot.
-func snapshots(t *testing.T, miners []Miner) [][]byte {
+func snapshots(t *testing.T, miners []stream.Miner) [][]byte {
 	t.Helper()
 	out := make([][]byte, len(miners))
 	for i, m := range miners {
@@ -58,26 +66,87 @@ func ckptEntries() []logmodel.Entry {
 	return es
 }
 
+// storeConfig is the store geometry matching wcfg's window.
+func storeConfig(wcfg stream.Config) modelstore.Config {
+	return modelstore.Config{BucketWidth: wcfg.BucketWidth, WindowBuckets: wcfg.WindowBuckets}
+}
+
+// storeBuckets opens a store in a fresh directory and returns it with an
+// OnAdvance hook that appends each delivered bucket's entries to it as
+// evidence — the part of the follow engine's store stage resume reads back.
+func storeBuckets(t *testing.T, wcfg stream.Config) (*modelstore.Store, func(stream.Bucket)) {
+	t.Helper()
+	s, err := modelstore.Open(t.TempDir(), storeConfig(wcfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, func(b stream.Bucket) {
+		rec := modelstore.Record{Bucket: b.Index, Range: b.Range, Model: []byte("{}\n")}
+		for _, e := range b.Entries {
+			rec.Evidence = append(rec.Evidence, logmodel.AppendEntry(nil, e))
+		}
+		if err := s.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// resume persists cp, reads it back, hydrates its window from the reopened
+// store in dir and restores the given fresh miners from it.
+func resume(t *testing.T, dir string, wcfg stream.Config, cp *stream.Checkpoint, miners ...stream.Miner) (*stream.Ingester, *stream.Checkpoint) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "follow.ckpt")
+	if err := stream.WriteCheckpointFile(path, cp); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := stream.ReadCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := modelstore.Open(dir, storeConfig(wcfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Hydrate(loaded); err != nil {
+		t.Fatal(err)
+	}
+	in, err := loaded.Restore(wcfg, miners...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in, loaded
+}
+
+func windowBytes(t *testing.T, in *stream.Ingester) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := logmodel.WriteAll(&buf, in.WindowStore()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestCheckpointRestoreContinuesIdentically(t *testing.T) {
-	wcfg := Config{BucketWidth: 1000, WindowBuckets: 4}
+	wcfg := stream.Config{BucketWidth: 1000, WindowBuckets: 4}
 	es := ckptEntries()
 
 	// Reference: one uninterrupted run.
 	refMiners := ckptMiners(wcfg)
-	ref := NewIngester(wcfg, refMiners...)
+	ref := stream.NewIngester(wcfg, refMiners...)
 	ref.AddBatch(es)
 	ref.Flush()
 
-	// Interrupted run: checkpoint at the 3rd closed bucket, drop everything,
-	// restore, continue with the remaining entries.
+	// Interrupted run: store every bucket, checkpoint at the 3rd closed
+	// bucket, drop everything, restore, continue with the remaining entries.
 	preMiners := ckptMiners(wcfg)
-	pre := NewIngester(wcfg, preMiners...)
-	var cp *Checkpoint
+	pre := stream.NewIngester(wcfg, preMiners...)
+	s, store := storeBuckets(t, wcfg)
+	var cp *stream.Checkpoint
 	closed := 0
-	pre.OnAdvance = func(Bucket) {
-		closed++
-		if closed == 3 {
-			cp = pre.Checkpoint(0, 0)
+	pre.OnAdvance = func(b stream.Bucket) {
+		store(b)
+		if closed++; closed == 3 {
+			cp = pre.CheckpointLight(0, 0)
 		}
 	}
 	cut := -1
@@ -93,10 +162,7 @@ func TestCheckpointRestoreContinuesIdentically(t *testing.T) {
 	}
 
 	postMiners := ckptMiners(wcfg)
-	resumed, err := cp.Restore(wcfg, postMiners...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed, _ := resume(t, s.Dir(), wcfg, cp, postMiners...)
 	// The entry that closed bucket 3 is in the checkpoint's pending set;
 	// resume strictly after it.
 	resumed.AddBatch(es[cut+1:])
@@ -108,62 +174,54 @@ func TestCheckpointRestoreContinuesIdentically(t *testing.T) {
 	if got, want := resumed.Stats(), ref.Stats(); got != want {
 		t.Errorf("resumed stats = %+v, want %+v", got, want)
 	}
-	var a, b bytes.Buffer
-	if err := logmodel.WriteAll(&a, resumed.WindowStore()); err != nil {
-		t.Fatal(err)
-	}
-	if err := logmodel.WriteAll(&b, ref.WindowStore()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(windowBytes(t, resumed), windowBytes(t, ref)) {
 		t.Error("resumed window store differs from the uninterrupted run")
 	}
 }
 
 func TestCheckpointFileRoundTrip(t *testing.T) {
-	wcfg := Config{BucketWidth: 1000, WindowBuckets: 4}
-	in := NewIngester(wcfg)
-	// A message that is not valid UTF-8 must survive the file round trip
+	wcfg := stream.Config{BucketWidth: 1000, WindowBuckets: 4}
+	in := stream.NewIngester(wcfg)
+	s, store := storeBuckets(t, wcfg)
+	in.OnAdvance = store
+	// Messages that are not valid UTF-8 must survive both round trips: the
+	// delivered one through the store, the pending one through the file
 	// (encoding/json would mangle it in a plain string field).
-	raw := string([]byte{0xff, 0xfe, 'x'})
+	raw, pend := string([]byte{0xff, 0xfe, 'x'}), string([]byte{'y', 0xc3})
 	in.Add(logmodel.Entry{Time: 1500, Source: "A", Host: "h", Message: raw})
-	in.Add(logmodel.Entry{Time: 2500, Source: "B", Host: "h", Message: "closes bucket"})
+	in.Add(logmodel.Entry{Time: 2500, Source: "B", Host: "h", Message: pend})
 
-	path := filepath.Join(t.TempDir(), "follow.ckpt")
-	if err := WriteCheckpointFile(path, in.Checkpoint(42, 1)); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := ReadCheckpointFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored, cp := resume(t, s.Dir(), wcfg, in.CheckpointLight(42, 1))
 	if cp.Offset != 42 || cp.Rotations != 1 {
 		t.Errorf("offset/rotations = %d/%d, want 42/1", cp.Offset, cp.Rotations)
 	}
-	restored, err := cp.Restore(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	win := restored.WindowStore().Entries()
-	if len(win) != 1 || win[0].Message != raw {
+	if win := restored.WindowStore().Entries(); len(win) != 1 || win[0].Message != raw {
 		t.Errorf("restored window = %+v; non-UTF-8 message must round-trip exactly", win)
 	}
-	if len(restored.pending) != 1 || restored.pending[0].Message != "closes bucket" {
-		t.Errorf("restored pending = %+v, want the open-bucket entry", restored.pending)
+	restored.Flush()
+	if win := restored.WindowStore().Entries(); len(win) != 2 || win[1].Message != pend {
+		t.Errorf("window after flushing the restored open bucket = %+v, want the pending entry last", win)
 	}
 
-	if cp2, err := ReadCheckpointFile(filepath.Join(t.TempDir(), "absent")); cp2 != nil || err != nil {
+	if cp2, err := stream.ReadCheckpointFile(filepath.Join(t.TempDir(), "absent")); cp2 != nil || err != nil {
 		t.Errorf("missing checkpoint = %v, %v; want nil, nil", cp2, err)
 	}
 }
 
 func TestCheckpointRestoreValidation(t *testing.T) {
-	wcfg := Config{BucketWidth: 1000, WindowBuckets: 4}
-	in := NewIngester(wcfg)
+	wcfg := stream.Config{BucketWidth: 1000, WindowBuckets: 4}
+	in := stream.NewIngester(wcfg)
 	in.Add(logmodel.Entry{Time: 1500, Source: "A", Host: "h"})
-	cp := in.Checkpoint(0, 0)
+	s, err := modelstore.Open(t.TempDir(), storeConfig(wcfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := in.CheckpointLight(0, 0)
+	if err := s.Hydrate(cp); err != nil {
+		t.Fatal(err)
+	}
 
-	if _, err := cp.Restore(Config{BucketWidth: 2000, WindowBuckets: 4}); err == nil ||
+	if _, err := cp.Restore(stream.Config{BucketWidth: 2000, WindowBuckets: 4}); err == nil ||
 		!strings.Contains(err.Error(), "geometry") {
 		t.Errorf("geometry mismatch = %v, want refusal", err)
 	}
@@ -178,85 +236,60 @@ func TestCheckpointRestoreValidation(t *testing.T) {
 		t.Error("corrupt pending line accepted")
 	}
 	bad = *cp
-	bad.Buckets = []CheckpointBucket{{Index: 5}, {Index: 3}}
+	bad.Buckets = []stream.CheckpointBucket{{Index: 5}, {Index: 3}}
 	if _, err := bad.Restore(wcfg); err == nil {
 		t.Error("out-of-order buckets accepted")
 	}
 }
 
-// TestCheckpointLight pins the store-backed checkpoint form: no window
-// buckets inside, the WindowInStore marker set, pending entries still
-// carried — and a refusal from Restore until a hydrator has put the
-// window back.
+// TestCheckpointLight pins the one checkpoint form: no window buckets
+// inside, the WindowInStore marker set, pending entries still carried — and
+// a refusal from Restore until the store has put the window back.
 func TestCheckpointLight(t *testing.T) {
-	wcfg := Config{BucketWidth: 1000, WindowBuckets: 4}
-	in := NewIngester(wcfg)
+	wcfg := stream.Config{BucketWidth: 1000, WindowBuckets: 4}
+	in := stream.NewIngester(wcfg)
+	s, store := storeBuckets(t, wcfg)
+	in.OnAdvance = store
 	in.Add(logmodel.Entry{Time: 1500, Source: "A", Host: "h", Message: "windowed"})
 	in.Add(logmodel.Entry{Time: 2500, Source: "B", Host: "h", Message: "pending"})
 
-	full := in.Checkpoint(42, 0)
 	light := in.CheckpointLight(42, 0)
 	if !light.WindowInStore {
-		t.Fatal("light checkpoint not marked WindowInStore")
+		t.Fatal("checkpoint not marked WindowInStore")
 	}
 	if light.Buckets != nil {
-		t.Fatalf("light checkpoint carries %d window buckets", len(light.Buckets))
+		t.Fatalf("checkpoint carries %d window buckets", len(light.Buckets))
 	}
 	if len(light.Pending) != 1 {
-		t.Fatalf("light checkpoint pending = %d entries, want 1", len(light.Pending))
+		t.Fatalf("checkpoint pending = %d entries, want 1", len(light.Pending))
 	}
-	if light.Cur != full.Cur || light.Open != full.Open || light.Origin != full.Origin ||
-		light.Stats != full.Stats || light.Offset != full.Offset {
-		t.Errorf("light checkpoint cursor state diverges from the full form:\nlight %+v\nfull  %+v", light, full)
-	}
-
 	if _, err := light.Restore(wcfg); err == nil ||
 		!strings.Contains(err.Error(), "hydrate") {
-		t.Errorf("un-hydrated light checkpoint restore = %v, want refusal", err)
+		t.Errorf("un-hydrated checkpoint restore = %v, want refusal", err)
 	}
 
-	// Hand-hydrating with the full checkpoint's buckets makes it restorable
-	// and equivalent.
-	light.Buckets = full.Buckets
-	light.WindowInStore = false
-	a, err := light.Restore(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := full.Restore(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wa, wb bytes.Buffer
-	if err := logmodel.WriteAll(&wa, a.WindowStore()); err != nil {
-		t.Fatal(err)
-	}
-	if err := logmodel.WriteAll(&wb, b.WindowStore()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
-		t.Error("hydrated light restore differs from the full restore")
+	restored, _ := resume(t, s.Dir(), wcfg, light)
+	if !bytes.Equal(windowBytes(t, restored), windowBytes(t, in)) {
+		t.Error("the window hydrated from the store differs from the checkpointed ingester's")
 	}
 }
 
 func TestCheckpointBeforeFirstEntry(t *testing.T) {
-	wcfg := Config{BucketWidth: 1000, WindowBuckets: 4}
-	in := NewIngester(wcfg)
-	in.Add(logmodel.Entry{Time: MaxAbsTime, Source: "A", Host: "h"}) // corrupt, not accepted
-	cp := in.Checkpoint(7, 0)
-	restored, err := cp.Restore(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.started {
-		t.Error("restored ingester claims a fixed origin before any accepted entry")
+	wcfg := stream.Config{BucketWidth: 1000, WindowBuckets: 4}
+	in := stream.NewIngester(wcfg)
+	s, store := storeBuckets(t, wcfg)
+	in.OnAdvance = store
+	in.Add(logmodel.Entry{Time: stream.MaxAbsTime, Source: "A", Host: "h"}) // corrupt, not accepted
+	restored, _ := resume(t, s.Dir(), wcfg, in.CheckpointLight(7, 0))
+	if cur := restored.CheckpointLight(0, 0).Cur; cur != -1 {
+		t.Errorf("restored ingester claims a fixed origin (cursor %d) before any accepted entry", cur)
 	}
 	if restored.Stats().Corrupt != 1 {
 		t.Errorf("stats = %+v, want the corrupt drop carried over", restored.Stats())
 	}
 	restored.Add(logmodel.Entry{Time: 1500, Source: "A", Host: "h"})
-	if !restored.started {
-		t.Error("restored ingester did not start on the first accepted entry")
+	if cur := restored.CheckpointLight(0, 0).Cur; cur != 0 {
+		t.Errorf("restored ingester's cursor after the first accepted entry = %d, want 0", cur)
 	}
 }
 
@@ -270,21 +303,21 @@ func TestReadCheckpointFileRefusesOldVersion(t *testing.T) {
 	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := ReadCheckpointFile(path)
-	want := "stream: checkpoint " + path + " has format version 1, want 2 — remove it to start fresh"
+	cp, err := stream.ReadCheckpointFile(path)
+	want := "stream: checkpoint " + path + " has format version 1, want 2 — remove it and point -store at a fresh directory to start fresh"
 	if cp != nil || err == nil || err.Error() != want {
 		t.Fatalf("version-1 checkpoint read = %v, %v\nwant the refusal %q", cp, err, want)
 	}
 
 	// What is written today reads back, drift bytes included.
-	in := NewIngester(Config{BucketWidth: 1000, WindowBuckets: 4})
+	in := stream.NewIngester(stream.Config{BucketWidth: 1000, WindowBuckets: 4})
 	in.Add(logmodel.Entry{Time: 1500, Source: "A", Host: "h"})
-	out := in.Checkpoint(42, 0)
+	out := in.CheckpointLight(42, 0)
 	out.Drift = []byte{2, 0, 0xff, 0x00}
-	if err := WriteCheckpointFile(path, out); err != nil {
+	if err := stream.WriteCheckpointFile(path, out); err != nil {
 		t.Fatal(err)
 	}
-	if cp, err = ReadCheckpointFile(path); err != nil || !bytes.Equal(cp.Drift, out.Drift) {
+	if cp, err = stream.ReadCheckpointFile(path); err != nil || !bytes.Equal(cp.Drift, out.Drift) {
 		t.Fatalf("version-2 round trip = %+v, %v; want drift bytes %x", cp, err, out.Drift)
 	}
 }

@@ -81,7 +81,7 @@ func (t *Tailer) SeekTo(off int64) error {
 		return err
 	}
 	if off < 0 || off > fi.Size() {
-		return fmt.Errorf("stream: resume offset %d beyond file %s (%d bytes); the file was rotated or truncated since the checkpoint — cold-start with a window replay instead", off, t.path, fi.Size())
+		return fmt.Errorf("stream: resume offset %d beyond file %s (%d bytes); the file was rotated or truncated since the checkpoint — remove the checkpoint and point -store at a fresh directory to start fresh", off, t.path, fi.Size())
 	}
 	if _, err := t.f.Seek(off, io.SeekStart); err != nil {
 		return err
