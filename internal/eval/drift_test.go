@@ -40,14 +40,37 @@ func TestStationaryWeekFlagsNothing(t *testing.T) {
 
 // TestDriftExperimentScorecard asserts the detection-quality floors of the
 // scored scripted-incident experiment, and that the alerts are identical
-// at any worker count and with metrics on or off.
+// at any worker count and with metrics on or off. The two arms simulate
+// the same corpus independently, so they run as parallel subtests and are
+// compared once both have finished.
 func TestDriftExperimentScorecard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-day scripted-incident simulation")
 	}
-	base, err := RunDriftExperiment(DefaultDriftOptions(1))
-	if err != nil {
-		t.Fatal(err)
+	var base, par *DriftScorecard
+	arms := t.Run("arms", func(t *testing.T) {
+		t.Run("base", func(t *testing.T) {
+			t.Parallel()
+			var err error
+			if base, err = RunDriftExperiment(DefaultDriftOptions(1)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// Same corpus with maximal scan parallelism and metrics collection
+		// on: the scorecard (alerts included) must be identical.
+		t.Run("workers=8+metrics", func(t *testing.T) {
+			t.Parallel()
+			opts := DefaultDriftOptions(1)
+			opts.Workers = 8
+			opts.Detector.Metrics = obs.New()
+			var err error
+			if par, err = RunDriftExperiment(opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+	if !arms {
+		return // an arm has reported its error
 	}
 	t.Logf("scorecard:\n%s", base)
 	if base.Precision < 0.9 {
@@ -64,16 +87,6 @@ func TestDriftExperimentScorecard(t *testing.T) {
 	maxLatency := float64(DefaultDriftOptions(1).Detector.K + 2)
 	if base.MedianLatency < 0 || base.MedianLatency > maxLatency {
 		t.Errorf("median latency = %.1f buckets, want [0, %.0f]", base.MedianLatency, maxLatency)
-	}
-
-	// Same corpus with maximal scan parallelism and metrics collection on:
-	// the scorecard (alerts included) must be identical.
-	opts := DefaultDriftOptions(1)
-	opts.Workers = 8
-	opts.Detector.Metrics = obs.New()
-	par, err := RunDriftExperiment(opts)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(base, par) {
 		t.Errorf("scorecard differs with Workers=8 + metrics:\n%s\nvs\n%s", base, par)

@@ -2,7 +2,6 @@ package logmodel
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 )
@@ -148,18 +147,8 @@ func (s *Store) AppendAll(es []Entry) {
 		return
 	}
 	if !s.unsorted {
-		prev := es[0].Time
-		if n := len(s.entries); n > 0 && prev < s.entries[n-1].Time {
-			s.unsorted = true
-		} else {
-			for i := 1; i < len(es); i++ {
-				if es[i].Time < prev {
-					s.unsorted = true
-					break
-				}
-				prev = es[i].Time
-			}
-		}
+		n := len(s.entries)
+		s.unsorted = n > 0 && es[0].Time < s.entries[n-1].Time || !timeOrdered(es)
 	}
 	s.entries = append(s.entries, es...)
 }
@@ -167,21 +156,15 @@ func (s *Store) AppendAll(es []Entry) {
 // Len returns the number of entries.
 func (s *Store) Len() int { return len(s.entries) }
 
-// Sort orders the entries by time (stable, preserving emission order of
-// simultaneous entries).
+// Sort orders the entries by time, keeping simultaneous entries in the
+// order they were appended. It sorts through a TimeSorter, so the entries
+// are permuted in place.
 func (s *Store) Sort() {
 	if !s.unsorted {
 		return
 	}
-	slices.SortStableFunc(s.entries, func(a, b Entry) int {
-		switch {
-		case a.Time < b.Time:
-			return -1
-		case a.Time > b.Time:
-			return 1
-		}
-		return 0
-	})
+	var ts TimeSorter
+	ts.Sort(s.entries)
 	s.unsorted = false
 }
 

@@ -181,7 +181,9 @@ func ReadAll(r io.Reader) (*Store, error) {
 	return s, nil
 }
 
-// Merge combines several sorted stores into one sorted store.
+// Merge combines several stores, sorted or not, into one sorted store.
+// Entries are ordered by time; simultaneous entries keep the order of the
+// inputs, then their order within each input.
 func Merge(stores ...*Store) *Store {
 	total := 0
 	for _, s := range stores {

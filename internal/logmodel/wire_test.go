@@ -2,6 +2,7 @@ package logmodel
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -201,6 +202,25 @@ func TestMerge(t *testing.T) {
 	}
 	if empty := Merge(); empty.Len() != 0 {
 		t.Error("Merge() should be empty")
+	}
+
+	// Ties across inputs follow input order, then order within each input;
+	// an unsorted input is accepted and sorted in.
+	c := NewStore(0)
+	c.Append(mkEntry(5, "C1"))
+	c.Append(mkEntry(2, "C2"))
+	c.Append(mkEntry(5, "C3"))
+	if c.Sorted() {
+		t.Fatal("c should be unsorted")
+	}
+	m = Merge(a, b, c, a)
+	var got []string
+	for _, e := range m.Entries() {
+		got = append(got, fmt.Sprint(e.Time, e.Source))
+	}
+	wantTies := []string{"1A", "1A", "2B", "2C2", "4B", "5A", "5C1", "5C3", "5A"}
+	if !m.Sorted() || strings.Join(got, " ") != strings.Join(wantTies, " ") {
+		t.Errorf("Merge(a, b, c, a) = %v, want %v", got, wantTies)
 	}
 }
 

@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"slices"
-
 	"logscape/internal/logmodel"
 	"logscape/internal/obs"
 )
@@ -68,6 +66,9 @@ type Ingester struct {
 	pendHint int
 	// free holds retired bucket slices available for reuse (RecycleBuckets).
 	free [][]logmodel.Entry
+	// sorter orders each sealed bucket by time; its key buffer is reused,
+	// so sorting a bucket allocates only when it outgrows every earlier one.
+	sorter logmodel.TimeSorter
 
 	win   []Bucket // delivered buckets still inside the window
 	stats IngestStats
@@ -273,22 +274,10 @@ func (in *Ingester) seal() *Bucket {
 		return nil
 	}
 	in.open = false
-	// A near-in-order stream usually delivers each bucket already sorted;
-	// an O(n) check then skips the O(n log n) stable sort (which, being
-	// stable, would also be a no-op — checking first just makes the common
-	// case cheap). The generic sort moves entries with ordinary typed
-	// copies, unlike sort.SliceStable's reflection-based swaps.
-	if !timeOrdered(in.pending) {
-		slices.SortStableFunc(in.pending, func(a, b logmodel.Entry) int {
-			switch {
-			case a.Time < b.Time:
-				return -1
-			case a.Time > b.Time:
-				return 1
-			}
-			return 0
-		})
-	}
+	// A near-in-order stream usually delivers each bucket already sorted,
+	// and the sorter returns after one scan; a bucket reordered by per-host
+	// clock skew is sorted in place with the ingester's own key buffer.
+	in.sorter.Sort(in.pending)
 	start := in.origin + logmodel.Millis(in.cur)*in.cfg.BucketWidth
 	b := Bucket{
 		Index:   in.cur,
@@ -387,16 +376,6 @@ func (in *Ingester) WindowStore() *logmodel.Store {
 		s.AppendAll(in.win[i].Entries)
 	}
 	return s
-}
-
-// timeOrdered reports whether es is non-decreasing in time.
-func timeOrdered(es []logmodel.Entry) bool {
-	for i := 1; i < len(es); i++ {
-		if es[i].Time < es[i-1].Time {
-			return false
-		}
-	}
-	return true
 }
 
 // floorAlign rounds t down to a multiple of width (toward −∞, also for
