@@ -551,9 +551,9 @@ func BenchmarkStreamL3BatchReference(b *testing.B) { benchmarkBatchWindows(b, mk
 
 // BenchmarkStreamWindowScaling widens the window with the workload fixed:
 // ns/advance must stay flat for the incremental miner and grow ~linearly
-// for the batch reference.
+// for the batch reference. w24 is the follow engine's default window.
 func BenchmarkStreamWindowScaling(b *testing.B) {
-	for _, w := range []int{4, 8, 16} {
+	for _, w := range []int{4, 8, 16, 24} {
 		b.Run(fmt.Sprintf("stream-w%d", w), func(b *testing.B) { benchmarkStreaming(b, mkStreamL1, w) })
 		b.Run(fmt.Sprintf("batch-w%d", w), func(b *testing.B) { benchmarkBatchWindows(b, mkStreamL1, w) })
 	}

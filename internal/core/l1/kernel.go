@@ -52,11 +52,14 @@ func (s *scratch) drawSource(rng *rand.Rand, logs, total []logmodel.Millis, slot
 // median the candidate interval [x_(j), x_(k)] of S_b is never formed: it
 // lies below ref.ci iff at least k distances do, and above it iff fewer
 // than j distances are at or below ref.ci.High — two counts, no selection.
+// sub is sorted (Subsample keeps index order, or it is the logs
+// themselves), so its distances come from one merge walk, not a search per
+// point.
 func (s *scratch) closer(sub []logmodel.Millis, ref *sourceRef, cfg Config) bool {
 	if !ref.ok {
 		return false
 	}
-	s.sb = pointproc.DistanceSample(s.sb[:0], sub, ref.logs, cfg.distance())
+	s.sb = pointproc.DistanceWalk(s.sb[:0], sub, ref.logs, cfg.Distance == DistNext)
 	if cfg.Statistic == StatMean {
 		ci, ok := s.interval(s.sb, cfg)
 		return ok && (ci.Below(ref.ci) || cfg.TwoSided && ref.ci.Below(ci))
@@ -87,11 +90,13 @@ func (s *scratch) slotTest(rng *rand.Rand, a, b, total []logmodel.Millis, slot l
 
 // direction is one direction of the single-pair slot test under every Config
 // variant. It leaves the distance samples in s.sr and s.sb, in no order, and
-// the result's sample fields empty. cfg has its defaults filled.
+// the result's sample fields empty. a and b are sorted, so the subsample of
+// b is too, and its distances come from a merge walk. cfg has its defaults
+// filled.
 func (s *scratch) direction(rng *rand.Rand, a, b, total []logmodel.Millis, slot logmodel.TimeRange, cfg Config) DirectionResult {
 	ciR, okR := s.reference(rng, a, total, slot, cfg)
 	s.sub, s.marks = pointproc.Subsample(s.sub[:0], s.marks, rng, b, cfg.SampleSize)
-	s.sb = pointproc.DistanceSample(s.sb[:0], s.sub, a, cfg.distance())
+	s.sb = pointproc.DistanceWalk(s.sb[:0], s.sub, a, cfg.Distance == DistNext)
 	ciB, okB := s.interval(s.sb, cfg)
 	if !okR || !okB {
 		return DirectionResult{}
@@ -114,7 +119,8 @@ func (s *scratch) reference(rng *rand.Rand, a, total []logmodel.Millis, slot log
 	return s.interval(s.sr, cfg)
 }
 
-// distance returns the distance function cfg.Distance selects.
+// distance returns the distance function cfg.Distance selects, for the
+// reference points, which are unsorted.
 func (c Config) distance() func(logmodel.Millis, []logmodel.Millis) logmodel.Millis {
 	if c.Distance == DistNext {
 		return pointproc.DistNext

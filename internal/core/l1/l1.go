@@ -389,42 +389,16 @@ func SlotOutcomes(entries []logmodel.Entry, slot logmodel.TimeRange, sources []s
 }
 
 // FoldOutcomes tallies per-slot outcome lists into the final Result: support
-// and positive counts per pair, then the §3.1 threshold decision over slots
-// total slots. sources, when non-nil, pre-initializes every pair so
-// support/ratio diagnostics are well-defined even for never-supported pairs;
-// the dependent set is unaffected (an unsupported pair never clears ThPr).
-// The fold is pure integer tallying, so it is independent of the order in
-// which equal outcome lists were produced.
+// and positive counts per pair (a Tally), then the §3.1 threshold decision
+// over slots total slots. sources, when non-nil, pre-initializes every pair
+// so support/ratio diagnostics are well-defined even for never-supported
+// pairs; the dependent set is unaffected (an unsupported pair never clears
+// ThPr). The fold is pure integer tallying, so it is independent of the
+// order in which equal outcome lists were produced.
 func FoldOutcomes(sources []string, slots int, outcomes [][]SlotOutcome, cfg Config) *Result {
-	cfg = cfg.withDefaults()
-	res := &Result{Pairs: make(map[core.Pair]PairResult), Config: cfg}
-	for i := range sources {
-		for j := i + 1; j < len(sources); j++ {
-			p := core.MakePair(sources[i], sources[j])
-			res.Pairs[p] = PairResult{Pair: p, Slots: slots}
-		}
-	}
+	var t Tally
 	for _, out := range outcomes {
-		for _, o := range out {
-			pr, ok := res.Pairs[o.Pair]
-			if !ok {
-				pr = PairResult{Pair: o.Pair, Slots: slots}
-			}
-			pr.Support++
-			if o.Positive {
-				pr.Positive++
-			}
-			res.Pairs[o.Pair] = pr
-		}
+		t.Add(out)
 	}
-	dependent := int64(0)
-	for p, pr := range res.Pairs {
-		pr.Dependent = pr.Ratio() >= cfg.ThPr && pr.SupportFraction() >= cfg.ThS
-		if pr.Dependent {
-			dependent++
-		}
-		res.Pairs[p] = pr
-	}
-	cfg.Metrics.Counter("l1.dependent_pairs").Add(dependent)
-	return res
+	return t.result(sources, slots, cfg)
 }

@@ -57,14 +57,46 @@ func DistNext(t logmodel.Millis, a []logmodel.Millis) logmodel.Millis {
 }
 
 // DistanceSample appends dist(p, a) to dst for every point p of points,
-// using the given distance function (DistNearest or DistNext). Points whose
-// distance is undefined (MaxInt64) are skipped. Distances stay integer
-// milliseconds: the L1 slot test reads two order statistics of a sample and
-// converts only those.
+// using the given distance function (DistNearest or DistNext): one binary
+// search of the sorted a per point, in any order of points — the L1 slot
+// test's random reference points, which are unsorted. Points whose distance
+// is undefined (MaxInt64) are skipped. Distances stay integer milliseconds:
+// the L1 slot test reads two order statistics of a sample and converts only
+// those. Sorted points take DistanceWalk instead.
 func DistanceSample(dst, points, a []logmodel.Millis,
 	dist func(logmodel.Millis, []logmodel.Millis) logmodel.Millis) []logmodel.Millis {
 	for _, p := range points {
 		if d := dist(p, a); d != logmodel.Millis(math.MaxInt64) {
+			dst = append(dst, d)
+		}
+	}
+	return dst
+}
+
+// DistanceWalk is DistanceSample for sorted points, with DistNext when next
+// is set and DistNearest otherwise: one forward merge walk over points and
+// the sorted a finds each point's first arrival at or after it, where
+// DistanceSample searches for it. It appends the same distances in the
+// same order, skipping the undefined ones alike. The walk is linear in
+// len(points) + len(a); galloping over a measured no faster on the L1 slot
+// test's subsamples (DESIGN.md §5).
+func DistanceWalk(dst, points, a []logmodel.Millis, next bool) []logmodel.Millis {
+	const undefined = logmodel.Millis(math.MaxInt64)
+	i := 0
+	for _, p := range points {
+		for i < len(a) && a[i] < p {
+			i++
+		}
+		d := undefined
+		if i < len(a) {
+			d = a[i] - p
+		}
+		if !next && i > 0 {
+			if e := p - a[i-1]; e < d {
+				d = e
+			}
+		}
+		if d != undefined {
 			dst = append(dst, d)
 		}
 	}

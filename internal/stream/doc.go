@@ -15,9 +15,9 @@
 //   - L1 keeps the per-slot test outcomes of each window bucket. Slot
 //     outcomes depend only on the slot's entries and its absolute time
 //     range (the RNG seed hashes the slot start, not the slot index), so a
-//     bucket's outcomes are computed once when it enters the window and
-//     replayed unchanged by every later Snapshot; Snapshot just re-folds
-//     the W outcome lists.
+//     bucket's outcomes are computed once when it enters the window, added
+//     to an exact per-pair (support, positive) l1.Tally, and removed from
+//     it when the bucket retires; Snapshot just decides the tallied pairs.
 //   - L2 keeps a sessions.Tracker (incremental per-user session runs that
 //     span bucket boundaries) and an l2.Counts bigram aggregation updated
 //     from the tracker's session deltas. Snapshot re-runs only the per-type

@@ -180,3 +180,47 @@ func TestDriftFeaturesWorkerIndependent(t *testing.T) {
 		}
 	}
 }
+
+// TestDriftFeaturesActiveSortedOnAnyNames: Active is documented sorted, and
+// every miner must keep that when pair order and string order part. With
+// sources a, a+b and c, L1's pair order is (a, a+b), (a, c), (a+b, c), but
+// '+' sorts before '-', so the key a+b--c sorts before a--a+b. L2 and L3
+// name the same sources.
+func TestDriftFeaturesActiveSortedOnAnyNames(t *testing.T) {
+	names := []string{"a", "a+b", "c"}
+	b := Bucket{Index: 0, Range: logmodel.TimeRange{Start: 0, End: 1000}}
+	for j := logmodel.Millis(0); j < 40; j++ {
+		for k, src := range names {
+			b.Entries = append(b.Entries, driftEntry(j*25+5+logmodel.Millis(k), src, "u", "call DPIREG"))
+		}
+	}
+	wcfg := Config{BucketWidth: logmodel.MillisPerSecond, WindowBuckets: 4}
+	l1cfg := l1.DefaultConfig()
+	l1cfg.MinLogs = 2
+	for _, tc := range []struct {
+		name string
+		m    interface {
+			Miner
+			FeatureSource
+		}
+		want []string
+	}{
+		{"l1", NewL1(wcfg, l1cfg), []string{"a+b--c", "a--a+b", "a--c"}},
+		{"l2", NewL2(wcfg, sessions.Config{MaxGap: 500, MinEntries: 2, MinSources: 2},
+			l2.Config{MinJoint: 1, Alpha: 0.05, Timeout: 500, Measure: l2.MeasureG2}), nil},
+		{"l3", NewL3(wcfg, l3.NewMiner(driftDir(), l3.DefaultConfig())), []string{"a+b->DPIREG", "a->DPIREG", "c->DPIREG"}},
+	} {
+		tc.m.TrackDrift(true)
+		tc.m.Advance(b)
+		got := tc.m.DriftFeatures().Active
+		if len(got) == 0 {
+			t.Fatalf("%s: no active keys; the test wants features", tc.name)
+		}
+		if !sort.StringsAreSorted(got) {
+			t.Errorf("%s: active keys not sorted: %q", tc.name, got)
+		}
+		if tc.want != nil && !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: active = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
