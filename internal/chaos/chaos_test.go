@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"logscape/internal/core"
 	"logscape/internal/core/l1"
@@ -283,7 +284,9 @@ func TestChaosBatchedIngestEquivalence(t *testing.T) {
 // TestChaosEquivalenceTailerFS plays a rotating fault script through a real
 // file followed by a Tailer and pins two things: the tailer survives the
 // rotations, and the result is byte-identical to the in-memory transport of
-// the same script.
+// the same script. The wake arm idles the way a live daemon tenant does —
+// each step is followed by a stream.Wake's Wait — and pins that every write
+// and every rotation woke it before the backstop.
 func TestChaosEquivalenceTailerFS(t *testing.T) {
 	lines := corpusLines(90)
 	for _, s := range []Schedule{
@@ -291,30 +294,56 @@ func TestChaosEquivalenceTailerFS(t *testing.T) {
 		{Seed: 22, RotateEveryLines: 5, TruncatePerMille: 200, CorruptPerMille: 150, StallPerMille: 150},
 	} {
 		t.Run(fmt.Sprintf("seed%d", s.Seed), func(t *testing.T) {
-			sc := Inject(lines, s)
-			path := filepath.Join(t.TempDir(), "chaos.log")
-			runner, err := NewFSRunner(path, sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tl, err := stream.NewTailer(path, stream.TailerConfig{Wait: runner.Step})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tl.Close()
+			for _, arm := range []string{"step", "wake"} {
+				t.Run(arm, func(t *testing.T) {
+					sc := Inject(lines, s)
+					path := filepath.Join(t.TempDir(), "chaos.log")
+					runner, err := NewFSRunner(path, sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wait, missed := runner.Step, 0
+					if arm == "wake" {
+						wake := stream.NewWake(path, nil)
+						defer wake.Close()
+						played := 0
+						wait = func() bool {
+							if !runner.Step() {
+								return false
+							}
+							op := sc.Ops[played]
+							played++
+							if op.Kind == OpStall {
+								wake.Wait(time.Millisecond) // a stall changes nothing to wake on
+							} else if !wake.Wait(10 * time.Second) {
+								missed++
+							}
+							return true
+						}
+					}
+					tl, err := stream.NewTailer(path, stream.TailerConfig{Wait: wait})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer tl.Close()
 
-			fsRun := runSource(t, tl, 1)
-			if runner.Err() != nil {
-				t.Fatalf("fs runner: %v", runner.Err())
-			}
-			if int(tl.Rotations()) != runner.Rotations() || runner.Rotations() == 0 {
-				t.Errorf("tailer saw %d rotations, runner played %d (want equal, nonzero)",
-					tl.Rotations(), runner.Rotations())
-			}
-			memRun := runScript(t, sc, 1)
-			checkRun(t, "fs", fsRun)
-			if !reflect.DeepEqual(fsRun, memRun) {
-				t.Errorf("file transport diverges from memory transport\nfs:  %+v\nmem: %+v", fsRun, memRun)
+					fsRun := runSource(t, tl, 1)
+					if runner.Err() != nil {
+						t.Fatalf("fs runner: %v", runner.Err())
+					}
+					if missed > 0 {
+						t.Errorf("%d write or rotate steps did not wake the waiter", missed)
+					}
+					if int(tl.Rotations()) != runner.Rotations() || runner.Rotations() == 0 {
+						t.Errorf("tailer saw %d rotations, runner played %d (want equal, nonzero)",
+							tl.Rotations(), runner.Rotations())
+					}
+					memRun := runScript(t, sc, 1)
+					checkRun(t, "fs", fsRun)
+					if !reflect.DeepEqual(fsRun, memRun) {
+						t.Errorf("file transport diverges from memory transport\nfs:  %+v\nmem: %+v", fsRun, memRun)
+					}
+				})
 			}
 		})
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"strings"
 
 	"logscape/internal/follow"
 	"logscape/internal/stream"
@@ -40,7 +41,8 @@ var (
 // points appear in events.log and on GET /streams/{name}/alerts.
 type StreamConfig struct {
 	follow.Spec
-	// Live keeps tailing at EOF until the stream is stopped.
+	// Live keeps tailing at EOF until the stream is stopped. It needs a
+	// plain file: Validate refuses it on a .gz source.
 	Live bool `json:"live,omitempty"`
 }
 
@@ -48,12 +50,17 @@ type StreamConfig struct {
 const maxNameLen = 64
 
 // Validate checks a decoded configuration: follow.Spec's one check plus the
-// daemon's own rule — stdin ("-") is not available to a daemon stream. It is
-// pure: a failed validation has no side effects anywhere.
+// daemon's own rules — stdin ("-") is not available to a daemon stream, and
+// live needs a plain file: a .gz source is read to its end, never tailed. It
+// is pure: a failed validation has no side effects anywhere.
 func (c StreamConfig) Validate() error {
 	err := c.Spec.Validate()
-	if err == nil && c.Source == "-" {
+	switch {
+	case err != nil:
+	case c.Source == "-":
 		err = errors.New("a daemon stream cannot tail stdin; give it a file path")
+	case c.Live && strings.HasSuffix(c.Source, ".gz"):
+		err = errors.New("live: a .gz source is read to its end, never tailed; drop live or give a plain file")
 	}
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadConfig, err)

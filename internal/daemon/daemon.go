@@ -12,6 +12,7 @@ import (
 	"logscape/internal/follow"
 	"logscape/internal/modelstore"
 	"logscape/internal/obs"
+	"logscape/internal/stream"
 )
 
 // Per-tenant file names under <state>/<name>/ (see the package comment).
@@ -31,9 +32,12 @@ type Config struct {
 	// Clock feeds each tenant registry's timings (obs.SystemClock at the
 	// CLI edge; nil in tests, where metrics must be input-determined).
 	Clock func() int64
-	// PollMillis is the live-tail idle poll interval (0 = 25ms). It shapes
-	// how promptly a live stream notices appended bytes or a stop, never
-	// what it emits.
+	// PollMillis is the backstop and the stop bound of a live tail's idle
+	// wait (0 = 25ms): a live stream wakes on a change to its source
+	// (stream.Wake), or after PollMillis if none comes — and where the wake
+	// cannot watch, it sleeps PollMillis. It shapes how promptly a live
+	// stream notices a stop or a change the wake missed, never what it
+	// emits.
 	PollMillis int
 }
 
@@ -73,7 +77,7 @@ type tenant struct {
 	runErr   error
 
 	stop      atomic.Bool  // raised to hard-stop the engine
-	idlePolls atomic.Int64 // live-tail quiescent-EOF polls; signals idleness
+	idlePolls atomic.Int64 // live-tail idle waits, one per quiescent EOF; signals idleness
 	done      chan struct{}
 }
 
@@ -93,8 +97,11 @@ type Status struct {
 	LastBucket int64  `json:"last_bucket"`
 	WindowEnd  string `json:"window_end,omitempty"`
 
-	// IdlePolls counts live-tail quiescent-EOF polls — a growing value
-	// under an unchanged source means the stream has drained it.
+	// IdlePolls counts a live tail's idle waits, one per quiescent EOF,
+	// however each wait ended (a change to the source or the backstop; the
+	// registry's ingest.wakes and ingest.wake_timeouts split them). A
+	// growing value under an unchanged source means the stream has drained
+	// it.
 	IdlePolls int64 `json:"idle_polls,omitempty"`
 
 	Totals *follow.Result `json:"totals,omitempty"`
@@ -238,12 +245,17 @@ func (d *Daemon) launch(t *tenant) (st Status, err error) {
 		// assignment is already synchronized with status().
 		Progress: func(p follow.Progress) { t.progress = p },
 	}
+	var wake *stream.Wake
 	if t.cfg.Live {
 		poll := time.Duration(d.cfg.PollMillis) * time.Millisecond
-		// The engine consults Stop before every poll, so the hook only idles.
+		// Armed before the engine opens its tailer, so no append falls
+		// between the first EOF and the watch. The engine consults Stop
+		// before every wait, so the hook only idles: until the source
+		// changes, or for the backstop.
+		wake = stream.NewWake(t.cfg.Source, t.metrics)
 		fcfg.Wait = func() bool {
 			t.idlePolls.Add(1)
-			time.Sleep(poll)
+			wake.Wait(poll)
 			return true
 		}
 	}
@@ -251,6 +263,7 @@ func (d *Daemon) launch(t *tenant) (st Status, err error) {
 	st = t.status()
 	go func() { //lint:allow bareconc one engine goroutine per tenant stream is process-edge concurrency; all mining fan-out inside the engine routes through the shared parallel pool
 		res, err := follow.Run(fcfg, out, events)
+		wake.Close()
 		if err != nil {
 			// What depmine prints to stderr before exiting 1: the cause
 			// outlives the daemon, beside the run's last delta line.

@@ -9,6 +9,7 @@ package daemon_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io/fs"
 	"os"
@@ -182,7 +183,9 @@ func readTree(t *testing.T, root string) map[string][]byte {
 }
 
 // soloRef runs the reference: one engine, alone in a fresh directory, at
-// Workers 1, over the stream's full source.
+// Workers 1, over the stream's full source. A live configuration's reference
+// stops at its first quiescent EOF without a flush — what a live tenant has
+// written once it has drained its source and been killed.
 func soloRef(t *testing.T, cfg daemon.StreamConfig) artifacts {
 	t.Helper()
 	dir := t.TempDir()
@@ -198,6 +201,11 @@ func soloRef(t *testing.T, cfg daemon.StreamConfig) artifacts {
 		Store:          store,
 	}
 	fcfg.Workers = 1
+	if cfg.Live {
+		eof := false
+		fcfg.Wait = func() bool { eof = true; return true }
+		fcfg.Stop = func() bool { return eof }
+	}
 	if _, err := follow.Run(fcfg, &out, &events); err != nil {
 		t.Fatal(err)
 	}
@@ -420,6 +428,74 @@ func TestDaemonKillResume(t *testing.T) {
 			mustEqual(t, "drift", tenantArtifacts(t, state, "drift"), driftWant)
 		})
 	}
+}
+
+// TestLiveTenantFollowsRotations: a live tenant whose source is
+// rename-rotated and then copytruncated mid-stream writes the documents, the
+// delta and DRIFT lines and the store a solo run over the same lines in one
+// file writes. The checkpoints differ by construction — the tenant's counts
+// the rotations and points into the last generation — and are not compared.
+// The tenant's wake, not its backstop, noticed the changes.
+func TestLiveTenantFollowsRotations(t *testing.T) {
+	lines := driftCorpus()
+	cfg := daemon.StreamConfig{Spec: follow.Spec{Method: "l3", Directory: writeDirXML(t), Drift: true, BucketSec: 1, WindowBuckets: 2, Workers: 1}, Live: true}
+	ref := cfg
+	ref.Source = writeLog(t, lines)
+	want := soloRef(t, ref)
+
+	src := filepath.Join(t.TempDir(), "feed.log")
+	cfg.Source = src
+	first, second := len(lines)/3, 2*len(lines)/3
+	writeLines(t, src, lines[:first])
+	state := t.TempDir()
+	d, err := daemon.New(daemon.Config{StateDir: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Upsert("feed", cfg); err != nil {
+		t.Fatal(err)
+	}
+	drain := func() {
+		t.Helper()
+		if err := d.WaitIdle("feed", 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain()
+	// Rename rotation: the generation moves aside, the next takes its name.
+	if err := os.Rename(src, src+".1"); err != nil {
+		t.Fatal(err)
+	}
+	writeLines(t, src, lines[first:second])
+	drain()
+	// Copytruncate: the file is emptied in place, then written again.
+	if err := os.Truncate(src, 0); err != nil {
+		t.Fatal(err)
+	}
+	drain()
+	appendLines(t, src, lines[second:])
+	drain()
+	d.Kill()
+
+	st, err := d.Status("feed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "stopped" || st.Totals == nil || st.Totals.Rotations != 2 {
+		t.Fatalf("state=%s totals=%+v, want stopped after one rename rotation and one truncation", st.State, st.Totals)
+	}
+	var m struct {
+		Counters, Gauges map[string]int64
+	}
+	if _, body := get(d, "/streams/feed/metrics"); json.Unmarshal(body, &m) != nil {
+		t.Fatalf("/streams/feed/metrics: %s", body)
+	}
+	if m.Counters["ingest.wakes"] == 0 || m.Gauges["ingest.wake_fallback"] != 0 {
+		t.Errorf("ingest.wakes = %d, ingest.wake_fallback = %d: the tenant slept instead of waking", m.Counters["ingest.wakes"], m.Gauges["ingest.wake_fallback"])
+	}
+	got := tenantArtifacts(t, state, "feed")
+	got.ckpt, want.ckpt = nil, nil
+	mustEqual(t, "feed", got, want)
 }
 
 // TestTenantRefusesOldCheckpoint: a tenant whose state directory holds a

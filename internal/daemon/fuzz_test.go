@@ -21,6 +21,7 @@ func FuzzStreamConfig(f *testing.F) {
 	f.Add(`{"method":"l2","source":"x.log","timeout_sec":1.5,"workers":8,"bucket_sec":0.5,"window_buckets":4,"live":true}`)
 	f.Add(`{"method":"l3","source":"x.log","directory":"d.xml","drift":true,"no_stops":true,"bucket_sec":2,"window_buckets":3}`)
 	f.Add(`{"method":"l1","source":"-","bucket_sec":1,"window_buckets":2}`)
+	f.Add(`{"method":"l1","source":"x.log.gz","bucket_sec":1,"window_buckets":2,"live":true}`)
 	f.Add(`{"method":"l9","source":"x.log","bucket_sec":1e308,"window_buckets":-3}`)
 	f.Add(`{"method":"l1","source":"x.log","bucket_sec":1,"window_buckets":2,"mystery":true}`)
 	f.Add(`{"method":"l1","source":"x.log","bucket_sec":1,"window_buckets":2} trailing`)

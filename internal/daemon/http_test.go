@@ -122,6 +122,7 @@ func TestHTTPGolden(t *testing.T) {
 	tr.do(t, "PUT", "/streams/bad", `{"method":"l9","source":"x.log","bucket_sec":1,"window_buckets":2}`)
 	tr.do(t, "PUT", "/streams/bad", `{"method":"l1","source":"x.log","bucket_sec":1,"window_buckets":2,"mystery":1}`)
 	tr.do(t, "PUT", "/streams/bad", `{"method":"l1","source":"-","bucket_sec":1,"window_buckets":2}`)
+	tr.do(t, "PUT", "/streams/bad", `{"method":"l1","source":"x.log.gz","bucket_sec":1,"window_buckets":2,"live":true}`)
 	tr.do(t, "PUT", "/streams/bad", `not json`)
 	tr.do(t, "PUT", "/streams/pairs", fmt.Sprintf(`{"method":"l1","source":%q,"min_logs":2,"bucket_sec":5,"window_buckets":9}`, pairSrc))
 	tr.do(t, "GET", "/streams/pairs/model?at=bogus", "")

@@ -13,10 +13,11 @@ type TailerConfig struct {
 	// Wait is consulted when the current file is exhausted and no rotation
 	// is pending: return true to re-check for new data or a rotation, false
 	// to end the stream. nil ends at first quiescent EOF (one-shot replay —
-	// the depmine -follow default). The hook doubles as the deterministic
-	// scheduling point of the chaos harness: its FS transport advances the
-	// fault script inside Wait, so tailing stays single-goroutine and
-	// reproducible.
+	// the depmine -follow default). It is the one place a tail idles: a live
+	// host blocks in it on a Wake until the file changes or a backstop
+	// passes. The hook doubles as the deterministic scheduling point of the
+	// chaos harness: its FS transport advances the fault script inside
+	// Wait, so tailing stays single-goroutine and reproducible.
 	Wait func() bool
 	// Metrics, when non-nil, collects ingest.rotations (log file replaced
 	// under the same name) and ingest.truncations (file shrank in place,
