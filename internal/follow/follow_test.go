@@ -11,8 +11,10 @@ import (
 	"bytes"
 	"compress/flate"
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -22,6 +24,7 @@ import (
 	"logscape/internal/follow"
 	"logscape/internal/hospital"
 	"logscape/internal/logmodel"
+	"logscape/internal/modelstore"
 	"logscape/internal/obs"
 	"logscape/internal/stream"
 )
@@ -76,6 +79,15 @@ func config(source string) follow.Config {
 		Method: "l2", Source: source, TimeoutSec: 1, Workers: 1,
 		BucketSec: 3600, WindowBuckets: 6,
 	}}
+}
+
+// subHour is config at 900 s buckets, four to the store's hour granule: a
+// bucket that does not open a granule is appended to its file as one frame,
+// and a failure mid-granule re-appends inside it.
+func subHour(source string) follow.Config {
+	cfg := config(source)
+	cfg.BucketSec = 900
+	return cfg
 }
 
 // durable is the host's part of a durable run: cfg checkpointing into state
@@ -139,12 +151,12 @@ func (w *failAt) Write(p []byte) (int, error) {
 	return w.Buffer.Write(p)
 }
 
-// failAtBucket is the fail-at-k arm of TestGzipStopResumeEveryBucket, run
-// durable under a Wait hook that would keep tailing: stdout fails on
-// document k, then stderr on delta line k. The run must end there like a
-// kill — the error returned without tailing on, no later stage run for
-// bucket k or any bucket after it — and a rerun from the checkpoint it left,
-// with healthy writers, must continue with bucket k exactly as an
+// failAtBucket is the fail-at-k arm of the stop/resume suites, run durable
+// over base's source and geometry under a Wait hook that would keep tailing:
+// stdout fails on document k, then stderr on delta line k. The run must end
+// there like a kill — the error returned without tailing on, no later stage
+// run for bucket k or any bucket after it — and a rerun from the checkpoint
+// it left, with healthy writers, must continue with bucket k exactly as an
 // uninterrupted run prints it: the stream that failed is then whole, byte
 // for byte. (After a failed delta line document k — rendered a stage earlier
 // — is on stdout twice, as after a kill between the two.)
@@ -153,18 +165,19 @@ func (w *failAt) Write(p []byte) (int, error) {
 // k−1's checkpoint (at k = 1, the fresh run's empty one): the rerun
 // re-appends it, and takes its first delta against the stored document of
 // bucket k−1 — exact even where appending record k compacted the oldest
-// bucket of window k−1 out of the store.
-func failAtBucket(t *testing.T, plain string, k int, wantOut, wantErr []byte) {
+// bucket of window k−1 out of the store. failAtBucket reports whether that
+// re-append fell inside a granule: record k behind record k−1 in one file.
+func failAtBucket(t *testing.T, base follow.Config, k int, wantOut, wantErr []byte) (midGranule bool) {
 	t.Helper()
 	for _, failStderr := range []bool{false, true} {
 		state, out1, err1 := t.TempDir(), &failAt{k: k}, &failAt{}
 		if failStderr {
 			out1, err1 = err1, out1
 		}
-		first := durable(t, config(plain), state)
-		polls, fired := 0, 0
+		first := durable(t, base, state)
+		polls, fired, last := 0, 0, int64(-1)
 		first.Wait = func() bool { polls++; return polls < 50 }
-		first.Progress = func(follow.Progress) { fired++ }
+		first.Progress = func(p follow.Progress) { fired, last = fired+1, p.LastIndex }
 		res, err := follow.Run(first, out1, err1)
 		if !errors.Is(err, errDiskFull) || res.Stopped {
 			t.Fatalf("k=%d, stderr %v: Run = %+v, %v; want the writer's error and no clean stop", k, failStderr, res, err)
@@ -175,7 +188,7 @@ func failAtBucket(t *testing.T, plain string, k int, wantOut, wantErr []byte) {
 		if res.Entries == 0 || res.Buckets < k {
 			t.Errorf("k=%d, stderr %v: failed run reports %+v; want its accounting up to the failure", k, failStderr, res)
 		}
-		cfg := durable(t, config(plain), state) // a restarted host: it opens the store again
+		cfg := durable(t, base, state) // a restarted host: it opens the store again
 		cp, err := stream.ReadCheckpointFile(cfg.ResumePath)
 		if err != nil {
 			t.Fatal(err)
@@ -183,27 +196,89 @@ func failAtBucket(t *testing.T, plain string, k int, wantOut, wantErr []byte) {
 		if cp == nil || cp.Stats.Buckets != k-1 {
 			t.Errorf("k=%d, stderr %v: checkpoint %+v is not bucket %d's", k, failStderr, cp, k-1)
 		}
-		// The store stage runs before the delta line, after the document.
+		// The store stage runs before the delta line, after the document:
+		// the stored records end with bucket k−1's (last; −1 at k = 1), and
+		// after a failed delta line with bucket k's behind it.
+		recs, err := cfg.Store.Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		newest := func(recs []modelstore.Record) int64 {
+			if len(recs) == 0 {
+				return -1
+			}
+			return recs[len(recs)-1].Bucket
+		}
+		kept := recs
+		if failStderr && len(recs) > 0 {
+			kept = recs[:len(recs)-1]
+		}
+		if newest(kept) != last || failStderr && newest(recs) <= last {
+			t.Errorf("k=%d, stderr %v: the store's %d records end at bucket %d; want bucket %d's record, then bucket k's after a failed delta line",
+				k, failStderr, len(recs), newest(recs), last)
+		}
+		// At hourly buckets every granule holds one record, so compaction
+		// thins none away and the store holds every record appended.
 		want := k - 1
 		if failStderr {
 			want = k
 		}
-		if recs, err := cfg.Store.Records(); err != nil || len(recs) != want {
-			t.Errorf("k=%d, stderr %v: store holds %d records (%v); want %d", k, failStderr, len(recs), err, want)
+		if base.BucketSec >= 3600 && len(recs) != want {
+			t.Errorf("k=%d, stderr %v: store holds %d records; want %d", k, failStderr, len(recs), want)
+		}
+		if n := len(recs); failStderr && n >= 2 {
+			granule := func(r modelstore.Record) logmodel.Millis { return r.Range.Start / logmodel.MillisPerHour }
+			midGranule = granule(recs[n-1]) == granule(recs[n-2])
 		}
 
 		_, out2, err2 := run(t, cfg)
-		gotOut := append(out1.Bytes(), out2...)
-		if twice := len(gotOut) - len(wantOut); failStderr && twice > 0 && twice <= len(out2) && bytes.HasSuffix(out1.Bytes(), out2[:twice]) {
-			gotOut = append(out1.Bytes()[:out1.Len()-twice], out2...)
-		}
-		if !bytes.Equal(gotOut, wantOut) {
-			t.Errorf("k=%d, stderr %v: failed+rerun documents differ from the uninterrupted run's (%d vs %d bytes)", k, failStderr, len(gotOut), len(wantOut))
+		if got := rejoin(out1.Bytes(), out2, wantOut, failStderr); !bytes.Equal(got, wantOut) {
+			t.Errorf("k=%d, stderr %v: failed+rerun documents differ from the uninterrupted run's (%d vs %d bytes)", k, failStderr, len(got), len(wantOut))
 		}
 		if got := append(err1.Bytes(), err2...); !bytes.Equal(got, wantErr) {
 			t.Errorf("k=%d, stderr %v: failed+rerun delta lines differ:\n%s\nvs\n%s", k, failStderr, got, wantErr)
 		}
 	}
+	return midGranule
+}
+
+// rejoin concatenates a failed run's documents with its rerun's. When the
+// delta line failed (twice), the document before it is on stdout twice, as
+// after a kill between the two: the copy the rerun printed again is dropped.
+func rejoin(out1, out2, want []byte, twice bool) []byte {
+	got := append(append([]byte(nil), out1...), out2...)
+	if n := len(got) - len(want); twice && n > 0 && n <= len(out2) && bytes.HasSuffix(out1, out2[:n]) {
+		got = append(append([]byte(nil), out1[:len(out1)-n]...), out2...)
+	}
+	return got
+}
+
+// stopResume is the stop arm of the stop/resume suites: a durable run of
+// base over src hard-stopped once k buckets are out, then resumed from its
+// checkpoint, must print exactly what the uninterrupted run prints. It
+// returns the bucket count the stop landed on.
+func stopResume(t *testing.T, base follow.Config, k int, wantOut, wantErr []byte) int {
+	t.Helper()
+	state := t.TempDir()
+	// Stop is polled at read boundaries, so the run ends at the first
+	// one after bucket k: with k or a few more buckets delivered.
+	stopped := false
+	first := durable(t, base, state)
+	first.Progress = func(p follow.Progress) { stopped = stopped || p.Buckets >= k }
+	first.Stop = func() bool { return stopped }
+	res1, out1, err1 := run(t, first)
+	if !res1.Stopped || res1.Buckets < k {
+		t.Fatalf("k=%d: stopped=%v after %d buckets", k, res1.Stopped, res1.Buckets)
+	}
+	_, out2, err2 := run(t, durable(t, base, state))
+	if got := append(out1, out2...); !bytes.Equal(got, wantOut) {
+		t.Errorf("k=%d: stopped+resumed documents differ from the uninterrupted run's (%d vs %d bytes)",
+			k, len(got), len(wantOut))
+	}
+	if got := append(err1, err2...); !bytes.Equal(got, wantErr) {
+		t.Errorf("k=%d: stopped+resumed delta lines differ:\n%s\nvs\n%s", k, got, wantErr)
+	}
+	return res1.Buckets
 }
 
 // TestGzipStopResumeEveryBucket: a durable .gz run hard-stopped once k
@@ -218,34 +293,36 @@ func TestGzipStopResumeEveryBucket(t *testing.T) {
 
 	stops := make(map[int]bool) // distinct bucket counts the stops landed on
 	for k := 1; k < ref.Buckets; k++ {
-		state := t.TempDir()
-
-		// Stop is polled at read boundaries, so the run ends at the first
-		// one after bucket k: with k or a few more buckets delivered.
-		stopped := false
-		first := durable(t, config(src), state)
-		first.Progress = func(p follow.Progress) { stopped = stopped || p.Buckets >= k }
-		first.Stop = func() bool { return stopped }
-		res1, out1, err1 := run(t, first)
-		if !res1.Stopped || res1.Buckets < k {
-			t.Fatalf("k=%d: stopped=%v after %d buckets", k, res1.Stopped, res1.Buckets)
-		}
-		stops[res1.Buckets] = true
-
-		_, out2, err2 := run(t, durable(t, config(src), state))
-		if got := append(out1, out2...); !bytes.Equal(got, wantOut) {
-			t.Errorf("k=%d: stopped+resumed documents differ from the uninterrupted run's (%d vs %d bytes)",
-				k, len(got), len(wantOut))
-		}
-		if got := append(err1, err2...); !bytes.Equal(got, wantErr) {
-			t.Errorf("k=%d: stopped+resumed delta lines differ:\n%s\nvs\n%s", k, got, wantErr)
-		}
-		failAtBucket(t, plain, k, wantOut, wantErr)
+		stops[stopResume(t, config(src), k, wantOut, wantErr)] = true
+		failAtBucket(t, config(plain), k, wantOut, wantErr)
 	}
 	// Several k share a read boundary in the quiet night hours; the busy
 	// hours must still spread the stops out, or the loop tested one point.
 	if len(stops) < ref.Buckets/2 {
 		t.Errorf("stops landed on only %d distinct bucket counts of %d", len(stops), ref.Buckets)
+	}
+}
+
+// TestStopResumeInsideAGranule is the stop/resume suite's sub-hour arm: at
+// 900 s buckets most records join a granule as an appended frame, and a
+// failed delta line leaves a record the rerun re-appends inside its granule.
+// Every k over two busy granules is stopped and failed, so each position in
+// a granule is, and the re-append lands mid-granule at three of four.
+func TestStopResumeInsideAGranule(t *testing.T) {
+	src := writeFile(t, "day.log", corpus(t))
+	ref, wantOut, wantErr := run(t, durable(t, subHour(src), t.TempDir()))
+	if ref.Buckets < 60 {
+		t.Fatalf("corpus closed %d 900 s buckets; the test wants a day's worth", ref.Buckets)
+	}
+	mid := 0
+	for k := 41; k <= 48; k++ {
+		stopResume(t, subHour(src), k, wantOut, wantErr)
+		if failAtBucket(t, subHour(src), k, wantOut, wantErr) {
+			mid++
+		}
+	}
+	if mid != 6 {
+		t.Errorf("%d of 8 failed delta lines left a record inside a granule; want 6", mid)
 	}
 }
 
@@ -527,11 +604,13 @@ func TestInstrumentsNeverPerturb(t *testing.T) {
 	}
 }
 
-// TestAdvanceReadsBackOnlyWhatCompactionNeeds: a durable run with drift on
-// reads a segment back exactly once per compaction — the sealed granule a
-// promotion folds — and not at all while no granule has left the window.
-// The locator on every DRIFT line comes from the granule in memory, so the
-// advance path never re-reads what it just wrote.
+// TestAdvanceReadsBackOnlyWhatCompactionNeeds: a fresh durable run with
+// drift on reads no segment back. Raw→hour promotion writes the sealed
+// granule's last record, which the store kept in memory when the granule
+// sealed, and the locator on every DRIFT line comes from the granule in
+// memory, so the advance path never re-reads what it just wrote. What a
+// fresh run may read back is the hour→day and day→week merges, and one day
+// holds none.
 func TestAdvanceReadsBackOnlyWhatCompactionNeeds(t *testing.T) {
 	src := writeFile(t, "day.log", corpus(t))
 	for _, tc := range []struct {
@@ -541,7 +620,8 @@ func TestAdvanceReadsBackOnlyWhatCompactionNeeds(t *testing.T) {
 		reg := obs.New()
 		cfg := config(src)
 		cfg.WindowBuckets, cfg.Drift, cfg.Metrics = tc.window, true, reg
-		res, _, errb := run(t, durable(t, cfg, t.TempDir()))
+		cfg = durable(t, cfg, t.TempDir())
+		res, _, errb := run(t, cfg)
 		if !bytes.Contains(errb, []byte(" segment=raw-")) {
 			t.Fatalf("window %d: no located DRIFT line over %d buckets; the test wants change points", tc.window, res.Buckets)
 		}
@@ -550,8 +630,122 @@ func TestAdvanceReadsBackOnlyWhatCompactionNeeds(t *testing.T) {
 		if (compactions > 0) != tc.compact {
 			t.Fatalf("window %d: %d compactions over %d buckets", tc.window, compactions, res.Buckets)
 		}
-		if read != compactions {
-			t.Errorf("window %d: %d segments read back for %d compactions", tc.window, read, compactions)
+		for name := range storeFiles(t, cfg.Store.Dir()) {
+			if strings.HasPrefix(name, "day-") || strings.HasPrefix(name, "week-") {
+				t.Fatalf("window %d: %s merged hours within one day", tc.window, name)
+			}
 		}
+		if read != 0 {
+			t.Errorf("window %d: %d segments read back for %d compactions and no merge; want none", tc.window, read, compactions)
+		}
+	}
+}
+
+// newestGranule reads the newest raw granule of a store directory and
+// returns its path, its bytes and where each complete frame starts.
+func newestGranule(t *testing.T, dir string) (path string, data []byte, frames []int) {
+	t.Helper()
+	var newest string
+	for name := range storeFiles(t, dir) {
+		if strings.HasPrefix(name, "raw-") && name > newest {
+			newest = name
+		}
+	}
+	path = filepath.Join(dir, newest)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 6; off+8 <= len(data); { // past the "LSEG" | version | level header
+		next := off + 8 + int(binary.LittleEndian.Uint32(data[off:]))
+		if next > len(data) {
+			break
+		}
+		frames, off = append(frames, off), next
+	}
+	return path, data, frames
+}
+
+// TestTornFrameResumes: a follower killed inside the store append of a
+// bucket that joins its granule leaves the granule ending in an incomplete
+// frame, beside the previous bucket's checkpoint. Cut at every byte offset
+// inside that frame, the store a restarted host opens holds the granule cut
+// back to the frame boundary. The run resumed from it — at a spread of those
+// offsets, since what follows the open is a function of the repaired
+// directory — leaves stdout, stderr, store and checkpoint equal to an
+// uninterrupted run's.
+func TestTornFrameResumes(t *testing.T) {
+	src := writeFile(t, "day.log", corpus(t))
+	ref := t.TempDir()
+	_, wantOut, wantErr := run(t, durable(t, subHour(src), ref))
+	wantCkpt, err := os.ReadFile(filepath.Join(ref, "follow.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStore := storeFiles(t, filepath.Join(ref, "store"))
+
+	// Bucket k's delta line fails after its record was appended: the state
+	// a kill inside that append leaves, but for the tear cut in below.
+	const k = 10
+	torn, err1 := t.TempDir(), &failAt{k: k}
+	var out1 bytes.Buffer
+	if _, err := follow.Run(durable(t, subHour(src), torn), &out1, err1); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Run = %v; want the writer's error", err)
+	}
+	ckpt, err := os.ReadFile(filepath.Join(torn, "follow.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := storeFiles(t, filepath.Join(torn, "store"))
+	granule, data, frames := newestGranule(t, filepath.Join(torn, "store"))
+	if len(frames) < 2 {
+		t.Fatalf("bucket %d's record opened its granule; the test wants one appended as a frame", k)
+	}
+	last := frames[len(frames)-1]
+	resumed := 0
+	for cut := last + 1; cut < len(data); cut++ {
+		if err := os.WriteFile(granule, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		durable(t, subHour(src), torn) // a restarted host opens the store
+		if got, err := os.ReadFile(granule); err != nil || !bytes.Equal(got, data[:last]) {
+			t.Fatalf("cut at %d: the reopened granule holds %d bytes, want the %d before the torn frame (%v)", cut, len(got), last, err)
+		}
+		if off := cut - last; off > 9 && off%((len(data)-last)/8) != 0 && cut != len(data)-1 {
+			continue
+		}
+		resumed++
+		state := t.TempDir()
+		if err := os.Mkdir(filepath.Join(state, "store"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{"follow.ckpt": ckpt, filepath.Join("store", filepath.Base(granule)): data[:cut]}
+		for name, b := range store {
+			if name != filepath.Base(granule) {
+				files[filepath.Join("store", name)] = []byte(b)
+			}
+		}
+		for name, b := range files {
+			if err := os.WriteFile(filepath.Join(state, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cfg := durable(t, subHour(src), state)
+		_, out2, err2 := run(t, cfg)
+		if got := rejoin(out1.Bytes(), out2, wantOut, true); !bytes.Equal(got, wantOut) {
+			t.Errorf("cut at %d: killed+resumed documents differ from the uninterrupted run's (%d vs %d bytes)", cut, len(got), len(wantOut))
+		}
+		if got := append(err1.Bytes(), err2...); !bytes.Equal(got, wantErr) {
+			t.Errorf("cut at %d: killed+resumed delta lines differ:\n%s\nvs\n%s", cut, got, wantErr)
+		}
+		if got, err := os.ReadFile(cfg.ResumePath); err != nil || !bytes.Equal(got, wantCkpt) {
+			t.Errorf("cut at %d: the checkpoint differs from the uninterrupted run's (%v)", cut, err)
+		}
+		if got := storeFiles(t, cfg.Store.Dir()); !maps.Equal(got, wantStore) {
+			t.Errorf("cut at %d: the store directory differs from the uninterrupted run's", cut)
+		}
+	}
+	if resumed < 10 {
+		t.Errorf("resumed at %d cuts inside a %d-byte frame; the test wants a spread", resumed, len(data)-last)
 	}
 }

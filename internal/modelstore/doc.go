@@ -5,11 +5,14 @@
 // at time T?" long after the bucket scrolled out of the window.
 //
 // The store is append-only and deterministic. Records are framed with a
-// CRC and written with the same tmp+rename discipline as the stream
-// checkpoint, so a crash at any byte leaves only whole, verifiable files
-// behind. Model bytes are stored verbatim — querying model-at-time T
-// returns exactly the document the follower printed live at T, which is
-// what makes the store's round-trip contract testable byte-for-byte.
+// CRC; the open granule grows by one appended frame per record, and every
+// other file is written whole with the same tmp+rename discipline as the
+// stream checkpoint, so a crash at any byte leaves whole, verifiable files
+// behind but for an incomplete last frame of the open granule, which the
+// next Open cuts back (segment.go has why). Model bytes are stored
+// verbatim — querying model-at-time T returns exactly the document the
+// follower printed live at T, which is what makes the store's round-trip
+// contract testable byte-for-byte.
 //
 // Old segments are compacted on a fixed ladder (raw → hour → day → week):
 // compaction only selects records and strips evidence, never rewrites

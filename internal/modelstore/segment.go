@@ -26,11 +26,23 @@ import (
 //
 // The payload follows internal/canon's encoding (minimal varints, score
 // keys strictly ascending, consumed exactly), so it has one byte image per
-// record. Everything is length-prefixed and CRC-guarded: a torn or
-// bit-flipped file fails loudly at read time instead of yielding a silently
-// truncated history. Whole files are written via tmp+rename, so refusal
-// (rather than best-effort salvage) is the safe policy — a verified previous
-// version of every file always exists.
+// record. The header carries no record count, so a header followed by
+// frames appended one at a time is byte for byte what encodeSegment writes:
+// the active raw granule grows by appended frames, and every other file is
+// written whole via tmp+rename.
+//
+// Everything is length-prefixed and CRC-guarded, and damage is refused
+// rather than salvaged: a bit-flipped or truncated file fails loudly at read
+// time instead of yielding a silently shortened history. Refusal narrows by
+// exactly one case. An append killed mid-write leaves the newest raw granule
+// ending in an incomplete frame — its 8-byte frame header, or the payload
+// that header names, runs past EOF — behind complete, CRC-valid frames, and
+// the writer's Open cuts the file back to the last complete frame
+// (scanSegment reports where it ends). That bucket was never checkpointed
+// (the checkpoint is written after the append), so it is delivered again.
+// A complete frame with a bad CRC, damage anywhere before the last frame,
+// and damage to any other file are refused: a whole-file write leaves a
+// verified previous version, and a granule's first frame is one.
 const (
 	segMagic      = "LSEG"
 	formatVersion = 1
@@ -177,47 +189,59 @@ func encodeSegment(level int, recs []Record) []byte {
 // decodeSegment parses a full segment file image, verifying the header,
 // every record's CRC, and that bucket indexes are strictly increasing.
 func decodeSegment(data []byte) (level int, recs []Record, err error) {
+	level, recs, n, err := scanSegment(data)
+	if err == nil && n < len(data) {
+		err = fmt.Errorf("modelstore: truncated record frame (%d bytes left after byte %d)", len(data)-n, n)
+	}
+	if err != nil {
+		return 0, nil, err
+	}
+	return level, recs, nil
+}
+
+// scanSegment parses a segment image as decodeSegment does, except that an
+// incomplete final frame — its header, or the payload its length names,
+// runs past the end of data — ends the scan instead of failing it: n is the
+// length of the header and the complete frames before it, which decode to
+// recs. Any other damage is an error.
+func scanSegment(data []byte) (level int, recs []Record, n int, err error) {
 	if len(data) < len(segMagic)+2 || string(data[:len(segMagic)]) != segMagic {
-		return 0, nil, fmt.Errorf("modelstore: not a segment file (bad magic)")
+		return 0, nil, 0, fmt.Errorf("modelstore: not a segment file (bad magic)")
 	}
 	if v := data[len(segMagic)]; v != formatVersion {
-		return 0, nil, fmt.Errorf("modelstore: segment format version %d, want %d", v, formatVersion)
+		return 0, nil, 0, fmt.Errorf("modelstore: segment format version %d, want %d", v, formatVersion)
 	}
 	level = int(data[len(segMagic)+1])
 	if level < 0 || level >= numLevels {
-		return 0, nil, fmt.Errorf("modelstore: unknown segment level %d", level)
+		return 0, nil, 0, fmt.Errorf("modelstore: unknown segment level %d", level)
 	}
-	p := data[len(segMagic)+2:]
+	n = len(segMagic) + 2
 	last := int64(-1)
-	for len(p) > 0 {
-		if len(p) < 8 {
-			return 0, nil, fmt.Errorf("modelstore: truncated record frame (%d bytes left)", len(p))
+	for n+8 <= len(data) {
+		size := binary.LittleEndian.Uint32(data[n:])
+		sum := binary.LittleEndian.Uint32(data[n+4:])
+		if size > maxRecordLen {
+			return 0, nil, 0, fmt.Errorf("modelstore: record length %d exceeds cap %d", size, maxRecordLen)
 		}
-		n := binary.LittleEndian.Uint32(p)
-		sum := binary.LittleEndian.Uint32(p[4:])
-		p = p[8:]
-		if n > maxRecordLen {
-			return 0, nil, fmt.Errorf("modelstore: record length %d exceeds cap %d", n, maxRecordLen)
+		if uint64(size) > uint64(len(data)-n-8) {
+			break // the payload runs past the end: an incomplete frame
 		}
-		if uint64(n) > uint64(len(p)) {
-			return 0, nil, fmt.Errorf("modelstore: truncated record (%d byte payload, %d left)", n, len(p))
-		}
-		payload := p[:n]
-		p = p[n:]
+		payload := data[n+8 : n+8+int(size)]
 		if got := crc32.ChecksumIEEE(payload); got != sum {
-			return 0, nil, fmt.Errorf("modelstore: record CRC mismatch (%08x, want %08x)", got, sum)
+			return 0, nil, 0, fmt.Errorf("modelstore: record CRC mismatch (%08x, want %08x)", got, sum)
 		}
 		r, err := parseRecord(payload)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, 0, err
 		}
 		if r.Bucket <= last {
-			return 0, nil, fmt.Errorf("modelstore: record buckets out of order (%d after %d)", r.Bucket, last)
+			return 0, nil, 0, fmt.Errorf("modelstore: record buckets out of order (%d after %d)", r.Bucket, last)
 		}
 		last = r.Bucket
 		recs = append(recs, r)
+		n += 8 + int(size)
 	}
-	return level, recs, nil
+	return level, recs, n, nil
 }
 
 // writeSegment atomically persists a segment file and returns its size.

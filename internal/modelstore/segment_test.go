@@ -63,8 +63,9 @@ func TestSegmentRoundTripIsByteStable(t *testing.T) {
 }
 
 // TestSegmentRefusal pins the corruption policy: a damaged or truncated
-// segment is refused outright, never partially read — tmp+rename writes
-// mean a verified whole file is the only thing a reader should ever trust.
+// segment is refused outright, never partially read. The one exception — an
+// incomplete last frame of the newest raw granule, which Open cuts back — is
+// scanSegment's, and TestTornTailRepairedOnOpen's.
 func TestSegmentRefusal(t *testing.T) {
 	good := encodeSegment(levelRaw, []Record{testRecord(0, "doc\n"), testRecord(1, "doc2\n")})
 	// Flip one byte inside the first record's payload: the CRC must catch it.

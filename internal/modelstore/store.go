@@ -94,16 +94,53 @@ type Store struct {
 
 	segs []segInfo // sorted by start, disjoint coverage
 
-	// active holds the records of the newest raw granule in memory: the
-	// granule's file is rewritten whole (tmp+rename) on every append.
+	// active holds the records of the newest raw granule in memory, and
+	// activeLen the length of its file: the segment header followed by
+	// exactly these records' frames. The file is written whole for the
+	// granule's first record and for a re-append, and grows by one appended
+	// frame for every other record.
 	active      []Record
 	hasActive   bool
 	activeStart logmodel.Millis
+	activeLen   int64
+
+	// sealed holds, per raw granule that sealed while this handle was open,
+	// its last record without evidence — the record raw→hour promotion
+	// writes — so that compaction reads no granule back. At most
+	// W·BucketWidth/Hour + 1 entries: a granule leaves when it is promoted.
+	sealed map[logmodel.Millis]Record
+
+	// broken, once set, refuses every later Append: a frame append failed
+	// and its partial frame could not be cut back. The next Open repairs
+	// the file.
+	broken error
+
+	// openFrame opens the active granule's file for one frame append
+	// (openAppend; tests substitute a file whose writes fail).
+	openFrame func(path string) (frameFile, error)
 
 	latest    logmodel.Millis // End of the newest record in the store
 	maxSealed int64           // highest bucket index outside the active granule
 
-	mRecords, mSegments, mSegmentsRead, mCompactions, mBytes *obs.Counter
+	mRecords, mSegments, mSegmentsRead, mCompactions, mBytes, mTorn *obs.Counter
+}
+
+// frameFile is the granule file handle a frame append writes through.
+type frameFile interface {
+	Write(p []byte) (int, error)
+	Truncate(size int64) error
+	Close() error
+}
+
+// openAppend opens a granule file for one frame append. No handle is held
+// between appends: Store has no Close, and a daemon tenant keeps its store
+// for its whole life.
+func openAppend(path string) (frameFile, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // Open opens (or creates) a store directory for appending. An existing
@@ -135,12 +172,13 @@ func Open(dir string, cfg Config) (*Store, error) {
 	case *got != want:
 		return nil, fmt.Errorf("modelstore: %s was written with geometry %+v, reopened with %+v", dir, *got, want)
 	}
-	s := &Store{dir: dir, cfg: cfg}
+	s := &Store{dir: dir, cfg: cfg, sealed: map[logmodel.Millis]Record{}, openFrame: openAppend}
 	s.mRecords = cfg.Metrics.Counter("store.records")
 	s.mSegments = cfg.Metrics.Counter("store.segments_written")
 	s.mSegmentsRead = cfg.Metrics.Counter("store.segments_read")
 	s.mCompactions = cfg.Metrics.Counter("store.compactions")
 	s.mBytes = cfg.Metrics.Counter("store.bytes_written")
+	s.mTorn = cfg.Metrics.Counter("store.torn_tail_bytes")
 	if err := s.load(); err != nil {
 		return nil, err
 	}
@@ -149,7 +187,9 @@ func Open(dir string, cfg Config) (*Store, error) {
 
 // OpenRead opens an existing store read-only, recovering the geometry from
 // the sidecar. Superseded files left by a killed compaction are ignored
-// in memory but not deleted — queries have no side effects.
+// in memory but not deleted, and so is an incomplete final frame of the
+// newest raw granule — a follower may be appending it — so queries have no
+// side effects.
 func OpenRead(dir string) (*Store, error) {
 	meta, err := readMeta(dir)
 	if err != nil {
@@ -251,11 +291,11 @@ func (s *Store) isActive(si segInfo) bool {
 
 // records returns the records of one indexed segment — the one way every
 // reader (ModelAt, Records, Locate, Hydrate, compact) gets at them. The
-// active raw granule is answered from memory: its file is exactly s.active,
-// written whole by the last successful Append (or read whole by load), so
-// contents and ordinals are the ones a reader of the file would see. Every
-// other segment is read and verified from disk. Callers must not modify
-// what they are handed.
+// active raw granule is answered from memory: its file holds exactly the
+// frames of s.active, as the last successful Append left it (or as load
+// read it), so contents and ordinals are the ones a reader of the file would
+// see. Every other segment is read and verified from disk. Callers must not
+// modify what they are handed.
 func (s *Store) records(si segInfo) ([]Record, error) {
 	if s.isActive(si) {
 		return s.active, nil
@@ -270,8 +310,8 @@ func floorAlign(t, width logmodel.Millis) logmodel.Millis { return t - t%width }
 // load scans the directory, drops superseded files (a crash between a
 // compaction's rename and its source deletion leaves both; the coarser
 // file wins), removes stray temp files, and primes the in-memory state:
-// the active raw granule's records, the newest record time, and the
-// highest sealed bucket index.
+// the active raw granule's records and length, the newest record time, and
+// the highest sealed bucket index.
 func (s *Store) load() error {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -325,7 +365,11 @@ func (s *Store) load() error {
 
 	if n := len(s.segs); n > 0 {
 		newest := s.segs[n-1]
-		recs, err := s.loadSeg(newest)
+		load := s.loadSeg
+		if newest.level == levelRaw {
+			load = s.loadActive
+		}
+		recs, err := load(newest)
 		if err != nil {
 			return err
 		}
@@ -364,21 +408,64 @@ func (s *Store) loadSeg(si segInfo) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	if lv != si.level {
-		return nil, fmt.Errorf("modelstore: %s has level %s inside, %s in its name",
-			si.path, levelNames[lv], levelNames[si.level])
+	return recs, checkLevel(si, lv)
+}
+
+// loadActive reads the newest raw granule, the one Append grows frame by
+// frame, as loadSeg does, but keeps what precedes an incomplete final frame:
+// the mark of an append killed mid-write (segment.go's format comment has
+// why that is safe). The writer cuts the file back to its last complete
+// frame and counts the bytes cut; a read-only handle leaves the file alone.
+func (s *Store) loadActive(si segInfo) ([]Record, error) {
+	s.mSegmentsRead.Inc()
+	data, err := os.ReadFile(si.path)
+	if err != nil {
+		return nil, err
 	}
+	lv, recs, n, err := scanSegment(data)
+	if err != nil {
+		return nil, fmt.Errorf("modelstore: %s: %w", si.path, err)
+	}
+	if err := checkLevel(si, lv); err != nil {
+		return nil, err
+	}
+	if len(recs) == 0 { // a granule's first frame is written whole, so this is damage
+		return nil, fmt.Errorf("modelstore: %s holds no complete record", si.path)
+	}
+	if n < len(data) && !s.readOnly {
+		if err := os.Truncate(si.path, int64(n)); err != nil {
+			return nil, err
+		}
+		s.mTorn.Add(int64(len(data) - n))
+	}
+	s.activeLen = int64(n)
 	return recs, nil
 }
 
+// checkLevel verifies that a segment file's level byte matches its name.
+func checkLevel(si segInfo, lv int) error {
+	if lv != si.level {
+		return fmt.Errorf("modelstore: %s has level %s inside, %s in its name",
+			si.path, levelNames[lv], levelNames[si.level])
+	}
+	return nil
+}
+
 // Append persists one closed bucket's record and runs the compaction
-// pass. Re-appending a bucket index already present in the active granule
-// replaces it and everything after it — that is exactly the crash window
-// of a follower killed between the store append and the checkpoint write,
-// whose resume re-delivers the same bucket with the same content.
+// pass. A record joining the active granule is appended to its file as one
+// frame; a record opening a new granule writes that granule whole. Re-
+// appending a bucket index already present in the active granule replaces it
+// and everything after it, rewriting the granule whole — that is exactly the
+// crash window of a follower killed between the store append and the
+// checkpoint write, whose resume re-delivers the same bucket with the same
+// content. Memory never runs ahead of the disk: the in-memory granule
+// changes only once its file holds the record.
 func (s *Store) Append(rec Record) error {
 	if s.readOnly {
 		return fmt.Errorf("modelstore: store opened read-only")
+	}
+	if s.broken != nil {
+		return s.broken
 	}
 	if err := validRecord(rec); err != nil {
 		return err
@@ -392,40 +479,88 @@ func (s *Store) Append(rec Record) error {
 	if rec.Bucket <= s.maxSealed {
 		return fmt.Errorf("modelstore: bucket %d rewinds past sealed segments (last sealed %d)", rec.Bucket, s.maxSealed)
 	}
-	// The granule is built aside and committed only once its file is
-	// written, so memory never runs ahead of the disk: a failed write leaves
-	// both as they were.
-	g, active, sealed := floorAlign(rec.Range.Start, s.cfg.Hour), s.active, s.maxSealed
+	g := floorAlign(rec.Range.Start, s.cfg.Hour)
+	path := filepath.Join(s.dir, segName(levelRaw, g))
 	switch {
-	case !s.hasActive || g > s.activeStart:
-		if s.hasActive {
-			sealed = s.active[len(s.active)-1].Bucket
-		} else if len(s.segs) > 0 && s.segs[len(s.segs)-1].start > g {
+	case s.hasActive && g < s.activeStart:
+		return fmt.Errorf("modelstore: record at %d predates the active segment (start %d)", rec.Range.Start, s.activeStart)
+	case s.hasActive && g == s.activeStart && rec.Bucket > s.active[len(s.active)-1].Bucket:
+		if err := s.appendFrame(path, rec); err != nil {
+			return err
+		}
+	case s.hasActive && g == s.activeStart:
+		k := len(s.active)
+		for k > 0 && s.active[k-1].Bucket >= rec.Bucket {
+			k--
+		}
+		// Capped: the append must not overwrite what readers were handed.
+		if err := s.writeActive(path, g, append(s.active[:k:k], rec)); err != nil {
+			return err
+		}
+	default:
+		if !s.hasActive && len(s.segs) > 0 && s.segs[len(s.segs)-1].start > g {
 			return fmt.Errorf("modelstore: record at %d predates existing segments", rec.Range.Start)
 		}
-		active = nil
-	case g < s.activeStart:
-		return fmt.Errorf("modelstore: record at %d predates the active segment (start %d)", rec.Range.Start, s.activeStart)
-	default:
-		for k := len(active); k > 0 && active[k-1].Bucket >= rec.Bucket; k-- {
-			active = active[: k-1 : k-1] // capped: the append below must not overwrite s.active
+		if err := s.writeActive(path, g, []Record{rec}); err != nil {
+			return err
 		}
 	}
-	active = append(active, rec)
-
-	path := filepath.Join(s.dir, segName(levelRaw, g))
-	n, err := writeSegment(path, levelRaw, active)
-	if err != nil {
-		return err
-	}
-	s.active, s.hasActive, s.activeStart, s.maxSealed = active, true, g, sealed
-	s.noteWrite(n)
-	s.upsertSeg(segInfo{level: levelRaw, start: s.activeStart, path: path})
 	if rec.Range.End > s.latest {
 		s.latest = rec.Range.End
 	}
 	s.mRecords.Inc()
 	return s.compact()
+}
+
+// writeActive writes the raw granule starting at g whole, holding recs, and
+// makes it the active one. A newer granule seals the previous active one.
+func (s *Store) writeActive(path string, g logmodel.Millis, recs []Record) error {
+	n, err := writeSegment(path, levelRaw, recs)
+	if err != nil {
+		return err
+	}
+	s.noteWrite(n)
+	if s.hasActive && g > s.activeStart {
+		last := s.active[len(s.active)-1]
+		s.maxSealed = last.Bucket
+		last.Evidence = nil
+		s.sealed[s.activeStart] = last
+	}
+	s.active, s.hasActive, s.activeStart, s.activeLen = recs, true, g, int64(n)
+	s.upsertSeg(segInfo{level: levelRaw, start: g, path: path})
+	return nil
+}
+
+// appendFrame appends rec to the active granule's file as one frame, in one
+// write. A failed write is cut back to the granule's known length, so file
+// and memory still agree; if the cut fails too, or the close does (the frame
+// may then be on disk), every later Append is refused until a reopen, which
+// repairs an incomplete tail and reads a complete one.
+func (s *Store) appendFrame(path string, rec Record) error {
+	frame := appendRecord(make([]byte, 0, recordLen(rec)), rec)
+	f, err := s.openFrame(path)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(frame); err != nil {
+		if terr := f.Truncate(s.activeLen); terr != nil {
+			s.broken = fmt.Errorf("modelstore: %s ends in a partial frame (%v) that could not be cut back (%v); reopen the store to repair it", path, err, terr)
+		}
+	}
+	if cerr := f.Close(); cerr != nil && err == nil {
+		err = cerr
+		s.broken = fmt.Errorf("modelstore: %s: closing after a frame append: %v; reopen the store to read it again", path, cerr)
+	}
+	if s.broken != nil {
+		return s.broken
+	}
+	if err != nil {
+		return err
+	}
+	s.active = append(s.active, rec)
+	s.activeLen += int64(len(frame))
+	s.mBytes.Add(int64(len(frame)))
+	return nil
 }
 
 // noteWrite records one segment file write in the counters.
@@ -465,7 +600,8 @@ func (s *Store) dropSeg(path string) error {
 //
 //	raw  → hour: granule end ≤ latest − window span (resume no longer
 //	             needs its evidence); keep the granule's last record,
-//	             strip evidence.
+//	             strip evidence. The record comes from s.sealed when the
+//	             granule sealed under this handle, from the file otherwise.
 //	hour → day:  the day granule is a full Day behind latest and no raw
 //	             segments remain inside it; keep the last hour record.
 //	day  → week: same one-Week-behind rule over day records.
@@ -485,15 +621,19 @@ func (s *Store) compact() error {
 				if si.start+s.cfg.Hour > s.latest-span {
 					continue
 				}
-				recs, err := s.records(si)
-				if err != nil {
-					return err
+				last, ok := s.sealed[si.start]
+				if !ok { // sealed before this handle opened the store
+					recs, err := s.records(si)
+					if err != nil {
+						return err
+					}
+					last = recs[len(recs)-1]
+					last.Evidence = nil
 				}
-				last := recs[len(recs)-1]
-				last.Evidence = nil
 				if err := s.promote(si, levelHour, si.start, last); err != nil {
 					return err
 				}
+				delete(s.sealed, si.start)
 				changed = true
 			case levelHour:
 				d := floorAlign(si.start, s.cfg.Day)

@@ -2,6 +2,7 @@ package modelstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -394,10 +395,16 @@ func TestLocate(t *testing.T) {
 // granule, a sealed raw one, a compacted segment, and where nothing covers —
 // after a bucket index is re-appended, which is what a resume does when the
 // kill fell between the append and the checkpoint, and after an Append whose
-// file write failed: memory never runs ahead of the disk.
+// write failed — a frame write torn halfway, and a whole-granule write —
+// memory never runs ahead of the disk. A torn frame that could not be cut
+// back refuses every later Append, a reader skips it, and reopening the
+// directory repairs it.
 func TestLocateMemoryEqualsDisk(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, testCfg())
+	reg := obs.New()
+	cfg := testCfg()
+	cfg.Metrics = reg
+	s, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,19 +472,32 @@ func TestLocateMemoryEqualsDisk(t *testing.T) {
 		}
 		check(fmt.Sprintf("after re-appending bucket %d", i), n)
 	}
-	// A non-empty directory where the granule's temp file goes makes the
-	// write fail, for a record joining the granule and for one replacing its
-	// tail.
-	block := filepath.Join(dir, segName(levelRaw, s.activeStart)+".tmp")
+	// A frame write that fails halfway through, for a record joining the
+	// granule: the file is cut back and the append refused.
+	granule := filepath.Join(dir, segName(levelRaw, s.activeStart))
+	before, err := os.ReadFile(granule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.openFrame = tornFrames(false)
+	if err := s.Append(rec(n - 1)); err == nil {
+		t.Fatalf("Append of bucket %d through a failing frame write succeeded", n-1)
+	}
+	if after, err := os.ReadFile(granule); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the failed frame append left %d bytes in the granule, want its %d (%v)", len(after), len(before), err)
+	}
+	check(fmt.Sprintf("after the failed frame append of bucket %d", n-1), n)
+	s.openFrame = openAppend
+	// A non-empty directory where the granule's temp file goes makes a
+	// whole-granule write fail: a record replacing the granule's tail.
+	block := granule + ".tmp"
 	if err := os.MkdirAll(filepath.Join(block, "x"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range []int64{n - 1, n - 3} {
-		if err := s.Append(rec(i)); err == nil {
-			t.Fatalf("Append of bucket %d over a blocked temp file succeeded", i)
-		}
-		check(fmt.Sprintf("after the failed append of bucket %d", i), n)
+	if err := s.Append(rec(n - 3)); err == nil {
+		t.Fatalf("Append of bucket %d over a blocked temp file succeeded", n-3)
 	}
+	check(fmt.Sprintf("after the failed append of bucket %d", n-3), n)
 	if err := os.RemoveAll(block); err != nil {
 		t.Fatal(err)
 	}
@@ -485,10 +505,77 @@ func TestLocateMemoryEqualsDisk(t *testing.T) {
 		t.Fatalf("Append after the failed ones: %v", err)
 	}
 	check("after the append that followed the failed ones", n)
-	if s, err = Open(dir, testCfg()); err != nil { // a restarted writer holds the granule as read
+
+	// A torn frame that cannot be cut back: this Append and every later one
+	// are refused, naming the file; a reader stops at the last complete frame.
+	s.openFrame = tornFrames(true)
+	if err := s.Append(rec(n)); err == nil || !strings.Contains(err.Error(), granule) {
+		t.Fatalf("Append of bucket %d over an uncuttable torn frame = %v; want a refusal naming %s", n, err, granule)
+	}
+	s.openFrame = openAppend
+	if err := s.Append(rec(n)); err == nil || !strings.Contains(err.Error(), granule) {
+		t.Fatalf("Append after the torn frame = %v; want a refusal naming %s", err, granule)
+	}
+	check("with a torn frame on disk", n)
+	torn, err := os.ReadFile(granule)
+	if err != nil {
 		t.Fatal(err)
 	}
-	check("after reopening", n)
+	whole := torn[:s.activeLen] // the writer's memory never took the torn frame
+	// A restarted writer repairs the tail.
+	if s, err = Open(dir, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(granule); err != nil || !bytes.Equal(got, whole) {
+		t.Fatalf("reopening left the torn granule at %d bytes, want %d (%v)", len(got), len(whole), err)
+	}
+	if got, want := reg.Counter("store.torn_tail_bytes").Value(), int64(len(torn)-len(whole)); got != want {
+		t.Errorf("store.torn_tail_bytes = %d after the repair, want %d", got, want)
+	}
+	check("after reopening a torn tail", n)
+	if err := s.Append(rec(n)); err != nil {
+		t.Fatalf("Append after the repair: %v", err)
+	}
+	check("after the append that followed the repair", n+1)
+	if s, err = Open(dir, cfg); err != nil { // a restarted writer holds the granule as read
+		t.Fatal(err)
+	}
+	check("after reopening", n+1)
+}
+
+// tornFile writes half of every frame and fails; its Truncate fails too
+// when truncateFails is set.
+type tornFile struct {
+	*os.File
+	truncateFails bool
+}
+
+var errTorn = errors.New("torn write")
+
+func (f tornFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p[:len(p)/2])
+	if err == nil {
+		err = errTorn
+	}
+	return n, err
+}
+
+func (f tornFile) Truncate(size int64) error {
+	if f.truncateFails {
+		return errTorn
+	}
+	return f.File.Truncate(size)
+}
+
+// tornFrames is an openFrame whose files tear every frame.
+func tornFrames(truncateFails bool) func(string) (frameFile, error) {
+	return func(path string) (frameFile, error) {
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			return nil, err
+		}
+		return tornFile{f, truncateFails}, nil
+	}
 }
 
 // TestHydrateFillsWindowFromSegments pins the segment-backed resume path:
@@ -604,6 +691,172 @@ func TestCrashBetweenCompactionRenames(t *testing.T) {
 	for name, data := range before {
 		if !bytes.Equal(after[name], data) {
 			t.Errorf("%s changed during supersede cleanup", name)
+		}
+	}
+}
+
+// tornStore appends buckets 0..last to a fresh store and returns its
+// directory, the newest raw granule's path, its bytes, and where its last
+// frame starts. testCfg's granule holds four buckets, so bucket 10 is the
+// third record of granule [8, 12): its frame was appended, not rewritten.
+func tornStore(t *testing.T, last int64) (dir, granule string, data []byte, frame int) {
+	t.Helper()
+	dir = t.TempDir()
+	s, err := Open(dir, testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i <= last; i++ {
+		if err := s.Append(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	granule = filepath.Join(dir, segName(levelRaw, s.activeStart))
+	if data, err = os.ReadFile(granule); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.active) < 3 {
+		t.Fatalf("the newest granule holds %d records; the test wants an appended frame behind another", len(s.active))
+	}
+	return dir, granule, data, len(encodeSegment(levelRaw, s.active[:len(s.active)-1]))
+}
+
+// TestTornTailRepairedOnOpen: a writer killed inside a frame append leaves
+// the newest raw granule ending in an incomplete frame. At every cut inside
+// that last frame, Open truncates the file to the frame boundary and counts
+// the bytes cut, and the store then continues into exactly the directory an
+// uninterrupted run writes. Every other damage is still refused: a cut inside
+// the granule's first frame (no complete record would remain), a byte taken
+// out of an earlier frame, a flipped byte in a complete last frame, and a
+// cut in a file that is not the newest raw granule.
+func TestTornTailRepairedOnOpen(t *testing.T) {
+	const last, more = 10, 30
+	ref := t.TempDir()
+	s, err := Open(ref, testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i <= more; i++ {
+		if err := s.Append(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := dirBytes(t, ref)
+
+	dir, granule, data, frame := tornStore(t, last)
+	for cut := frame + 1; cut < len(data); cut++ {
+		if err := os.WriteFile(granule, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.New()
+		cfg := testCfg()
+		cfg.Metrics = reg
+		s, err := Open(dir, cfg)
+		if err != nil {
+			t.Fatalf("cut at %d of %d: Open refused a torn last frame: %v", cut, len(data), err)
+		}
+		if got, err := os.ReadFile(granule); err != nil || !bytes.Equal(got, data[:frame]) {
+			t.Fatalf("cut at %d: Open left %d bytes, want the %d before the torn frame (%v)", cut, len(got), frame, err)
+		}
+		if got := reg.Counter("store.torn_tail_bytes").Value(); got != int64(cut-frame) {
+			t.Fatalf("cut at %d: store.torn_tail_bytes = %d, want %d", cut, got, cut-frame)
+		}
+		for i := int64(last); i <= more; i++ {
+			if err := s.Append(rec(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := dirBytes(t, dir)
+		if len(got) != len(want) {
+			t.Fatalf("cut at %d: the continued store holds %s, the uninterrupted one %s", cut, dirNames(t, dir), dirNames(t, ref))
+		}
+		for name, b := range want {
+			if !bytes.Equal(got[name], b) {
+				t.Fatalf("cut at %d: %s differs from the uninterrupted store's", cut, name)
+			}
+		}
+		// Back to the torn state for the next cut.
+		for name := range got {
+			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dir, granule, data, frame = tornStore(t, last)
+	}
+
+	first := len(encodeSegment(levelRaw, nil)) + recordLen(rec(8))
+	for _, tc := range []struct {
+		name   string
+		damage func() error
+	}{
+		{"a cut inside the granule's first frame", func() error {
+			return os.WriteFile(granule, data[:first-3], 0o644)
+		}},
+		{"a byte taken out of an earlier frame", func() error {
+			return os.WriteFile(granule, append(append([]byte{}, data[:first+20]...), data[first+21:]...), 0o644)
+		}},
+		{"a flipped byte in the complete last frame", func() error {
+			flipped := append([]byte{}, data...)
+			flipped[len(flipped)-2] ^= 0x10
+			return os.WriteFile(granule, flipped, 0o644)
+		}},
+		{"a cut in an older file", func() error {
+			older := filepath.Join(dir, segName(levelHour, 4_000))
+			b, err := os.ReadFile(older)
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(older, b[:len(b)-5], 0o644)
+		}},
+	} {
+		dir, granule, data, _ = tornStore(t, last)
+		if err := tc.damage(); err != nil {
+			t.Fatal(err)
+		}
+		before := dirBytes(t, dir)
+		if _, err := Open(dir, testCfg()); err == nil {
+			t.Errorf("%s: Open accepted the store", tc.name)
+		}
+		after := dirBytes(t, dir)
+		for file, b := range before {
+			if !bytes.Equal(after[file], b) {
+				t.Errorf("%s: the refused Open changed %s", tc.name, file)
+			}
+		}
+	}
+}
+
+// TestOpenReadSkipsTornTail: a reader meeting a granule that ends in an
+// incomplete frame — a follower appending to it — answers up to the last
+// complete frame, and the directory's bytes do not change.
+func TestOpenReadSkipsTornTail(t *testing.T) {
+	dir, granule, data, frame := tornStore(t, 10)
+	if err := os.WriteFile(granule, data[:frame+len(data[frame:])/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirBytes(t, dir)
+	r, err := OpenRead(dir)
+	if err != nil {
+		t.Fatalf("OpenRead refused a torn last frame: %v", err)
+	}
+	recs, err := r.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(recs); n == 0 || recs[n-1].Bucket != 9 {
+		t.Fatalf("the reader holds %d records; want them to end at bucket 9, the last complete frame", n)
+	}
+	got, ok, err := r.ModelAt(1 << 40)
+	if err != nil || !ok || !bytes.Equal(got.Model, rec(9).Model) {
+		t.Fatalf("the latest model is bucket %d's (%v, %v); want bucket 9's", got.Bucket, ok, err)
+	}
+	after := dirBytes(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("the reader changed the file set: %s", dirNames(t, dir))
+	}
+	for name, b := range before {
+		if !bytes.Equal(after[name], b) {
+			t.Errorf("the reader changed %s", name)
 		}
 	}
 }

@@ -120,6 +120,12 @@ func (t *Tailer) Read(p []byte) (int, error) {
 }
 
 // check looks for a rotation at EOF and repositions if one happened.
+//
+// A copytruncate is noticed only by its size: the file is shorter than the
+// read offset when the tailer next reaches EOF. A file truncated and then
+// rewritten past that offset before then looks like a file that grew, so it
+// is read on from the old offset and the head of the new content is never
+// read. Rename rotation (a new inode at the path) has no such window.
 func (t *Tailer) check() (rotated bool, err error) {
 	pathInfo, statErr := os.Stat(t.path)
 	if statErr != nil {
