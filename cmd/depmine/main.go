@@ -19,7 +19,9 @@
 //	-nostops        L3: disable the canonical stop patterns
 //	-direction      L2: print the §5 direction heuristic for mined pairs
 //	-workers N      mining parallelism for every method (0 = all cores,
-//	                1 = sequential); results are identical for any N
+//	                1 = sequential); results are identical for any N.
+//	                -follow commits each bucket (document, store,
+//	                checkpoint) beside the mining of the next at any N
 //
 // Observability:
 //
@@ -121,7 +123,7 @@ func main() {
 	flag.IntVar(&o.spec.MinLogs, "minlogs", 10, "L1 per-slot minimum log count")
 	flag.BoolVar(&o.spec.NoStops, "nostops", false, "L3: disable the canonical stop patterns")
 	flag.BoolVar(&o.direction, "direction", false, "L2: print direction hints for mined pairs")
-	flag.IntVar(&o.spec.Workers, "workers", 0, "mining parallelism: 0 = all cores, 1 = sequential (results are identical for any value)")
+	flag.IntVar(&o.spec.Workers, "workers", 0, "mining parallelism: 0 = all cores, 1 = sequential (results are identical for any value; with -follow each bucket's commit overlaps the next bucket's mining at any value)")
 	flag.BoolVar(&o.stats, "stats", false, "print the run's metrics document (JSON) to stderr")
 	flag.StringVar(&o.listen, "listen", "", "follow mode: serve /metrics and /debug/pprof/ on this address")
 	followMode := flag.Bool("follow", false, "streaming mode: tail one log stream and emit the sliding-window model per bucket")

@@ -61,14 +61,15 @@ type tenant struct {
 	// name; Remove forgets it with the tenant.
 	metrics *obs.Registry
 	// store is the handle launch opened and the engine appends through.
-	// Queries read it under mu, which the engine holds around every advance,
-	// so they see a whole number of appends — the files' own content.
+	// Queries read it under mu, which the engine holds around every
+	// bucket's commit, so they see a whole number of appends — the files'
+	// own content.
 	store *modelstore.Store
 
 	// mu is the engine's AdvanceLock: held by the engine around every
-	// bucket emission and by the daemon around every status read and
-	// store query, so a query never observes a half-written advance. The
-	// mutable fields below are all guarded by it.
+	// bucket's commit (mining runs outside it) and by the daemon around
+	// every status read and store query, so a query never observes a
+	// half-written commit. The mutable fields below are all guarded by it.
 	mu       sync.Mutex
 	cfg      StreamConfig
 	state    string // "running", "done", "stopped", "failed", "removed"
@@ -241,8 +242,9 @@ func (d *Daemon) launch(t *tenant) (st Status, err error) {
 		Metrics:        t.metrics,
 		Stop:           t.stop.Load,
 		AdvanceLock:    &t.mu,
-		// Progress runs inside AdvanceLock (t.mu held), so the plain
-		// assignment is already synchronized with status().
+		// Progress runs inside AdvanceLock (t.mu held) on the engine's
+		// commit goroutine, so the plain assignment is already
+		// synchronized with status().
 		Progress: func(p follow.Progress) { t.progress = p },
 	}
 	var wake *stream.Wake

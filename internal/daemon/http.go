@@ -148,10 +148,10 @@ func when(r *http.Request, param string, def logmodel.Millis) (logmodel.Millis, 
 
 // query answers one read of a tenant as text/plain. fn renders the body
 // under the tenant's advance lock, which orders it after any in-flight
-// bucket advance; the store it reads is the handle the engine appends
+// bucket commit; the store it reads is the handle the engine appends
 // through, whose active granule is the records its last append wrote
 // (modelstore's records accessor: memory ≡ disk). So a query sees a whole
-// number of advances without reopening anything, and the round-trip contract
+// number of commits without reopening anything, and the round-trip contract
 // (query == live bytes) holds at every instant.
 func (d *Daemon) query(w http.ResponseWriter, r *http.Request, fn func(t *tenant, body *bytes.Buffer) error) {
 	var body bytes.Buffer

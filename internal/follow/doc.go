@@ -1,10 +1,16 @@
 // Package follow is the reusable streaming-follow engine: it composes the
 // hardened ingest stack (internal/stream), the incremental miners, the
 // drift detector and the model store into one run loop that tails a log
-// stream and, per closed bucket, runs a fixed list of stages (mine,
-// snapshot, render, store, delta, drift, checkpoint, progress). The loop,
-// not the stages, takes the advance lock, times each stage into its
-// follow.<stage>_ns histogram, and ends the run on the first error.
+// stream and, per closed bucket, runs a fixed list of stages: mine and
+// snapshot on the goroutine that reads the stream, then render, store,
+// delta, drift, checkpoint and progress — the bucket's commit — on one
+// commit goroutine beside it, while the reader mines the next bucket. The
+// reader joins each commit before it hands over the next, so commits keep
+// the bucket order and every side effect the order of a serial loop. The
+// loop, not the stages, takes the advance lock (around the commit only:
+// mining runs outside it), times each stage into its follow.<stage>_ns
+// histogram and the reader's waits into follow.commit_wait_ns, and ends
+// the run on the first error.
 //
 // cmd/depmine's -follow mode is a thin adapter over Run; cmd/depmined
 // hosts many concurrent engines — one per tenant stream — which is why

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"logscape/internal/core"
 	"logscape/internal/core/l1"
@@ -18,6 +19,7 @@ import (
 	"logscape/internal/logmodel"
 	"logscape/internal/modelstore"
 	"logscape/internal/obs"
+	"logscape/internal/parallel"
 	"logscape/internal/sessions"
 	"logscape/internal/stream"
 )
@@ -45,19 +47,21 @@ type Config struct {
 	// return true to keep tailing (live mode), false to end the stream.
 	// nil ends at first quiescent EOF — the one-shot replay the CLI uses.
 	Wait func() bool
-	// Stop, when non-nil, is polled before every transport read and every
-	// Wait; once it returns true the engine returns without flushing the
-	// open bucket — the SIGKILL-equivalent a daemon needs for exact resume
-	// (a flush would emit a partial-bucket document an uninterrupted run
-	// never emits).
+	// Stop, when non-nil, is polled before every transport read, every
+	// Wait, and before each bucket's commit is handed over; once it returns
+	// true the engine returns without flushing the open bucket — the
+	// SIGKILL-equivalent a daemon needs for exact resume (a flush would
+	// emit a partial-bucket document an uninterrupted run never emits).
 	Stop func() bool
-	// AdvanceLock, when non-nil, is held around every bucket advance (all
-	// stages: mining, document write, store append, delta line, drift
-	// alerts, checkpoint, Progress). A daemon points it at the tenant's
-	// mutex so queries never observe a half-written advance.
+	// AdvanceLock, when non-nil, is held around every bucket's commit: the
+	// document write, store append, delta line, drift alerts, checkpoint
+	// and Progress. Mining and the snapshot run outside it. A daemon
+	// points it at the tenant's mutex so queries never observe a
+	// half-written commit.
 	AdvanceLock sync.Locker
 	// Progress, when non-nil, is called after every delivered bucket
-	// (inside AdvanceLock) with the run's cumulative position.
+	// (inside AdvanceLock, on the commit goroutine, so not on the
+	// goroutine that polls Stop) with the run's cumulative position.
 	Progress func(Progress)
 }
 
@@ -126,15 +130,19 @@ func buildMiner(cfg Config, wcfg stream.Config) (stream.Miner, error) {
 	return stream.NewL3(wcfg, l3.NewMiner(dir, c)), nil
 }
 
-// engine is one opened run: what Config names, built and restored, plus
-// what the stages of one advance hand to the stages after them.
+// engine is one opened run: what Config names, built and restored, and the
+// two sides every closed bucket passes through. The front — the goroutine
+// that reads the source — mines the bucket, snapshots the model and
+// captures what the commit needs, hands the commit to a lane and reads on;
+// it joins that commit before it hands over the next one, so commits run
+// one at a time and in bucket order.
 type engine struct {
 	cfg            Config
 	stdout, stderr io.Writer
 
 	miner  stream.Miner
 	fsrc   stream.FeatureSource // non-nil when the store or the detector reads features
-	det    *drift.Detector      // nil without Drift
+	det    *drift.Detector      // nil without Drift; the commit's
 	in     *stream.Ingester
 	feeder *stream.Feeder
 
@@ -145,16 +153,39 @@ type engine struct {
 	closers []io.Closer            // the source and quarantine files
 	base    int64                  // stream offset the transport was repositioned to
 
-	snap      core.ModelDocument   // snapshot → render, delta
-	feats     stream.DriftFeatures // snapshot → store, drift
-	doc       []byte               // render → store
-	wire      []byte               // store's scratch: the bucket's evidence lines, end to end
-	ends      []int                // store's scratch: where each line ends in wire
-	line      []byte               // delta's and drift's scratch: the stderr bytes of one write
-	prevPairs core.PairSet         // the model the last delta line was printed against
+	// The front's: read and written on the reading goroutine only.
+	kept   [2][]logmodel.Entry // the entry copies of the last two buckets, alternately reused
+	flip   int                 // which of kept the next bucket's copy goes into
+	halted bool                // latched by halt: no further bucket is delivered
+	held   func()              // the commit holdCommits keeps back until the join
+
+	// The commit's: touched by the one commit on the lane.
+	lane      parallel.Lane
+	wire      []byte       // store's scratch: the bucket's evidence lines, end to end
+	ends      []int        // store's scratch: where each line ends in wire
+	line      []byte       // delta's and drift's scratch: the stderr bytes of one write
+	prevPairs core.PairSet // the model the last delta line was printed against
 	prevDeps  core.AppServiceSet
 
-	err error // the first stage error; set once, by advance
+	// err is the first stage error, set by the commit, and failed mirrors
+	// it for halt, which reads it while a commit runs; the front reads err
+	// only after joining.
+	err    error
+	failed atomic.Bool
+}
+
+// commit is one bucket on its way from the front to the lane: what the
+// front captured while the ingester still held the bucket — it recycles the
+// bucket's entry slice and moves its window, pending set and counts on
+// once advance returns — and what the commit stages hand on.
+type commit struct {
+	bucket   stream.Bucket // with a store, its entries copied out of the ingester's slice
+	snap     core.ModelDocument
+	feats    stream.DriftFeatures
+	window   logmodel.TimeRange
+	ckpt     *stream.Checkpoint // nil without ResumePath; the checkpoint stage adds the drift state
+	progress Progress
+	doc      []byte // render → store
 }
 
 // openSource builds the hardened read stack for the configured input:
@@ -193,8 +224,9 @@ func open(cfg Config, stdout, stderr io.Writer) (e *engine, err error) {
 		return e, fmt.Errorf("resume needs a model store: the window is read back from it on restart; rerun with -store DIR")
 	}
 	if wait := cfg.Wait; wait != nil {
-		// A halted run must not sit in the tailer's poll loop.
-		cfg.Wait = func() bool { return !e.halt() && wait() }
+		// An idle run has committed everything it read, and a halted one
+		// must not sit in the tailer's poll loop.
+		cfg.Wait = func() bool { e.join(); return !e.halt() && wait() }
 	}
 	e.cfg = cfg
 	wcfg := stream.Config{
@@ -265,7 +297,7 @@ func open(cfg Config, stdout, stderr io.Writer) (e *engine, err error) {
 		// first read: a failure at bucket 1 after the store append then
 		// leaves a checkpoint the restart resumes from — re-appending bucket
 		// 1 — instead of a populated store no restart would accept.
-		return e, e.checkpoint(stream.Bucket{})
+		return e, e.checkpoint(&commit{ckpt: e.resumePoint()})
 	}
 	// Reposition the transport at the checkpoint offset: a seek for a plain
 	// file, a decompressed-byte skip for .gz (the stream is re-read from the
@@ -338,15 +370,23 @@ func (e *engine) storedBaseline(cp *stream.Checkpoint) error {
 	return err
 }
 
+// close releases the run's files. A commit never outlives the run: Run
+// joins the last one on every return, and this join covers a panic that
+// unwound the reader while a commit ran.
 func (e *engine) close() {
+	e.lane.Wait()
 	for _, c := range e.closers {
 		c.Close()
 	}
 }
 
 // halt reports whether the run is over: a stage failed, or Stop was raised.
+// Once it has said so it keeps saying so. The front alone calls it.
 func (e *engine) halt() bool {
-	return e.err != nil || (e.cfg.Stop != nil && e.cfg.Stop())
+	if !e.halted {
+		e.halted = e.failed.Load() || (e.cfg.Stop != nil && e.cfg.Stop())
+	}
+	return e.halted
 }
 
 // Read is the transport read the feeder sees: a halted engine reports end
@@ -359,15 +399,23 @@ func (e *engine) Read(p []byte) (int, error) {
 	return e.r.Read(p)
 }
 
-// stages is one closed bucket's advance, in order: the histogram a stage's
-// time goes to and the method that does its work. A stage whose feature is
-// not configured returns nil at once.
-var stages = [...]struct {
+// front is what a closed bucket goes through on the reading goroutine,
+// while the ingester holds it: the histogram a stage's time goes to and the
+// method that does its work. Neither stage can fail.
+var front = [...]struct {
 	timer string
-	run   func(*engine, stream.Bucket) error
+	run   func(*engine, stream.Bucket, *commit)
 }{
 	{"follow.mine_ns", (*engine).mine},
 	{"follow.snapshot_ns", (*engine).snapshot},
+}
+
+// commitStages write the bucket out, in order, on the lane. A stage whose
+// feature is not configured returns nil at once.
+var commitStages = [...]struct {
+	timer string
+	run   func(*engine, *commit) error
+}{
 	{"follow.render_ns", (*engine).render},
 	{"follow.store_ns", (*engine).appendStore},
 	{"follow.delta_ns", (*engine).printDelta},
@@ -376,85 +424,170 @@ var stages = [...]struct {
 	{"follow.progress_ns", (*engine).progress},
 }
 
-// advance runs one closed bucket through the stages. It alone takes the
-// advance lock, times a stage and latches a stage error; from then on it
-// does nothing and halt ends the run — what a kill at that stage leaves.
+// advance runs one closed bucket through the front, joins the previous
+// bucket's commit and, unless that ended the run, hands this bucket's
+// commit over. Every side effect therefore happens in the order a serial
+// loop gives it, and a failure or a Stop raised by commit k leaves bucket
+// k+1 without a document. The loop, not the stages, times a stage and
+// latches a commit stage's error; from then on advance does nothing and
+// halt ends the run — what a kill at that stage leaves.
 func (e *engine) advance(b stream.Bucket) {
-	if e.err != nil {
+	if e.halted {
 		return
 	}
+	c := &commit{bucket: stream.Bucket{Index: b.Index, Range: b.Range}}
+	for _, st := range front {
+		stop := e.cfg.Metrics.Timer(st.timer)
+		st.run(e, b, c)
+		stop()
+	}
+	e.join()
+	if e.halt() {
+		return
+	}
+	run := func() { e.commit(c) }
+	if holdCommits {
+		e.held = run
+		return
+	}
+	e.lane.Go(run)
+}
+
+// holdCommits, set by tests only, keeps each commit back until the front
+// joins it: the next bucket's front, or the end of the stream, always comes
+// first — the furthest ahead the pipeline can run.
+var holdCommits bool
+
+// join waits for the commit in flight, timing the wait into
+// follow.commit_wait_ns (one observation per commit).
+func (e *engine) join() {
+	if e.held != nil {
+		e.lane.Go(e.held)
+		e.held = nil
+	}
+	if !e.lane.Busy() {
+		return
+	}
+	defer e.cfg.Metrics.Timer("follow.commit_wait_ns")()
+	e.lane.Wait()
+}
+
+// commit runs one bucket through the commit stages under the advance lock.
+func (e *engine) commit(c *commit) {
 	if l := e.cfg.AdvanceLock; l != nil {
 		l.Lock()
 		defer l.Unlock()
 	}
-	for _, st := range stages {
+	for _, st := range commitStages {
 		stop := e.cfg.Metrics.Timer(st.timer)
-		e.err = st.run(e, b)
+		err := st.run(e, c)
 		stop()
-		if e.err != nil {
+		if err != nil {
+			e.err = err
+			e.failed.Store(true)
 			return
 		}
 	}
 }
 
-func (e *engine) mine(b stream.Bucket) error {
+func (e *engine) mine(b stream.Bucket, _ *commit) {
 	e.miner.Advance(b)
-	return nil
 }
 
-func (e *engine) snapshot(stream.Bucket) error {
-	e.snap = e.miner.Snapshot()
+// snapshot takes the window's model and the bucket's drift features from
+// the miner, and from the ingester what the commit needs of it as of this
+// bucket: the entries (which the store stage serializes), the window, the
+// resume point and the position.
+func (e *engine) snapshot(b stream.Bucket, c *commit) {
+	c.snap = e.miner.Snapshot()
 	if e.fsrc != nil {
-		e.feats = e.fsrc.DriftFeatures()
+		c.feats = e.fsrc.DriftFeatures()
 	}
-	return nil
+	if e.cfg.Store != nil {
+		c.bucket.Entries = e.keep(b.Entries)
+	}
+	c.window = e.in.WindowRange()
+	c.ckpt = e.resumePoint()
+	c.progress = Progress{
+		Buckets:   e.in.Stats().Buckets,
+		Consumed:  e.base + e.feeder.Consumed(),
+		LastIndex: b.Index,
+		WindowEnd: b.Range.End,
+	}
+}
+
+// keep copies a bucket's entries out of the ingester's slice, which it
+// recycles once they leave the window. The copy goes into one of two
+// buffers in turn: the commit that read the other one was joined before
+// this bucket's front began, so copying costs no allocation once the
+// buffers have grown.
+func (e *engine) keep(entries []logmodel.Entry) []logmodel.Entry {
+	e.flip ^= 1
+	e.kept[e.flip] = append(e.kept[e.flip][:0], entries...)
+	return e.kept[e.flip]
+}
+
+// resumePoint captures the checkpoint but the drift state, which the
+// checkpoint stage adds; nil without ResumePath. Consumed() already covers
+// the line that closed the bucket (it sits in the checkpoint's pending
+// set), so base+Consumed is exact: no replay.
+func (e *engine) resumePoint() *stream.Checkpoint {
+	if e.cfg.ResumePath == "" {
+		return nil
+	}
+	return e.in.CheckpointLight(e.base+e.feeder.Consumed(), e.tailer.Rotations())
 }
 
 // render writes the document. It is rendered once: the same bytes go to
 // stdout and — verbatim — into the store, which is what makes the store's
 // round-trip byte-identical to the live stream by construction.
-func (e *engine) render(stream.Bucket) error {
+func (e *engine) render(c *commit) error {
 	var doc bytes.Buffer
-	if err := core.WriteModel(&doc, e.snap); err != nil {
+	if err := core.WriteModel(&doc, c.snap); err != nil {
 		return err
 	}
-	e.doc = doc.Bytes()
-	_, err := e.stdout.Write(e.doc)
+	c.doc = doc.Bytes()
+	_, err := e.stdout.Write(c.doc)
 	return err
 }
 
-// appendStore serializes the evidence while the bucket's entries are still
-// live — with RecycleBuckets the slices may be reused once advance returns,
-// and AppendEntry copies every byte out — and appends the bucket's record.
-// The lines are rendered into the engine's scratch and copied, at their
-// final size, into one arena the record's lines are cut from: two
-// allocations per bucket however many entries it holds. The arena is fresh
-// every time because the store keeps the active granule's records.
-func (e *engine) appendStore(b stream.Bucket) error {
+// appendStore appends the bucket's record: its document, evidence and
+// drift scores.
+func (e *engine) appendStore(c *commit) error {
 	if e.cfg.Store == nil {
 		return nil
 	}
-	e.wire, e.ends = e.wire[:0], e.ends[:0]
-	for _, en := range b.Entries {
-		e.wire = logmodel.AppendEntry(e.wire, en)
-		e.ends = append(e.ends, len(e.wire))
-	}
-	arena := append([]byte(nil), e.wire...)
-	rec := modelstore.Record{Bucket: b.Index, Range: b.Range, Model: e.doc, Evidence: make([][]byte, len(e.ends))}
-	start := 0
-	for i, end := range e.ends {
-		rec.Evidence[i] = arena[start:end:end]
-		start = end
-	}
-	keys := make([]string, 0, len(e.feats.Scores))
-	for k := range e.feats.Scores {
+	rec := modelstore.Record{Bucket: c.bucket.Index, Range: c.bucket.Range, Model: c.doc, Evidence: e.evidence(c.bucket.Entries)}
+	keys := make([]string, 0, len(c.feats.Scores))
+	for k := range c.feats.Scores {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		rec.Scores = append(rec.Scores, modelstore.Score{Key: k, Value: e.feats.Scores[k]})
+		rec.Scores = append(rec.Scores, modelstore.Score{Key: k, Value: c.feats.Scores[k]})
 	}
 	return e.cfg.Store.Append(rec)
+}
+
+// evidence serializes a bucket's entries into its evidence lines. They are
+// rendered into the engine's scratch and copied, at their final size, into
+// one arena the lines are cut from: two allocations per bucket however many
+// entries it holds. The arena is fresh every time because the store keeps
+// the active granule's records.
+func (e *engine) evidence(entries []logmodel.Entry) [][]byte {
+	e.wire, e.ends = e.wire[:0], e.ends[:0]
+	for _, en := range entries {
+		e.wire = logmodel.AppendEntry(e.wire, en)
+		e.ends = append(e.ends, len(e.wire))
+	}
+	arena := append([]byte(nil), e.wire...)
+	lines := make([][]byte, len(e.ends))
+	start := 0
+	for i, end := range e.ends {
+		lines[i] = arena[start:end:end]
+		start = end
+	}
+	return lines
 }
 
 // printDelta writes the stderr delta line: the window extent, the model
@@ -462,12 +595,12 @@ func (e *engine) appendStore(b stream.Bucket) error {
 // other set is empty) that appeared and disappeared since the last window.
 // The line is built whole and written once: a failed write is the stage's
 // error, so the checkpoint never moves past a line that was not written.
-func (e *engine) printDelta(stream.Bucket) error {
-	r, unit := e.in.WindowRange(), "pairs"
+func (e *engine) printDelta(c *commit) error {
+	r, unit := c.window, "pairs"
 	if e.cfg.Method == "l3" {
 		unit = "deps"
 	}
-	pairs, deps := e.snap.PairSet(), e.snap.DepSet()
+	pairs, deps := c.snap.PairSet(), c.snap.DepSet()
 	gonePairs, bornPairs := core.DiffModels(e.prevPairs, pairs)
 	goneDeps, bornDeps := core.DiffDeps(e.prevDeps, deps)
 	e.line = fmt.Appendf(e.line[:0], "window [%s .. %s): %d %s",
@@ -492,13 +625,14 @@ func (e *engine) printDelta(stream.Bucket) error {
 // bucket's record was just appended, so the locator names the live raw
 // segment — one lookup per bucket: every change point of one Observe is At
 // the bucket's start.
-func (e *engine) observeDrift(b stream.Bucket) error {
+func (e *engine) observeDrift(c *commit) error {
 	if e.det == nil {
 		return nil
 	}
+	b := c.bucket
 	cps := e.det.Observe(drift.Observation{
 		Bucket: b.Index, At: b.Range.Start,
-		Active: e.feats.Active, Scores: e.feats.Scores, Delays: e.feats.Delays,
+		Active: c.feats.Active, Scores: c.feats.Scores, Delays: c.feats.Delays,
 	})
 	if len(cps) == 0 {
 		return nil
@@ -522,14 +656,13 @@ func (e *engine) observeDrift(b stream.Bucket) error {
 	return err
 }
 
-// checkpoint persists the resume point but the window, which the store
-// holds. Consumed() already covers the line that closed this bucket (it sits
-// in the checkpoint's pending set), so base+Consumed is exact: no replay.
-func (e *engine) checkpoint(stream.Bucket) error {
-	if e.cfg.ResumePath == "" {
+// checkpoint persists the resume point render captured, with the drift
+// state as of this bucket; the window is the store's.
+func (e *engine) checkpoint(c *commit) error {
+	next := c.ckpt
+	if next == nil {
 		return nil
 	}
-	next := e.in.CheckpointLight(e.base+e.feeder.Consumed(), e.tailer.Rotations())
 	if e.det != nil {
 		blob, err := e.det.State()
 		if err != nil {
@@ -543,14 +676,9 @@ func (e *engine) checkpoint(stream.Bucket) error {
 	return nil
 }
 
-func (e *engine) progress(b stream.Bucket) error {
+func (e *engine) progress(c *commit) error {
 	if e.cfg.Progress != nil {
-		e.cfg.Progress(Progress{
-			Buckets:   e.in.Stats().Buckets,
-			Consumed:  e.base + e.feeder.Consumed(),
-			LastIndex: b.Index,
-			WindowEnd: b.Range.End,
-		})
+		e.cfg.Progress(c.progress)
 	}
 	return nil
 }
@@ -570,12 +698,16 @@ func Run(cfg Config, stdout, stderr io.Writer) (Result, error) {
 		return Result{}, err
 	}
 	err = e.feeder.Run(e)
-	// A halt is the SIGKILL-equivalent: no flush, so no partial-bucket
-	// document an uninterrupted run would not emit — the next run resumes
-	// from the last checkpoint and re-reads the open bucket's lines instead.
+	// The commit in flight may still fail or raise Stop: whether the run
+	// halted is known once it is in. A halt is the SIGKILL-equivalent: no
+	// flush, so no partial-bucket document an uninterrupted run would not
+	// emit — the next run resumes from the last checkpoint and re-reads the
+	// open bucket's lines instead.
+	e.join()
 	halted := err != nil || e.halt()
 	if !halted {
 		e.in.Flush()
+		e.join()
 	}
 	if err == nil {
 		err = e.err

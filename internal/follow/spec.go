@@ -28,7 +28,9 @@ type Spec struct {
 	// NoStops disables the canonical L3 stop patterns.
 	NoStops bool `json:"no_stops,omitempty"`
 	// Workers bounds per-bucket mining parallelism (0 = all cores via the
-	// shared pool, 1 = sequential); output is identical for any value.
+	// shared pool, 1 = sequential); output is identical for any value. It
+	// does not bound the engine's own two goroutines: each bucket's commit
+	// overlaps the mining of the next at every value, 1 included.
 	Workers int `json:"workers,omitempty"`
 	// BucketSec is the bucket width in seconds, WindowBuckets the window
 	// size in buckets: the stream's mining geometry.
